@@ -1,4 +1,4 @@
-.PHONY: all build test check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke perf-baseline loadgen loadgen-quick chaos-quick serve-smoke examples clean
+.PHONY: all build test check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline loadgen loadgen-quick chaos-quick serve-smoke examples clean
 
 all: build
 
@@ -70,6 +70,15 @@ perf-scale:
 # budget, same certificate gate.
 perf-scale-smoke:
 	dune exec bench/main.exe -- perf --scale-smoke
+
+# Allocation gate: the fattree-sparse benchmark workload (Fleischer on
+# fattree:32, delta-stepping SSSP) must pass its checks and allocate at
+# most 25 MB per op (1281 MB before the allocation-free hot path).
+# Allocation is noise-immune, so unlike the timing benches this gate is
+# hard; scripts/check_alloc.sh asserts it.
+alloc-gate:
+	python3 benchsuite/run.py --workload fattree-sparse --seed 42 --seconds 5 --trace 0 > alloc_gate.out
+	@sh scripts/check_alloc.sh alloc_gate.out 25
 
 # Re-pin the committed perf baseline after an intentional perf change.
 # Run on an idle machine; review the diff before committing.

@@ -252,6 +252,12 @@ let bracket_workload ?deadline ?trials_override ?(warmup = true) ~name
     warmup;
   }
 
+let median xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
+
 (* ---- Warm-started failure-sweep solving vs cold (tentpole metric). ----
 
    The marginal cost of a failure-sweep cell under warm-started solving.
@@ -337,7 +343,9 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
   let duals = (Tb_flow.Fleischer.solve ~tol:0.1 g cs).Tb_flow.Fleischer.lengths in
   let warm_results = ref [] in
   let warm_pools = ref [] in
-  let warm_ms = ref nan in
+  (* Every trial's warm time, so the speedup is taken against their
+     median rather than whichever trial happened to run last. *)
+  let warm_trials_ms = ref [] in
   let run () =
     let t0 = Clock.now_ns () in
     let out =
@@ -357,7 +365,7 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
           (pools, r))
         banned_variants
     in
-    warm_ms := Clock.ns_to_ms (Clock.elapsed_ns t0);
+    warm_trials_ms := Clock.ns_to_ms (Clock.elapsed_ns t0) :: !warm_trials_ms;
     warm_pools := List.map fst out;
     warm_results := List.map snd out
   in
@@ -398,11 +406,12 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
       List.fold_left (fun s (r : Restricted.result) -> s + r.Restricted.phases)
         0 rs
     in
-    let speedup = cold_ms /. !warm_ms in
+    let warm_ms = median (Array.of_list !warm_trials_ms) in
+    let speedup = cold_ms /. warm_ms in
     let ok = identical && certified && agree && speedup >= min_speedup in
     ( [
         ("cold_ms", Json.Float cold_ms);
-        ("warm_ms", Json.Float !warm_ms);
+        ("warm_ms", Json.Float warm_ms);
         ("speedup_warm_vs_cold", Json.Float speedup);
         ("min_speedup", Json.Float min_speedup);
         ("repair_identical", Json.Bool identical);
@@ -479,12 +488,6 @@ let workloads mode =
         bracket_workload ~deadline ~trials_override:1 ~warmup:false ~name
           ~spec_str ~pairs:8 ~tol:0.3 ())
       Catalog.scale_specs
-
-let median xs =
-  let a = Array.copy xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
 
 let counter_deltas before after =
   List.filter_map

@@ -275,12 +275,14 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let len = Graph.make_floats num_arcs in
   (* Longest current arc length, maintained incrementally: lengths only
      grow between renormalizations, so a max-tracking write per push
-     keeps delta-stepping's bucket sizing O(1) per traversal. *)
-  let max_len = ref 0.0 in
+     keeps delta-stepping's bucket sizing O(1) per traversal. Held in an
+     unboxed cell: closures capture it, and a captured [float ref]
+     boxes on every write. *)
+  let max_len = [| 0.0 |] in
   for a = 0 to num_arcs - 1 do
     let l = 1.0 /. A1.get cap a in
     A1.set len a l;
-    if l > !max_len then max_len := l
+    if l > max_len.(0) then max_len.(0) <- l
   done;
   (match warm_usable num_arcs warm_lengths with
   | None -> ()
@@ -289,11 +291,11 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
        scale-invariant and this keeps lengths far from the 1e150
        renormalization ceiling regardless of what the caller saved. *)
     let wmax = Array.fold_left Float.max 0.0 w in
-    max_len := 0.0;
+    max_len.(0) <- 0.0;
     for a = 0 to num_arcs - 1 do
       let l = w.(a) /. wmax in
       A1.set len a l;
-      if l > !max_len then max_len := l
+      if l > max_len.(0) then max_len.(0) <- l
     done);
   (* Snapshot of the lengths that achieved [best_upper]: returned as the
      dual certificate, so a checker can re-derive the upper bound from
@@ -304,6 +306,14 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let flow = Graph.make_floats num_arcs in
   A1.fill flow 0.0;
   let groups = Commodity.group_by_source ~n cs in
+  (* Single-destination sources (matching TMs) afford an early-exit
+     SSSP. The options are built once per solve, not once per tree. *)
+  let targets =
+    Array.map
+      (fun (_, idxs) ->
+        if Array.length idxs = 1 then Some cs.(idxs.(0)).Commodity.dst else None)
+      groups
+  in
   let st = Sssp.create_state n in
   let pool = pool_create n in
   (* Scratch: current tree distance per destination, per active source. *)
@@ -312,7 +322,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let sssp_tree ?target ~src st =
     Metrics.incr m_dijkstra;
     if use_delta then
-      Sssp.delta_stepping ?target ~max_len:!max_len ~parallel:true g ~len ~src st
+      Sssp.delta_stepping ?target ~max_len:max_len.(0) ~parallel:true g ~len ~src st
     else Sssp.dijkstra ?target g ~len ~src st
   in
   let renormalize () =
@@ -329,7 +339,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
         A1.unsafe_set len a l;
         if l > !m' then m' := l
       done;
-      max_len := !m'
+      max_len.(0) <- !m'
     end
   in
   let congestion () =
@@ -344,7 +354,9 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
      sum runs one SSSP per source group; each group's partial is summed
      within the group in commodity order and the partials are folded in
      group order, so the bound is bit-identical regardless of the
-     domain count (the lengths are read-only during the pass). *)
+     domain count (the lengths are read-only during the pass). Distances
+     are read stamp-checked from the raw array: [Sssp.distance] would
+     box its result on every call. *)
   let dual_bound () =
     let dsum = ref 0.0 in
     for a = 0 to num_arcs - 1 do
@@ -353,11 +365,14 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
     let run (s, idxs) =
       with_state pool @@ fun st ->
       sssp_tree ~src:s st;
+      let dist = Sssp.raw_distances st in
       let acc = ref 0.0 in
-      Array.iter
-        (fun j ->
-          acc := !acc +. (demand.(j) *. Sssp.distance st cs.(j).Commodity.dst))
-        idxs;
+      for i = 0 to Array.length idxs - 1 do
+        let j = idxs.(i) in
+        let t = cs.(j).Commodity.dst in
+        let d = if Sssp.reached st t then A1.unsafe_get dist t else infinity in
+        acc := !acc +. (demand.(j) *. d)
+      done;
       !acc
     in
     let parts =
@@ -376,71 +391,65 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   A1.fill flow_snapshot 0.0;
   let snapshot_scale = ref 0.0 in
   let stop = ref false in
-  (* Route [remaining] units from the current tree of [st] toward [t]:
-     walk parent arcs to measure current length and bottleneck (no
-     allocation), then either push or report the tree stale. *)
-  let rec route_on_tree ~src ~dst remaining =
-    if remaining > 1e-15 then begin
-      let cur_len = ref 0.0 and bottleneck = ref infinity in
-      let v = ref dst in
-      while !v <> src do
-        let a = Sssp.parent_arc st !v in
-        if a < 0 then failwith "Fleischer: lost reachability";
-        cur_len := !cur_len +. A1.unsafe_get len a;
-        let c = A1.unsafe_get cap a in
-        if c < !bottleneck then bottleneck := c;
-        v := Graph.arc_src g a
-      done;
-      if !cur_len > ((1.0 +. !eps) *. A1.get dist_at_tree dst) +. 1e-300 then
-        remaining (* stale: caller refreshes and retries *)
-      else begin
-        let f = min remaining !bottleneck in
-        let v = ref dst in
-        while !v <> src do
-          let a = Sssp.parent_arc st !v in
-          A1.unsafe_set flow a (A1.unsafe_get flow a +. f);
-          let l =
-            A1.unsafe_get len a *. (1.0 +. (!eps *. f /. A1.unsafe_get cap a))
-          in
-          A1.unsafe_set len a l;
-          if l > !max_len then max_len := l;
-          v := Graph.arc_src g a
-        done;
-        route_on_tree ~src ~dst (remaining -. f)
-      end
-    end
-    else 0.0
+  (* Rebuild the tree of source [s] and record its distances, against
+     which the phase loop measures staleness. *)
+  let refresh s target =
+    sssp_tree ?target ~src:s st;
+    match target with
+    | Some t ->
+      A1.set dist_at_tree t
+        (if Sssp.reached st t then A1.unsafe_get (Sssp.raw_distances st) t
+         else infinity)
+    | None -> Sssp.distances_into st dist_at_tree
   in
   while not !stop do
-    (* ---- One phase: route every commodity's full demand. ---- *)
-    Array.iter
-      (fun (s, idxs) ->
-        (* Single-destination sources (matching TMs) afford an early-exit
-           SSSP. *)
-        let target =
-          if Array.length idxs = 1 then Some cs.(idxs.(0)).Commodity.dst
-          else None
-        in
-        let refresh () =
-          sssp_tree ?target ~src:s st;
-          match target with
-          | Some t -> A1.set dist_at_tree t (Sssp.distance st t)
-          | None ->
-            for v = 0 to n - 1 do
-              A1.unsafe_set dist_at_tree v (Sssp.distance st v)
-            done
-        in
-        refresh ();
-        Array.iter
-          (fun j ->
-            let dst = cs.(j).Commodity.dst in
-            let remaining = ref demand.(j) in
-            while !remaining > 1e-15 do
-              remaining := route_on_tree ~src:s ~dst !remaining;
-              if !remaining > 1e-15 then refresh ()
-            done)
-          idxs)
-      groups;
+    (* ---- One phase: route every commodity's full demand. ----
+
+       Each commodity's demand is routed along the current tree of its
+       source: walk parent arcs to measure the path's current length and
+       bottleneck (no allocation), then either push along it or, when the
+       path has grown stale by more than a (1 + eps) factor, refresh the
+       tree and retry. Plain loops over local refs: no float crosses a
+       call, so nothing here is boxed. *)
+    for gi = 0 to Array.length groups - 1 do
+      let s, idxs = groups.(gi) in
+      let target = targets.(gi) in
+      refresh s target;
+      for i = 0 to Array.length idxs - 1 do
+        let j = idxs.(i) in
+        let dst = cs.(j).Commodity.dst in
+        let remaining = ref demand.(j) in
+        while !remaining > 1e-15 do
+          let cur_len = ref 0.0 and bottleneck = ref infinity in
+          let v = ref dst in
+          while !v <> s do
+            let a = Sssp.parent_arc st !v in
+            if a < 0 then failwith "Fleischer: lost reachability";
+            cur_len := !cur_len +. A1.unsafe_get len a;
+            let c = A1.unsafe_get cap a in
+            if c < !bottleneck then bottleneck := c;
+            v := Graph.arc_src g a
+          done;
+          if !cur_len > ((1.0 +. !eps) *. A1.get dist_at_tree dst) +. 1e-300 then
+            refresh s target
+          else begin
+            let f = if !remaining <= !bottleneck then !remaining else !bottleneck in
+            let v = ref dst in
+            while !v <> s do
+              let a = Sssp.parent_arc st !v in
+              A1.unsafe_set flow a (A1.unsafe_get flow a +. f);
+              let l =
+                A1.unsafe_get len a *. (1.0 +. (!eps *. f /. A1.unsafe_get cap a))
+              in
+              A1.unsafe_set len a l;
+              if l > max_len.(0) then max_len.(0) <- l;
+              v := Graph.arc_src g a
+            done;
+            remaining := !remaining -. f
+          end
+        done
+      done
+    done;
     incr phases;
     Metrics.incr m_phases;
     renormalize ();

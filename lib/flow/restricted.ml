@@ -13,8 +13,6 @@ type spec = { commodity : Commodity.t; paths : int list array }
 
 type result = { lower : float; upper : float; phases : int }
 
-let path_length len arcs = List.fold_left (fun s a -> s +. len.(a)) 0.0 arcs
-
 module Metrics = Tb_obs.Metrics
 module Trace = Tb_obs.Trace
 module Convergence = Tb_obs.Convergence
@@ -86,17 +84,31 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
   let demand =
     Array.map (fun s -> s.commodity.Commodity.demand *. sigma) specs
   in
+  (* The phase loop below is allocation-free: paths are flattened to arc
+     arrays once, every loop is an index loop over local refs, and the
+     shortest length is handed back through an unboxed cell rather than
+     a boxed tuple. Sums and minima run in path order: reordering them
+     would change the brackets' last bits. *)
+  let paths = Array.map (fun s -> Array.map Array.of_list s.paths) specs in
+  let best_len = [| infinity |] in
+  (* Index of commodity [j]'s shortest path (first on ties); its length
+     is left in [best_len.(0)]. *)
   let shortest_of j =
-    let best = ref 0 and best_len = ref infinity in
-    Array.iteri
-      (fun i p ->
-        let l = path_length len p in
-        if l < !best_len then begin
-          best_len := l;
-          best := i
-        end)
-      specs.(j).paths;
-    (!best, !best_len)
+    let ps = paths.(j) in
+    let best = ref 0 and bl = ref infinity in
+    for i = 0 to Array.length ps - 1 do
+      let p = ps.(i) in
+      let l = ref 0.0 in
+      for k = 0 to Array.length p - 1 do
+        l := !l +. len.(p.(k))
+      done;
+      if !l < !bl then begin
+        bl := !l;
+        best := i
+      end
+    done;
+    best_len.(0) <- !bl;
+    !best
   in
   let congestion () =
     let w = ref 0.0 in
@@ -112,16 +124,17 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
       dsum := !dsum +. (len.(a) *. cap.(a))
     done;
     let alpha = ref 0.0 in
-    Array.iteri
-      (fun j _ ->
-        let _, l = shortest_of j in
-        alpha := !alpha +. (demand.(j) *. l))
-      specs;
+    for j = 0 to Array.length specs - 1 do
+      ignore (shortest_of j);
+      alpha := !alpha +. (demand.(j) *. best_len.(0))
+    done;
     if !alpha > 0.0 then !dsum /. !alpha else infinity
   in
   let renormalize () =
     let m = ref 0.0 in
-    Array.iter (fun l -> if l > !m then m := l) len;
+    for a = 0 to num_arcs - 1 do
+      if len.(a) > !m then m := len.(a)
+    done;
     if !m > 1e150 then begin
       let inv = 1.0 /. !m in
       for a = 0 to num_arcs - 1 do
@@ -133,24 +146,24 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
   let best_lower = ref 0.0 and best_upper = ref infinity in
   let stop = ref false in
   while not !stop do
-    Array.iteri
-      (fun j _ ->
-        let remaining = ref demand.(j) in
-        while !remaining > 1e-15 do
-          let i, _ = shortest_of j in
-          let p = specs.(j).paths.(i) in
-          let bottleneck =
-            List.fold_left (fun b a -> min b cap.(a)) infinity p
-          in
-          let f = min !remaining bottleneck in
-          List.iter
-            (fun a ->
-              flow.(a) <- flow.(a) +. f;
-              len.(a) <- len.(a) *. (1.0 +. (eps *. f /. cap.(a))))
-            p;
-          remaining := !remaining -. f
-        done)
-      specs;
+    for j = 0 to Array.length specs - 1 do
+      let remaining = ref demand.(j) in
+      while !remaining > 1e-15 do
+        let p = paths.(j).(shortest_of j) in
+        let bottleneck = ref infinity in
+        for k = 0 to Array.length p - 1 do
+          let c = cap.(p.(k)) in
+          bottleneck := if !bottleneck <= c then !bottleneck else c
+        done;
+        let f = if !remaining <= !bottleneck then !remaining else !bottleneck in
+        for k = 0 to Array.length p - 1 do
+          let a = p.(k) in
+          flow.(a) <- flow.(a) +. f;
+          len.(a) <- len.(a) *. (1.0 +. (eps *. f /. cap.(a)))
+        done;
+        remaining := !remaining -. f
+      done
+    done;
     incr phases;
     Metrics.incr m_phases;
     renormalize ();

@@ -9,6 +9,8 @@
    inside the sift loops is unsafe; the bounds are maintained by [size]
    and the power-of-two growth. *)
 
+type keys = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   mutable prio : float array;
   mutable data : int array;
@@ -31,11 +33,12 @@ let grow h =
   h.prio <- prio;
   h.data <- data
 
-let push h p x =
+(* Sift up: bubble the hole from the end toward the root, sliding
+   larger parents down into it, then drop (p, x) in once. Inlined into
+   both push entry points so [p] stays unboxed in [push_keyed]. *)
+let[@inline] sift_up h p x =
   if h.size = Array.length h.prio then grow h;
   let prio = h.prio and data = h.data in
-  (* Sift up: bubble the hole from the end toward the root, sliding
-     larger parents down into it, then drop (p, x) in once. *)
   let i = ref h.size in
   h.size <- h.size + 1;
   let continue = ref true in
@@ -51,6 +54,8 @@ let push h p x =
   done;
   Array.unsafe_set prio !i p;
   Array.unsafe_set data !i x
+
+let push h p x = sift_up h p x
 
 let top_prio h =
   if h.size = 0 then invalid_arg "Heap.top_prio: empty";
@@ -105,3 +110,20 @@ let pop h =
   let top_p = h.prio.(0) and top_d = h.data.(0) in
   drop h;
   (top_p, top_d)
+
+(* {2 Key-indexed entry points}
+
+   Priorities are read from (and checked against) the caller's key
+   array inside this module, so no float crosses the module boundary:
+   under [-opaque] (or without flambda) a float argument or result of a
+   cross-module call is boxed, which in Dijkstra means one allocation
+   per push and per pop. *)
+
+let push_keyed h (keys : keys) v = sift_up h (Bigarray.Array1.get keys v) v
+
+let pop_current h (keys : keys) =
+  if h.size = 0 then invalid_arg "Heap.pop_current: empty";
+  let x = Array.unsafe_get h.data 0 in
+  let current = Array.unsafe_get h.prio 0 <= Bigarray.Array1.get keys x in
+  drop h;
+  if current then x else -1

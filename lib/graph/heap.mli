@@ -24,3 +24,20 @@ val pop : t -> float * int
 val top_prio : t -> float
 val top_data : t -> int
 val drop : t -> unit
+
+(** {2 Key-indexed entry points}
+
+    For callers whose priorities live in a Bigarray indexed by payload
+    (Dijkstra's distance array): priorities never cross the module
+    boundary, so neither entry point boxes a float. *)
+
+type keys = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [push_keyed h keys v] pushes [v] with priority [keys.{v}] as of now. *)
+val push_keyed : t -> keys -> int -> unit
+
+(** Remove the minimum entry and return its payload [v] if it is current
+    (its priority is [<= keys.{v}]: with keys that only decrease, the
+    entry holds [v]'s present key), or [-1] if it is stale. Raises on an
+    empty heap. Pop order equals the [top_data]/[drop] sequence. *)
+val pop_current : t -> keys -> int

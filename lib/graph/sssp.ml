@@ -97,6 +97,15 @@ let create_state n =
 
 let reached st v = A1.get st.visit v = st.stamp
 let distance st v = if reached st v then A1.get st.dist v else infinity
+let raw_distances st = st.dist
+
+let distances_into st (out : Graph.floats) =
+  if A1.dim out < st.nodes then invalid_arg "Sssp.distances_into: output too short";
+  let dist = st.dist and visit = st.visit and stamp = st.stamp in
+  for v = 0 to st.nodes - 1 do
+    A1.unsafe_set out v
+      (if A1.unsafe_get visit v = stamp then A1.unsafe_get dist v else infinity)
+  done
 let parent_arc st v = if reached st v then A1.get st.parent v else -1
 
 let path_arcs g st v =
@@ -110,14 +119,14 @@ let path_arcs g st v =
     Some (collect v [])
   end
 
-let check_run name g st (len : Graph.floats option) src =
+let check_run name g st src =
   let n = Graph.num_nodes g in
   if st.nodes <> n then invalid_arg (name ^ ": state size");
-  if src < 0 || src >= n then invalid_arg (name ^ ": source out of range");
-  match len with
-  | Some l when A1.dim l < Graph.num_arcs g ->
-      invalid_arg (name ^ ": length array too short")
-  | _ -> ()
+  if src < 0 || src >= n then invalid_arg (name ^ ": source out of range")
+
+let check_len name g (len : Graph.floats) =
+  if A1.dim len < Graph.num_arcs g then
+    invalid_arg (name ^ ": length array too short")
 
 let start_run st src =
   st.stamp <- st.stamp + 1;
@@ -133,24 +142,31 @@ let start_run st src =
    the instance size selects. Same lazy-deletion discipline, same
    unsafe-indexing justification: indices are node ids or CSR positions
    established by Graph construction, and [len] is length-checked on
-   entry. *)
+   entry.
+
+   Priorities never cross into [Heap]: the key pushed for [v] is read
+   from [dist] inside the heap ([push_keyed]), and a pop reports only
+   whether the entry is current ([pop_current]). A current entry's key
+   equals [dist u] at pop time (distances only decrease, and every
+   decrease pushes), so [d] is re-read from [dist] bit for bit. *)
 let dijkstra ?target g ~(len : Graph.floats) ~src st =
-  check_run "Sssp.dijkstra" g st (Some len) src;
+  check_run "Sssp.dijkstra" g st src;
+  check_len "Sssp.dijkstra" g len;
   let row = Graph.ba_adj_start g in
   let nbr = Graph.ba_adj_node g in
   let arc_of = Graph.ba_adj_arc g in
   let dist = st.dist and parent = st.parent and visit = st.visit in
   start_run st src;
   let stamp = st.stamp in
-  Heap.clear st.heap;
-  Heap.push st.heap 0.0 src;
+  let heap = st.heap in
+  Heap.clear heap;
+  Heap.push_keyed heap dist src;
   let target = match target with Some t -> t | None -> -1 in
   let finished = ref false in
-  while (not !finished) && not (Heap.is_empty st.heap) do
-    let d = Heap.top_prio st.heap in
-    let u = Heap.top_data st.heap in
-    Heap.drop st.heap;
-    if d <= A1.unsafe_get dist u then begin
+  while (not !finished) && not (Heap.is_empty heap) do
+    let u = Heap.pop_current heap dist in
+    if u >= 0 then begin
+      let d = A1.unsafe_get dist u in
       if u = target then finished := true
       else begin
         let hi = A1.unsafe_get row (u + 1) in
@@ -167,7 +183,7 @@ let dijkstra ?target g ~(len : Graph.floats) ~src st =
               A1.unsafe_set dist v nd;
               A1.unsafe_set parent v arc;
               A1.unsafe_set visit v stamp;
-              Heap.push st.heap nd v
+              Heap.push_keyed heap dist v
             end
           end
         done
@@ -183,7 +199,7 @@ let dijkstra ?target g ~(len : Graph.floats) ~src st =
    discovery in queue x CSR order — deterministic, and bit-identical to
    what heap Dijkstra computes for distances. *)
 let dial ?target g ~src st =
-  check_run "Sssp.dial" g st None src;
+  check_run "Sssp.dial" g st src;
   let row = Graph.ba_adj_start g in
   let nbr = Graph.ba_adj_node g in
   let arc_of = Graph.ba_adj_arc g in
@@ -234,12 +250,12 @@ let ensure_frontier st n = if Array.length st.frontier < n then st.frontier <- A
 let ensure_buckets st b =
   if Array.length st.bucket < b then begin
     let old = Array.length st.bucket in
+    (* New slots start empty and get storage on their first push: a
+       length function with a wide range sizes up to [max_slots] slots,
+       of which a run typically touches a few. *)
     let bucket = Array.make b [||] and blen = Array.make b 0 in
     Array.blit st.bucket 0 bucket 0 old;
     Array.blit st.bucket_len 0 blen 0 old;
-    for i = old to b - 1 do
-      bucket.(i) <- Array.make 16 0
-    done;
     st.bucket <- bucket;
     st.bucket_len <- blen
   end;
@@ -262,19 +278,24 @@ let ensure_bufs st k =
     st.bufs <- bufs
   end
 
-let buf_push b v a d =
+(* Cold path of [buf_push], kept out of line and float-free. *)
+let buf_grow b =
   let len = b.cand_len in
-  if len = Array.length b.cand_node then begin
-    let cap' = 2 * len in
-    let cn = Array.make cap' 0 and ca = Array.make cap' 0 in
-    let cd = Array.make cap' 0.0 in
-    Array.blit b.cand_node 0 cn 0 len;
-    Array.blit b.cand_arc 0 ca 0 len;
-    Array.blit b.cand_dist 0 cd 0 len;
-    b.cand_node <- cn;
-    b.cand_arc <- ca;
-    b.cand_dist <- cd
-  end;
+  let cap' = 2 * len in
+  let cn = Array.make cap' 0 and ca = Array.make cap' 0 in
+  let cd = Array.make cap' 0.0 in
+  Array.blit b.cand_node 0 cn 0 len;
+  Array.blit b.cand_arc 0 ca 0 len;
+  Array.blit b.cand_dist 0 cd 0 len;
+  b.cand_node <- cn;
+  b.cand_arc <- ca;
+  b.cand_dist <- cd
+
+(* Inlined so [d] is stored straight from a register: a float argument
+   of an out-of-line call is boxed. *)
+let[@inline] buf_push b v a d =
+  let len = b.cand_len in
+  if len = Array.length b.cand_node then buf_grow b;
   Array.unsafe_set b.cand_node len v;
   Array.unsafe_set b.cand_arc len a;
   Array.unsafe_set b.cand_dist len d;
@@ -282,7 +303,8 @@ let buf_push b v a d =
 
 let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
     ~(len : Graph.floats) ~src st =
-  check_run "Sssp.delta_stepping" g st (Some len) src;
+  check_run "Sssp.delta_stepping" g st src;
+  check_len "Sssp.delta_stepping" g len;
   (match delta with
   | Some d when not (d > 0.0 && d < infinity) ->
       invalid_arg "Sssp.delta_stepping: delta must be positive and finite"
@@ -322,7 +344,7 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
     let l = Array.unsafe_get bucket_len slot in
     let arr =
       if l = Array.length arr then begin
-        let arr' = Array.make (2 * l) 0 in
+        let arr' = Array.make (max 16 (2 * l)) 0 in
         Array.blit arr 0 arr' 0 l;
         st.bucket.(slot) <- arr';
         arr'
@@ -334,7 +356,9 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
   in
   start_run st src;
   let stamp = st.stamp in
-  let base = ref 0.0 (* lower edge of the current bucket *)
+  (* Lower edge of the current bucket, in an unboxed cell: the closures
+     below capture it, and a captured [float ref] boxes on every write. *)
+  let base = [| 0.0 |]
   and base_slot = ref 0
   and live = ref 1 in
   push_bucket 0 src;
@@ -342,15 +366,16 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
   (* Slot offset of distance [d] from the current base. The clamp
      absorbs ulp-level rounding at the window edges; a misbucketed
      entry is merely drained early and re-queued, never lost. *)
-  let slot_of d =
-    let off = int_of_float ((d -. !base) /. delta) in
+  let[@inline] slot_of d =
+    let off = int_of_float ((d -. Array.unsafe_get base 0) /. delta) in
     let off = if off < 0 then 0 else if off >= slots then slots - 1 else off in
     (!base_slot + off) mod slots
   in
   (* Apply one candidate (v, arc, nd); returns unit. The re-check
      against the (no longer frozen) dist makes earlier candidates in
-     this same apply pass win ties and stale candidates no-ops. *)
-  let apply v a nd =
+     this same apply pass win ties and stale candidates no-ops. Inlined
+     (as is [slot_of]) so [nd] is never boxed. *)
+  let[@inline] apply v a nd =
     if A1.unsafe_get visit v <> stamp then begin
       A1.unsafe_set visit v stamp;
       A1.unsafe_set processed v nan;
@@ -397,12 +422,13 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
     done;
     if !k = slots then live := 0 (* only stale entries remained *)
     else begin
-      base := !base +. (float_of_int !k *. delta);
+      let b0 = Array.unsafe_get base 0 +. (float_of_int !k *. delta) in
+      Array.unsafe_set base 0 b0;
       base_slot := (!base_slot + !k) mod slots;
-      if target >= 0 && A1.get visit target = stamp && A1.get dist target <= !base
+      if target >= 0 && A1.get visit target = stamp && A1.get dist target <= b0
       then finished := true
       else begin
-        let hi_edge = !base +. delta in
+        let hi_edge = b0 +. delta in
         (* Settle the bucket: frozen-scan rounds to a fixpoint. *)
         let round = ref true in
         while !round do
@@ -432,7 +458,7 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
                    the outer loop would then spin on forever. Forcing
                    offset >= 1 keeps every re-queue ahead of [base], so
                    each drain makes progress. *)
-                let off = int_of_float ((du -. !base) /. delta) in
+                let off = int_of_float ((du -. b0) /. delta) in
                 let off = if off < 1 then 1 else if off >= slots then slots - 1 else off in
                 push_bucket ((!base_slot + off) mod slots) u;
                 incr live
@@ -442,34 +468,32 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
           else begin
             let nchunks = ((!flen - 1) / chunk_nodes) + 1 in
             ensure_bufs st nchunks;
-            let filled =
-              if parallel && nchunks > 1 then
-                Tb_prelude.Parallel.map_array
-                  (fun c ->
-                    let lo = c * chunk_nodes in
-                    let hi = min !flen (lo + chunk_nodes) in
-                    gen_chunk frontier lo hi st.bufs.(c))
-                  (Array.init nchunks (fun c -> c))
-              else begin
-                for c = 0 to nchunks - 1 do
-                  let lo = c * chunk_nodes in
-                  let hi = min !flen (lo + chunk_nodes) in
-                  ignore (gen_chunk frontier lo hi st.bufs.(c))
-                done;
-                Array.sub st.bufs 0 nchunks
-              end
-            in
+            let flen = !flen in
+            if parallel && nchunks > 1 then
+              ignore
+                (Tb_prelude.Parallel.map_array
+                   (fun c ->
+                     let lo = c * chunk_nodes in
+                     let hi = min flen (lo + chunk_nodes) in
+                     gen_chunk frontier lo hi st.bufs.(c))
+                   (Array.init nchunks (fun c -> c)))
+            else
+              for c = 0 to nchunks - 1 do
+                let lo = c * chunk_nodes in
+                let hi = min flen (lo + chunk_nodes) in
+                ignore (gen_chunk frontier lo hi st.bufs.(c))
+              done;
             (* Sequential apply in chunk order x buffer order: the
                deterministic part of the schedule. *)
-            Array.iter
-              (fun b ->
-                for j = 0 to b.cand_len - 1 do
-                  apply
-                    (Array.unsafe_get b.cand_node j)
-                    (Array.unsafe_get b.cand_arc j)
-                    (Array.unsafe_get b.cand_dist j)
-                done)
-              filled
+            for c = 0 to nchunks - 1 do
+              let b = st.bufs.(c) in
+              for j = 0 to b.cand_len - 1 do
+                apply
+                  (Array.unsafe_get b.cand_node j)
+                  (Array.unsafe_get b.cand_arc j)
+                  (Array.unsafe_get b.cand_dist j)
+              done
+            done
           end
         done
       end

@@ -72,6 +72,17 @@ val reached : state -> int -> bool
 (** Distance of [v] in the most recent run, [infinity] if unreached. *)
 val distance : state -> int -> float
 
+(** [distances_into st out] writes {!distance} of every node into
+    [out.{0 .. n-1}] in one pass. Hot loops use it (or {!raw_distances}
+    guarded by {!reached}) instead of {!distance}, whose float result is
+    boxed on every cross-module call. *)
+val distances_into : state -> Graph.floats -> unit
+
+(** The state's distance array itself, without stamp checks: entry [v]
+    is meaningful only when [reached st v]; otherwise it is left over
+    from an earlier run. Valid until the next run on [st]. *)
+val raw_distances : state -> Graph.floats
+
 (** Parent arc of [v] in the most recent tree (-1 at the source or when
     unreached). *)
 val parent_arc : state -> int -> int

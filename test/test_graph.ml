@@ -234,6 +234,59 @@ let test_heap_top_drop () =
   Alcotest.check_raises "drop empty" (Invalid_argument "Heap.drop: empty")
     (fun () -> Heap.drop h)
 
+(* Key-indexed entry points against the legacy priority API: the same
+   push sequence, interleaved with pops, must come out in the same order,
+   and an entry whose key has since been lowered must pop as stale (-1)
+   exactly where a lazy-deletion caller would skip it. Ops are
+   (node, decrement) pushes for node < 16 and pops otherwise. *)
+let prop_heap_keyed_matches_legacy =
+  QCheck.Test.make ~name:"push_keyed/pop_current = push/top/drop" ~count:200
+    QCheck.(list (pair (int_bound 19) (float_range 0.0 10.0)))
+    (fun ops ->
+      let keys = Graph.make_floats 16 in
+      Bigarray.Array1.fill keys 100.0;
+      let legacy = Heap.create ~capacity:2 () and keyed = Heap.create ~capacity:2 () in
+      let legacy_pop () =
+        let d = Heap.top_prio legacy and u = Heap.top_data legacy in
+        Heap.drop legacy;
+        if d <= Bigarray.Array1.get keys u then u else -1
+      in
+      let agree = ref true in
+      let pop () =
+        if Heap.is_empty legacy <> Heap.is_empty keyed then agree := false
+        else if not (Heap.is_empty legacy) then
+          if legacy_pop () <> Heap.pop_current keyed keys then agree := false
+      in
+      List.iter
+        (fun (v, dec) ->
+          if v >= 16 then pop ()
+          else begin
+            Bigarray.Array1.set keys v (Bigarray.Array1.get keys v -. dec);
+            Heap.push legacy (Bigarray.Array1.get keys v) v;
+            Heap.push_keyed keyed keys v
+          end)
+        ops;
+      while not (Heap.is_empty legacy && Heap.is_empty keyed) && !agree do
+        pop ()
+      done;
+      !agree)
+
+let test_heap_pop_current_stale () =
+  let keys = Graph.make_floats 3 in
+  Bigarray.Array1.fill keys 5.0;
+  let h = Heap.create () in
+  Heap.push_keyed h keys 1;
+  Heap.push_keyed h keys 2;
+  Bigarray.Array1.set keys 1 2.0;
+  Heap.push_keyed h keys 1;
+  Alcotest.(check int) "current entry" 1 (Heap.pop_current h keys);
+  (* Both remaining entries have priority 5.0; node 1's is stale. *)
+  let rest = List.sort compare [ Heap.pop_current h keys; Heap.pop_current h keys ] in
+  Alcotest.(check (list int)) "stale entry pops as -1" [ -1; 2 ] rest;
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop_current: empty")
+    (fun () -> ignore (Heap.pop_current h keys))
+
 (* ---- Dijkstra ---- *)
 
 (* Oracle check for the array-based hot path: Bellman-Ford relaxes every
@@ -543,6 +596,8 @@ let () =
         [
           Qseed.to_alcotest prop_heap_sorts;
           Alcotest.test_case "top/drop" `Quick test_heap_top_drop;
+          Qseed.to_alcotest prop_heap_keyed_matches_legacy;
+          Alcotest.test_case "pop_current stale" `Quick test_heap_pop_current_stale;
         ] );
       ( "dijkstra",
         [

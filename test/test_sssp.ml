@@ -231,6 +231,73 @@ let test_fleischer_delta_domain_determinism () =
        (fun a b -> Int64.equal (bits a) (bits b))
        r1.Tb_flow.Fleischer.flow r4.Tb_flow.Fleischer.flow)
 
+(* ---- Allocation regression. ----
+
+   The SSSP and Fleischer inner loops allocate nothing per relaxation,
+   push or routed path: no float crosses a module boundary or enters an
+   out-of-line closure, where it would be boxed (the dev profile
+   compiles with -opaque and without flambda, so nothing is inlined
+   across modules). Minor-heap words are deterministic, so the ceilings
+   are hard: each sits about 4x above the measured steady state (4,400
+   words for the delta-stepping trees, which is their per-call closures;
+   0 for the heap trees; 87,000 for the solve), and one boxed float per
+   relaxation overshoots it 20x or more. Scratch
+   buffers grow on the first runs, so every measurement follows a
+   warm-up pass; domains are pinned to 1 so the count does not depend on
+   the machine. *)
+
+let build spec =
+  match Catalog.spec_of_string spec with
+  | Ok sp -> Catalog.build_spec sp
+  | Error m -> failwith m
+
+let minor_words_after_warmup f =
+  with_domains "1" (fun () ->
+      f ();
+      let w0 = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. w0)
+
+let check_ceiling what ~ceiling words =
+  if words > ceiling then
+    Alcotest.failf "%s: %.0f minor words allocated, ceiling %.0f" what words
+      ceiling
+
+let test_alloc_delta_stepping () =
+  let g = (build "fattree:16").Topology.graph in
+  let ba = ba_of_len g len_dup in
+  let n = Graph.num_nodes g in
+  let st = Sssp.create_state n in
+  let words =
+    minor_words_after_warmup (fun () ->
+        for i = 0 to 99 do
+          Sssp.delta_stepping g ~len:ba ~src:(i * 7 mod n) st
+        done)
+  in
+  check_ceiling "100 delta-stepping trees on fattree:16" ~ceiling:18_000.0 words
+
+let test_alloc_dijkstra () =
+  let g = (build "hypercube:6").Topology.graph in
+  let ba = ba_of_len g len_dup in
+  let n = Graph.num_nodes g in
+  let st = Sssp.create_state n in
+  let words =
+    minor_words_after_warmup (fun () ->
+        for i = 0 to 99 do
+          Sssp.dijkstra g ~len:ba ~src:(i mod n) st
+        done)
+  in
+  check_ceiling "100 heap Dijkstra trees on hypercube:6" ~ceiling:400.0 words
+
+let test_alloc_fleischer () =
+  let topo = build "fattree:8" in
+  let cs = Tb_tm.Tm.commodities (Tb_tm.Synthetic.all_to_all topo) in
+  let words =
+    minor_words_after_warmup (fun () ->
+        ignore (Tb_flow.Fleischer.solve ~eps:0.4 ~tol:0.06 topo.Topology.graph cs))
+  in
+  check_ceiling "Fleischer.solve on fattree:8 A2A" ~ceiling:350_000.0 words
+
 (* ---- Graph.Builder equivalence. ---- *)
 
 let test_builder_matches_of_edges () =
@@ -378,6 +445,13 @@ let () =
             test_fleischer_workhorse_agreement;
           Alcotest.test_case "delta workhorse domain determinism" `Quick
             test_fleischer_delta_domain_determinism;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "delta-stepping trees" `Quick
+            test_alloc_delta_stepping;
+          Alcotest.test_case "heap Dijkstra trees" `Quick test_alloc_dijkstra;
+          Alcotest.test_case "Fleischer solve" `Quick test_alloc_fleischer;
         ] );
       ( "builder",
         [
