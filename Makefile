@@ -78,7 +78,7 @@ perf-scale-smoke:
 # hard; scripts/check_alloc.sh asserts it.
 alloc-gate:
 	python3 benchsuite/run.py --workload fattree-sparse --seed 42 --seconds 5 --trace 0 > alloc_gate.out
-	@sh scripts/check_alloc.sh alloc_gate.out 25
+	@sh scripts/check_alloc.sh alloc_gate.out
 
 # Re-pin the committed perf baseline after an intentional perf change.
 # Run on an idle machine; review the diff before committing.

@@ -354,29 +354,31 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
      sum runs one SSSP per source group; each group's partial is summed
      within the group in commodity order and the partials are folded in
      group order, so the bound is bit-identical regardless of the
-     domain count (the lengths are read-only during the pass). Distances
-     are read stamp-checked from the raw array: [Sssp.distance] would
-     box its result on every call. *)
+     domain count (the lengths are read-only during the pass). Each
+     group's destinations and demands are gathered once per solve, so
+     the per-tree sum is one [Sssp.weighted_distance_sum] call rather
+     than a boxed [Sssp.distance] per commodity. *)
+  let dual_groups =
+    Array.map
+      (fun (s, idxs) ->
+        ( s,
+          Array.map (fun j -> cs.(j).Commodity.dst) idxs,
+          Array.map (fun j -> demand.(j)) idxs ))
+      groups
+  in
   let dual_bound () =
     let dsum = ref 0.0 in
     for a = 0 to num_arcs - 1 do
       dsum := !dsum +. (A1.unsafe_get len a *. A1.unsafe_get cap a)
     done;
-    let run (s, idxs) =
+    let run (s, targets, weights) =
       with_state pool @@ fun st ->
       sssp_tree ~src:s st;
-      let dist = Sssp.raw_distances st in
-      let acc = ref 0.0 in
-      for i = 0 to Array.length idxs - 1 do
-        let j = idxs.(i) in
-        let t = cs.(j).Commodity.dst in
-        let d = if Sssp.reached st t then A1.unsafe_get dist t else infinity in
-        acc := !acc +. (demand.(j) *. d)
-      done;
-      !acc
+      Sssp.weighted_distance_sum st ~targets ~weights
     in
     let parts =
-      if use_delta then Array.map run groups else Parallel.map_array run groups
+      if use_delta then Array.map run dual_groups
+      else Parallel.map_array run dual_groups
     in
     let alpha = Array.fold_left ( +. ) 0.0 parts in
     if alpha > 0.0 then !dsum /. alpha else infinity
@@ -396,10 +398,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let refresh s target =
     sssp_tree ?target ~src:s st;
     match target with
-    | Some t ->
-      A1.set dist_at_tree t
-        (if Sssp.reached st t then A1.unsafe_get (Sssp.raw_distances st) t
-         else infinity)
+    | Some t -> A1.set dist_at_tree t (Sssp.distance st t)
     | None -> Sssp.distances_into st dist_at_tree
   in
   while not !stop do

@@ -97,7 +97,6 @@ let create_state n =
 
 let reached st v = A1.get st.visit v = st.stamp
 let distance st v = if reached st v then A1.get st.dist v else infinity
-let raw_distances st = st.dist
 
 let distances_into st (out : Graph.floats) =
   if A1.dim out < st.nodes then invalid_arg "Sssp.distances_into: output too short";
@@ -106,6 +105,18 @@ let distances_into st (out : Graph.floats) =
     A1.unsafe_set out v
       (if A1.unsafe_get visit v = stamp then A1.unsafe_get dist v else infinity)
   done
+
+let weighted_distance_sum st ~targets ~weights =
+  if Array.length weights < Array.length targets then
+    invalid_arg "Sssp.weighted_distance_sum: fewer weights than targets";
+  let dist = st.dist and visit = st.visit and stamp = st.stamp in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length targets - 1 do
+    let t = targets.(i) in
+    let d = if A1.get visit t = stamp then A1.get dist t else infinity in
+    acc := !acc +. (Array.unsafe_get weights i *. d)
+  done;
+  !acc
 let parent_arc st v = if reached st v then A1.get st.parent v else -1
 
 let path_arcs g st v =

@@ -73,15 +73,16 @@ val reached : state -> int -> bool
 val distance : state -> int -> float
 
 (** [distances_into st out] writes {!distance} of every node into
-    [out.{0 .. n-1}] in one pass. Hot loops use it (or {!raw_distances}
-    guarded by {!reached}) instead of {!distance}, whose float result is
-    boxed on every cross-module call. *)
+    [out.{0 .. n-1}] in one pass. Hot loops use it (or
+    {!weighted_distance_sum}) instead of {!distance}, whose float result
+    is boxed on every cross-module call. *)
 val distances_into : state -> Graph.floats -> unit
 
-(** The state's distance array itself, without stamp checks: entry [v]
-    is meaningful only when [reached st v]; otherwise it is left over
-    from an earlier run. Valid until the next run on [st]. *)
-val raw_distances : state -> Graph.floats
+(** [weighted_distance_sum st ~targets ~weights] is
+    [weights.(0) *. distance st targets.(0) +. weights.(1) *. ...],
+    summed left to right from [0.0]: one boxed result per call instead
+    of one per target. *)
+val weighted_distance_sum : state -> targets:int array -> weights:float array -> float
 
 (** Parent arc of [v] in the most recent tree (-1 at the source or when
     unreached). *)

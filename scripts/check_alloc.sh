@@ -3,7 +3,7 @@
 # (benchsuite/run.py prints one JSON object as its last stdout line):
 #
 #   correct          == true   every op passed its checks
-#   alloc_mb_per_op  <= MAX    heap allocation per op, in MB
+#   alloc_mb_per_op  <= 25     heap allocation per op, in MB
 #
 # Allocation volume is fixed by the seed and the workload, not by the
 # machine's speed or load, so unlike a timing gate this one can be hard
@@ -12,7 +12,7 @@
 set -eu
 
 out="${1:-alloc_gate.out}"
-max="${2:-25}"
+max=25
 
 [ -s "$out" ] || { echo "check_alloc: $out missing or empty"; exit 1; }
 
