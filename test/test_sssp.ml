@@ -83,7 +83,24 @@ let check_against ~what g ~lenf (ost : Sp.state) (st : Sssp.state) =
             what v d (Sssp.distance st v)
       end
     end
-  done
+  done;
+  (* The bulk readers apply the same stamp check as [Sssp.distance]. *)
+  let out = Graph.make_floats n in
+  Sssp.distances_into st out;
+  for v = 0 to n - 1 do
+    if not (Int64.equal (bits (A1.get out v)) (bits (Sssp.distance st v))) then
+      Alcotest.failf "%s: distances_into node %d: %.17g vs %.17g" what v
+        (A1.get out v) (Sssp.distance st v)
+  done;
+  let targets = Array.init n (fun v -> n - 1 - v) in
+  let weights = Array.init n (fun i -> float_of_int (1 + (i mod 3))) in
+  let expect = ref 0.0 in
+  Array.iteri
+    (fun i t -> expect := !expect +. (weights.(i) *. Sssp.distance st t))
+    targets;
+  let got = Sssp.weighted_distance_sum st ~targets ~weights in
+  if not (Int64.equal (bits got) (bits !expect)) then
+    Alcotest.failf "%s: weighted_distance_sum %.17g vs %.17g" what got !expect
 
 let differential_graph ~tag g =
   let n = Graph.num_nodes g in
