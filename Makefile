@@ -1,4 +1,4 @@
-.PHONY: all build test check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline loadgen loadgen-quick chaos-quick serve-smoke examples clean
+.PHONY: all build test check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline bench-pairs loadgen loadgen-quick chaos-quick serve-smoke examples clean
 
 all: build
 
@@ -79,6 +79,16 @@ perf-scale-smoke:
 alloc-gate:
 	python3 benchsuite/run.py --workload fattree-sparse --seed 42 --seconds 5 --trace 0 > alloc_gate.out
 	@sh scripts/check_alloc.sh alloc_gate.out
+
+# Ten alternating 20 s pairs of one benchsuite workload, BASE (a git
+# ref, built in a temporary worktree) against the working tree, then
+# `run.py compare` over them; fails on a regression. About 8 minutes.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=fattree-sparse SEED=42
+BASE ?= HEAD
+WORKLOAD ?= fattree-sparse
+SEED ?= 42
+bench-pairs:
+	sh scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(SEED)
 
 # Re-pin the committed perf baseline after an intentional perf change.
 # Run on an idle machine; review the diff before committing.

@@ -41,8 +41,7 @@ module A1 = Bigarray.Array1
    GC, shared across domains without copying — and the shortest-path
    workhorse is selected by instance size: heap Dijkstra below
    [delta_threshold_arcs] arcs (where its constants win), delta-stepping
-   with domain-parallel candidate generation above it (see
-   {!Tb_graph.Sssp}). The one-off congestion estimate uses Dial buckets
+   above it (see {!Tb_graph.Sssp}). The one-off congestion estimate uses Dial buckets
    (its lengths are all-ones by construction). The longest current arc
    length is tracked incrementally so delta-stepping never rescans the
    length array to size its buckets.
@@ -57,8 +56,9 @@ module A1 = Bigarray.Array1
    partials are reduced sequentially in group order, so the result is
    bit-identical for any domain count, including the sequential gated
    path. On large instances the group loop runs sequentially and the
-   parallelism moves *inside* each delta-stepping traversal, whose
-   frozen-scan schedule gives the same any-domain-count guarantee. *)
+   parallelism moves *inside* each delta-stepping traversal, which fans
+   wide frontiers out across domains when more than one is available;
+   its frozen-scan schedule gives the same any-domain-count guarantee. *)
 
 type result = {
   lower : float; (* certified achievable throughput *)
@@ -71,7 +71,7 @@ type result = {
 type workhorse = Auto | Heap_dijkstra | Delta_stepping
 
 (* Arc count at which [Auto] switches the per-source traversals from
-   heap Dijkstra to parallel delta-stepping. Chosen so every pre-scale
+   heap Dijkstra to delta-stepping. Chosen so every pre-scale
    catalog/bench instance stays on the heap path (bit-identical
    trajectories to the pre-Bigarray solver) while the scale workloads
    get the bucketed traversal. *)
@@ -92,9 +92,9 @@ let h_phases = Metrics.histogram "fleischer.phases_per_solve"
 let g_lower = Metrics.gauge "fleischer.lower"
 let g_upper = Metrics.gauge "fleischer.upper"
 
-(* Step size: larger steps converge in fewer phases and, with the
-   certified stopping rule, do not cost accuracy until they approach the
-   gap floor; 0.25 measured fastest across the experiment mix. *)
+(* Default step size. Larger steps converge in fewer phases and, with
+   the certified stopping rule, cannot cost correctness: both bounds
+   hold for any step, and the step halves when the gap stalls. *)
 let default_eps = 0.4
 let default_tol = 0.03
 
@@ -201,19 +201,15 @@ let congestion_estimate ~big g cs =
 
 exception Unreachable_commodity of Commodity.t
 
+(* Every undirected edge contributes an arc in each direction, so [dst]
+   is reachable from [src] iff both lie in one connected component:
+   one labelling pass serves every source. *)
 let check_reachability g cs =
-  let reach = Hashtbl.create 16 in
+  let _, comp = Traversal.components g in
   Array.iter
     (fun c ->
-      let d =
-        match Hashtbl.find_opt reach c.Commodity.src with
-        | Some d -> d
-        | None ->
-          let d = Traversal.bfs_dist g c.Commodity.src in
-          Hashtbl.add reach c.Commodity.src d;
-          d
-      in
-      if d.(c.Commodity.dst) < 0 then raise (Unreachable_commodity c))
+      if comp.(c.Commodity.src) <> comp.(c.Commodity.dst) then
+        raise (Unreachable_commodity c))
     cs
 
 (* A warm length function is usable iff it covers every arc with a
@@ -325,14 +321,11 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
       Sssp.delta_stepping ?target ~max_len:max_len.(0) ~parallel:true g ~len ~src st
     else Sssp.dijkstra ?target g ~len ~src st
   in
+  (* [max_len.(0)] is exactly the largest current length (see above),
+     so no scan is needed to decide whether to rescale. *)
   let renormalize () =
-    let m = ref 0.0 in
-    for a = 0 to num_arcs - 1 do
-      let l = A1.unsafe_get len a in
-      if l > !m then m := l
-    done;
-    if !m > 1e150 then begin
-      let inv = 1.0 /. !m in
+    if max_len.(0) > 1e150 then begin
+      let inv = 1.0 /. max_len.(0) in
       let m' = ref 0.0 in
       for a = 0 to num_arcs - 1 do
         let l = A1.unsafe_get len a *. inv in
@@ -342,14 +335,10 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
       max_len.(0) <- !m'
     end
   in
-  let congestion () =
-    let w = ref 0.0 in
-    for a = 0 to num_arcs - 1 do
-      let r = A1.unsafe_get flow a /. A1.unsafe_get cap a in
-      if r > !w then w := r
-    done;
-    !w
-  in
+  (* Worst congestion max_a flow(a)/cap(a), tracked at each push: flows
+     only grow, so the running max of the ratios written is exactly the
+     max over the current flows. Unboxed cell, as for [max_len]. *)
+  let congestion = [| 0.0 |] in
   (* Dual bound D(l)/alpha(l) under the *current* lengths. The alpha
      sum runs one SSSP per source group; each group's partial is summed
      within the group in commodity order and the partials are folded in
@@ -357,11 +346,14 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
      domain count (the lengths are read-only during the pass). Each
      group's destinations and demands are gathered once per solve, so
      the per-tree sum is one [Sssp.weighted_distance_sum] call rather
-     than a boxed [Sssp.distance] per commodity. *)
+     than a boxed [Sssp.distance] per commodity. A single-destination
+     group's tree stops once that destination is settled: its distance
+     is final then, so alpha is unchanged. *)
   let dual_groups =
-    Array.map
-      (fun (s, idxs) ->
+    Array.mapi
+      (fun gi (s, idxs) ->
         ( s,
+          targets.(gi),
           Array.map (fun j -> cs.(j).Commodity.dst) idxs,
           Array.map (fun j -> demand.(j)) idxs ))
       groups
@@ -371,9 +363,9 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
     for a = 0 to num_arcs - 1 do
       dsum := !dsum +. (A1.unsafe_get len a *. A1.unsafe_get cap a)
     done;
-    let run (s, targets, weights) =
+    let run (s, target, targets, weights) =
       with_state pool @@ fun st ->
-      sssp_tree ~src:s st;
+      sssp_tree ?target ~src:s st;
       Sssp.weighted_distance_sum st ~targets ~weights
     in
     let parts =
@@ -436,7 +428,10 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
             let v = ref dst in
             while !v <> s do
               let a = Sssp.parent_arc st !v in
-              A1.unsafe_set flow a (A1.unsafe_get flow a +. f);
+              let fa = A1.unsafe_get flow a +. f in
+              A1.unsafe_set flow a fa;
+              let r = fa /. A1.unsafe_get cap a in
+              if r > congestion.(0) then congestion.(0) <- r;
               let l =
                 A1.unsafe_get len a *. (1.0 +. (!eps *. f /. A1.unsafe_get cap a))
               in
@@ -453,7 +448,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
     Metrics.incr m_phases;
     renormalize ();
     (* ---- Bounds. ---- *)
-    let cong = congestion () in
+    let cong = congestion.(0) in
     if cong > 0.0 then begin
       let lower = float_of_int !phases /. cong in
       if lower > !best_lower then begin

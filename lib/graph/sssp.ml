@@ -19,15 +19,18 @@
    equations over IEEE float (+, <), so any label-correcting schedule —
    heap order, bucket order, any domain count — lands on bit-identical
    distances. Parent arcs DO depend on relaxation order, so the bucket
-   loop is a frozen scan: each inner round first collects candidate
-   relaxations (v, arc, dist) against a frozen distance array, then
-   applies them sequentially in a fixed order (frontier order x CSR arc
-   order). Candidate generation is side-effect-free, so it can fan out
-   across domains in fixed-size chunks; the sequential apply phase makes
-   the result bit-identical for any domain count — including domains=1,
-   which runs the exact same generate-then-apply schedule. This is the
-   same guarantee the PR 3 parallel certification established, pushed
-   down into the traversal itself.
+   loop is a frozen scan: each inner round relaxes the frontier's arcs
+   from the distances its nodes were drained with (frozen for the whole
+   round), applying the candidates (v, arc, dist) sequentially in a
+   fixed order (frontier order x CSR arc order). When the round really
+   fans out across domains, candidates are first generated into
+   per-chunk buffers (side-effect-free, fixed-size chunks) and then
+   applied in chunk order; on one domain the same candidates are
+   generated and applied in a single fused pass with no buffer. Both
+   schedules apply the same relaxations in the same order, so the
+   result is bit-identical for any domain count. This is the same
+   guarantee the parallel certification passes give, pushed down into
+   the traversal itself.
 
    Bucket invariants (the ones the code below maintains):
    - Every live (unsettled, tentative-distance) node is queued in the
@@ -348,9 +351,8 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
   in
   let slots = min max_slots (int_of_float (maxl /. delta) + 3) in
   ensure_buckets st slots;
-  ensure_bufs st 1;
   let bucket_len = st.bucket_len in
-  let push_bucket slot u =
+  let[@inline] push_bucket slot u =
     let arr = Array.unsafe_get st.bucket slot in
     let l = Array.unsafe_get bucket_len slot in
     let arr =
@@ -477,34 +479,47 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
           done;
           if !flen = 0 then round := false
           else begin
-            let nchunks = ((!flen - 1) / chunk_nodes) + 1 in
-            ensure_bufs st nchunks;
             let flen = !flen in
-            if parallel && nchunks > 1 then
+            let nchunks = ((flen - 1) / chunk_nodes) + 1 in
+            if parallel && Tb_prelude.Parallel.fans_out nchunks then begin
+              ensure_bufs st nchunks;
               ignore
                 (Tb_prelude.Parallel.map_array
                    (fun c ->
                      let lo = c * chunk_nodes in
                      let hi = min flen (lo + chunk_nodes) in
                      gen_chunk frontier lo hi st.bufs.(c))
-                   (Array.init nchunks (fun c -> c)))
-            else
+                   (Array.init nchunks (fun c -> c)));
+              (* Sequential apply in chunk order x buffer order: the
+                 deterministic part of the schedule. *)
               for c = 0 to nchunks - 1 do
-                let lo = c * chunk_nodes in
-                let hi = min flen (lo + chunk_nodes) in
-                ignore (gen_chunk frontier lo hi st.bufs.(c))
-              done;
-            (* Sequential apply in chunk order x buffer order: the
-               deterministic part of the schedule. *)
-            for c = 0 to nchunks - 1 do
-              let b = st.bufs.(c) in
-              for j = 0 to b.cand_len - 1 do
-                apply
-                  (Array.unsafe_get b.cand_node j)
-                  (Array.unsafe_get b.cand_arc j)
-                  (Array.unsafe_get b.cand_dist j)
+                let b = st.bufs.(c) in
+                for j = 0 to b.cand_len - 1 do
+                  apply
+                    (Array.unsafe_get b.cand_node j)
+                    (Array.unsafe_get b.cand_arc j)
+                    (Array.unsafe_get b.cand_dist j)
+                done
               done
-            done
+            end
+            else
+              (* Fused scan: the same relaxations in the same order,
+                 generated and applied in one pass. [processed u] is the
+                 distance [u] was drained with, i.e. the frozen [dist u]
+                 the buffered path reads; [apply]'s check against live
+                 distances rejects everything the frozen filter would
+                 (live <= frozen) and decides the rest exactly as the
+                 buffered apply pass does. *)
+              for j = 0 to flen - 1 do
+                let u = Array.unsafe_get frontier j in
+                let du = A1.unsafe_get processed u in
+                let hi_row = A1.unsafe_get row (u + 1) in
+                for i = A1.unsafe_get row u to hi_row - 1 do
+                  let a = A1.unsafe_get arc_of i in
+                  let w = A1.unsafe_get len a in
+                  if w < infinity then apply (A1.unsafe_get nbr i) a (du +. w)
+                done
+              done
           end
         done
       end

@@ -11,8 +11,9 @@
     Parent arcs are schedule-dependent, so {!delta_stepping} uses a
     frozen-scan schedule (generate candidate relaxations against frozen
     distances in fixed-size chunks, then apply sequentially in chunk
-    order) that is bit-identical for any domain count, including the
-    sequential count of 1. *)
+    order) that is bit-identical for any domain count. On one domain
+    the same candidates are generated and applied in a single fused
+    pass, in the same order. *)
 
 type state
 
@@ -30,9 +31,12 @@ val dijkstra :
     (default: an eighth of the longest finite arc length, clamped so at
     most 1024 buckets are live); each bucket is relaxed to a fixpoint by
     frozen-scan rounds. [?max_len] passes the longest finite arc length
-    when the caller tracks it (saves an O(arcs) scan). With
-    [~parallel:true] candidate generation fans out across domains via
-    [Tb_prelude.Parallel] (still bit-identical for any domain count).
+    when the caller tracks it (saves an O(arcs) scan). By default each
+    round is one fused sequential scan. With [~parallel:true], a round
+    whose frontier spans more than one 2048-node chunk generates its
+    candidates across domains instead, but only when
+    [Tb_prelude.Parallel.fans_out] says a map would really use more than
+    one domain; distances and parent arcs are bit-identical either way.
     [?target] enables sound early exit once the target's distance falls
     at or below the settled frontier. *)
 val delta_stepping :

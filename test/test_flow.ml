@@ -145,7 +145,17 @@ let test_fleischer_unreachable () =
     (try
        ignore (Fleischer.solve g [| cm ~src:0 ~dst:3 ~demand:1.0 |]);
        false
-     with Fleischer.Unreachable_commodity _ -> true)
+     with Fleischer.Unreachable_commodity _ -> true);
+  (* The first unreachable commodity in input order is the one reported. *)
+  let cs =
+    [| cm ~src:1 ~dst:0 ~demand:1.0; cm ~src:3 ~dst:1 ~demand:1.0;
+       cm ~src:0 ~dst:2 ~demand:1.0; cm ~src:2 ~dst:3 ~demand:1.0 |]
+  in
+  match Fleischer.solve g cs with
+  | _ -> Alcotest.fail "expected Unreachable_commodity"
+  | exception Fleischer.Unreachable_commodity c ->
+    Alcotest.(check (pair int int)) "first unreachable" (3, 1)
+      (c.Commodity.src, c.Commodity.dst)
 
 let test_exact_known_ring () =
   let v, _ =

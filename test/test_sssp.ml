@@ -163,28 +163,56 @@ let test_differential_gen_instances () =
 (* ---- Domain-count bit-determinism of the parallel path. ----
 
    The frozen-scan schedule promises bit-identical results — distances
-   AND parent arcs — for any TOPOBENCH_DOMAINS setting, including the
-   sequential 1. *)
+   AND parent arcs — for any TOPOBENCH_DOMAINS setting. On one domain a
+   round is a fused generate-and-apply pass; the buffered multi-domain
+   fan-out only runs when a frontier spans more than one 2048-node
+   chunk. The hypercube:14 has 3432 nodes at hop distance 7 from any
+   source, and under unit lengths every bucket is exactly one BFS level,
+   so the unit cases really do fan out at domains 2 and 5 and are
+   compared against the fused scan at 1. The quantized-length cases add
+   ties, a narrow delta and early exit at a target. *)
 let test_delta_domain_determinism () =
-  let rng = Rng.make 23 in
-  let g = Tb_graph.Equipment.random_regular rng ~n:600 ~degree:8 in
-  let ba = ba_of_len g len_dup in
+  let g = (Tb_topo.Hypercube.make ~dim:14 ()).Topology.graph in
   let n = Graph.num_nodes g in
-  let capture domains =
-    with_domains domains (fun () ->
-        let st = Sssp.create_state n in
-        Sssp.delta_stepping ~parallel:true g ~len:ba ~src:3 st;
-        Array.init n (fun v ->
-            (Sssp.reached st v, bits (Sssp.distance st v), Sssp.parent_arc st v)))
+  let src = 3 in
+  let widest_level =
+    let levels = Array.make (n + 1) 0 in
+    Array.iter
+      (fun d -> if d >= 0 then levels.(d) <- levels.(d) + 1)
+      (Tb_graph.Traversal.bfs_dist g src);
+    Array.fold_left max 0 levels
   in
-  let base = capture "1" in
+  Alcotest.(check bool) "a BFS level spans several 2048-node chunks" true
+    (widest_level > 2048);
+  let unit = ba_of_len g len_unit and dup = ba_of_len g len_dup in
+  let zero = ba_of_len g len_zero in
+  (* Seven hops out: the trees stop mid-way through the widest level. *)
+  let target = src lxor 0x7f in
+  let cases =
+    [
+      ("unit", unit, None, None);
+      ("unit, target", unit, Some target, None);
+      ("dup, narrow delta", dup, None, Some 0.05);
+      ("dup, target", dup, Some target, None);
+      ("zero-length arcs, wide delta", zero, None, Some 1.5);
+    ]
+  in
+  let st = Sssp.create_state n in
   List.iter
-    (fun domains ->
-      let got = capture domains in
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%s bit-identical" domains)
-        true (base = got))
-    [ "0"; "2"; "5" ]
+    (fun (name, len, target, delta) ->
+      let capture domains =
+        with_domains domains (fun () ->
+            Sssp.delta_stepping ?target ?delta ~parallel:true g ~len ~src st;
+            Array.init n (fun v ->
+                (Sssp.reached st v, bits (Sssp.distance st v), Sssp.parent_arc st v)))
+      in
+      let base = capture "1" in
+      List.iter
+        (fun domains ->
+          if capture domains <> base then
+            Alcotest.failf "%s: domains=%s differs from domains=1" name domains)
+        [ "0"; "2"; "5" ])
+    cases
 
 (* ---- Fleischer workhorse cross-check. ----
 
@@ -247,6 +275,34 @@ let test_fleischer_delta_domain_determinism () =
     (Array.for_all2
        (fun a b -> Int64.equal (bits a) (bits b))
        r1.Tb_flow.Fleischer.flow r4.Tb_flow.Fleischer.flow)
+
+(* ---- Pinned delta-stepping Fleischer trajectory. ----
+
+   One solve on an instance with both single-destination source groups
+   (early-exit trees) and multi-destination ones (full trees), with its
+   bracket and phase count pinned bit for bit. The fused frozen scan,
+   the incrementally tracked congestion and maximum length, and the
+   early-exit dual trees are all exact rewrites: a different parent arc,
+   length or dual tree distance anywhere moves at least one of these
+   values. *)
+let test_fleischer_delta_trajectory () =
+  let g = Tb_graph.Equipment.random_regular (Rng.make 31) ~n:40 ~degree:5 in
+  let cm src dst demand = Tb_flow.Commodity.make ~src ~dst ~demand in
+  let cs =
+    Array.append
+      (Array.init 6 (fun i ->
+           cm i ((i + 13) mod 40) (1.0 +. (0.5 *. float_of_int i))))
+      [| cm 10 20 1.0; cm 10 25 2.0; cm 10 33 0.5; cm 11 21 1.5; cm 11 30 1.0 |]
+  in
+  let r = Tb_flow.Fleischer.solve ~tol:0.05 ~sssp:Delta_stepping g cs in
+  let check_bits name pinned got =
+    if not (Int64.equal (bits got) pinned) then
+      Alcotest.failf "%s: got %h (0x%Lx), pinned 0x%Lx" name got (bits got)
+        pinned
+  in
+  check_bits "lower" 0x3ff2e2f8151d07ebL r.lower;
+  check_bits "upper" 0x3ff3d2f753b96e7eL r.upper;
+  Alcotest.(check int) "phases" 700 r.phases
 
 (* ---- Allocation regression. ----
 
@@ -462,6 +518,8 @@ let () =
             test_fleischer_workhorse_agreement;
           Alcotest.test_case "delta workhorse domain determinism" `Quick
             test_fleischer_delta_domain_determinism;
+          Alcotest.test_case "delta workhorse pinned trajectory" `Quick
+            test_fleischer_delta_trajectory;
         ] );
       ( "allocation",
         [
