@@ -41,10 +41,10 @@ module A1 = Bigarray.Array1
    GC, shared across domains without copying — and the shortest-path
    workhorse is selected by instance size: heap Dijkstra below
    [delta_threshold_arcs] arcs (where its constants win), delta-stepping
-   above it (see {!Tb_graph.Sssp}). The one-off congestion estimate uses Dial buckets
-   (its lengths are all-ones by construction). The longest current arc
-   length is tracked incrementally so delta-stepping never rescans the
-   length array to size its buckets.
+   above it (see {!Tb_graph.Sssp}). The one-off congestion estimate uses
+   Dial buckets (its lengths are all-ones by construction). The longest
+   current arc length is tracked incrementally so delta-stepping never
+   rescans the length array to size its buckets.
 
    Parallelism: the route phases are inherently sequential (every push
    updates the lengths the next push routes against), but the two

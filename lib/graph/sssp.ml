@@ -49,7 +49,8 @@
 
 module A1 = Bigarray.Array1
 
-(* Per-chunk candidate buffer for the frozen scan. *)
+(* Per-chunk candidate buffer for the frozen scan when it fans out across
+   domains. *)
 type buf = {
   mutable cand_node : int array;
   mutable cand_arc : int array;

@@ -38,7 +38,8 @@ git -C "$root" worktree add --quiet --detach "$wt" "$base_ref"
 
 # Build both sides before the first timed run, so neither pays for it.
 for side in "$wt" "$root"; do
-  DUNE_CACHE=disabled dune build --root "$side" --display quiet ./benchsuite/suite.exe
+  DUNE_CACHE=disabled dune build --root "$side" --no-print-directory --display quiet \
+    ./benchsuite/suite.exe
 done
 
 # run SIDE_DIR OUT: one untraced run; its own output is not needed.
