@@ -169,8 +169,9 @@ let test_differential_gen_instances () =
    chunk. The hypercube:14 has 3432 nodes at hop distance 7 from any
    source, and under unit lengths every bucket is exactly one BFS level,
    so the unit cases really do fan out at domains 2 and 5 and are
-   compared against the fused scan at 1. The quantized-length cases add
-   ties, a narrow delta and early exit at a target. *)
+   compared against the fused scan at 1. The other cases add
+   quantized-length ties, a narrow delta, early exit at a target and
+   zero-length arcs under a wide delta. *)
 let test_delta_domain_determinism () =
   let g = (Tb_topo.Hypercube.make ~dim:14 ()).Topology.graph in
   let n = Graph.num_nodes g in
