@@ -84,10 +84,9 @@ alloc-gate:
 # ref, built in a temporary worktree) against the working tree, then
 # `run.py compare` over them; fails on a regression. About 8 minutes.
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=fattree-sparse SEED=42
-BASE ?= HEAD
-WORKLOAD ?= fattree-sparse
-SEED ?= 42
 bench-pairs:
+	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(SEED)" ]; then \
+	  echo "usage: make bench-pairs BASE=<ref> WORKLOAD=<workload> SEED=<seed>" >&2; exit 2; fi
 	sh scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(SEED)
 
 # Re-pin the committed perf baseline after an intentional perf change.

@@ -55,10 +55,8 @@ module A1 = Bigarray.Array1
    partial alpha sum, or a packed list of load contributions) and the
    partials are reduced sequentially in group order, so the result is
    bit-identical for any domain count, including the sequential gated
-   path. On large instances the group loop runs sequentially and the
-   parallelism moves *inside* each delta-stepping traversal, which fans
-   wide frontiers out across domains when more than one is available;
-   its frozen-scan schedule gives the same any-domain-count guarantee. *)
+   path. On large instances the group loop runs sequentially, and so
+   does each delta-stepping traversal. *)
 
 type result = {
   lower : float; (* certified achievable throughput *)
@@ -318,7 +316,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let sssp_tree ?target ~src st =
     Metrics.incr m_dijkstra;
     if use_delta then
-      Sssp.delta_stepping ?target ~max_len:max_len.(0) ~parallel:true g ~len ~src st
+      Sssp.delta_stepping ?target ~max_len:max_len.(0) g ~len ~src st
     else Sssp.dijkstra ?target g ~len ~src st
   in
   (* [max_len.(0)] is exactly the largest current length (see above),

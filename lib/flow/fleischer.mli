@@ -31,10 +31,7 @@ val default_tol : float
 
 (** Per-source shortest-path workhorse selection. [Auto] picks heap
     Dijkstra below {!delta_threshold_arcs} arcs and delta-stepping (see
-    {!Tb_graph.Sssp}) at or above it. Delta-stepping fans a wide frontier
-    out across domains only when [Tb_prelude.Parallel] would run on more
-    than one; otherwise it runs its fused sequential scan, with the same
-    trees either way. The explicit
+    {!Tb_graph.Sssp}) at or above it; both run sequentially. The explicit
     constructors force one for differential tests. Either choice yields
     a valid certified bracket; trajectories (and hence the exact bracket
     endpoints) may differ because shortest-path {e trees} are

@@ -22,15 +22,9 @@
    loop is a frozen scan: each inner round relaxes the frontier's arcs
    from the distances its nodes were drained with (frozen for the whole
    round), applying the candidates (v, arc, dist) sequentially in a
-   fixed order (frontier order x CSR arc order). When the round really
-   fans out across domains, candidates are first generated into
-   per-chunk buffers (side-effect-free, fixed-size chunks) and then
-   applied in chunk order; on one domain the same candidates are
-   generated and applied in a single fused pass with no buffer. Both
-   schedules apply the same relaxations in the same order, so the
-   result is bit-identical for any domain count. This is the same
-   guarantee the parallel certification passes give, pushed down into
-   the traversal itself.
+   fixed order (frontier order x CSR arc order), generated and applied
+   in one fused pass. The schedule depends only on the graph, the
+   lengths and the source, never on the domain count.
 
    Bucket invariants (the ones the code below maintains):
    - Every live (unsettled, tentative-distance) node is queued in the
@@ -49,15 +43,6 @@
 
 module A1 = Bigarray.Array1
 
-(* Per-chunk candidate buffer for the frozen scan when it fans out across
-   domains. *)
-type buf = {
-  mutable cand_node : int array;
-  mutable cand_arc : int array;
-  mutable cand_dist : float array;
-  mutable cand_len : int;
-}
-
 type state = {
   nodes : int;
   dist : Graph.floats;
@@ -71,7 +56,6 @@ type state = {
   mutable bucket : int array array; (* circular: slot -> queued nodes *)
   mutable bucket_len : int array;
   mutable frontier : int array;
-  mutable bufs : buf array; (* one per frozen-scan chunk *)
   mutable queue : int array; (* dial/BFS ring *)
 }
 
@@ -95,7 +79,6 @@ let create_state n =
     bucket = [||];
     bucket_len = [||];
     frontier = Array.make 16 0;
-    bufs = [||];
     queue = [||];
   }
 
@@ -256,10 +239,6 @@ let dial ?target g ~src st =
    orders of magnitude. *)
 let max_slots = 1024
 
-(* Fixed frozen-scan chunk size. Must not depend on the domain count:
-   the chunk decomposition is part of the deterministic schedule. *)
-let chunk_nodes = 2048
-
 let ensure_frontier st n = if Array.length st.frontier < n then st.frontier <- Array.make (max 16 n) 0
 
 let ensure_buckets st b =
@@ -276,47 +255,7 @@ let ensure_buckets st b =
   end;
   Array.fill st.bucket_len 0 b 0
 
-let ensure_bufs st k =
-  if Array.length st.bufs < k then begin
-    let old = Array.length st.bufs in
-    let bufs =
-      Array.init k (fun i ->
-          if i < old then st.bufs.(i)
-          else
-            {
-              cand_node = Array.make 256 0;
-              cand_arc = Array.make 256 0;
-              cand_dist = Array.make 256 0.0;
-              cand_len = 0;
-            })
-    in
-    st.bufs <- bufs
-  end
-
-(* Cold path of [buf_push], kept out of line and float-free. *)
-let buf_grow b =
-  let len = b.cand_len in
-  let cap' = 2 * len in
-  let cn = Array.make cap' 0 and ca = Array.make cap' 0 in
-  let cd = Array.make cap' 0.0 in
-  Array.blit b.cand_node 0 cn 0 len;
-  Array.blit b.cand_arc 0 ca 0 len;
-  Array.blit b.cand_dist 0 cd 0 len;
-  b.cand_node <- cn;
-  b.cand_arc <- ca;
-  b.cand_dist <- cd
-
-(* Inlined so [d] is stored straight from a register: a float argument
-   of an out-of-line call is boxed. *)
-let[@inline] buf_push b v a d =
-  let len = b.cand_len in
-  if len = Array.length b.cand_node then buf_grow b;
-  Array.unsafe_set b.cand_node len v;
-  Array.unsafe_set b.cand_arc len a;
-  Array.unsafe_set b.cand_dist len d;
-  b.cand_len <- len + 1
-
-let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
+let delta_stepping ?target ?delta ?max_len ?parallel:_ g
     ~(len : Graph.floats) ~src st =
   check_run "Sssp.delta_stepping" g st src;
   check_len "Sssp.delta_stepping" g len;
@@ -405,28 +344,6 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
       incr live
     end
   in
-  (* Candidate generation against frozen distances for the frontier
-     slice [lo, hi) into [b] — pure w.r.t. shared state, so chunks can
-     run on any domain. *)
-  let gen_chunk frontier lo hi b =
-    b.cand_len <- 0;
-    for j = lo to hi - 1 do
-      let u = Array.unsafe_get frontier j in
-      let du = A1.unsafe_get dist u in
-      let hi_row = A1.unsafe_get row (u + 1) in
-      for i = A1.unsafe_get row u to hi_row - 1 do
-        let a = A1.unsafe_get arc_of i in
-        let w = A1.unsafe_get len a in
-        if w < infinity then begin
-          let nd = du +. w in
-          let v = A1.unsafe_get nbr i in
-          if A1.unsafe_get visit v <> stamp || nd < A1.unsafe_get dist v then
-            buf_push b v a nd
-        end
-      done
-    done;
-    b
-  in
   let finished = ref false in
   while (not !finished) && !live > 0 do
     (* Advance to the next non-empty slot. *)
@@ -480,47 +397,20 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
           done;
           if !flen = 0 then round := false
           else begin
-            let flen = !flen in
-            let nchunks = ((flen - 1) / chunk_nodes) + 1 in
-            if parallel && Tb_prelude.Parallel.fans_out nchunks then begin
-              ensure_bufs st nchunks;
-              ignore
-                (Tb_prelude.Parallel.map_array
-                   (fun c ->
-                     let lo = c * chunk_nodes in
-                     let hi = min flen (lo + chunk_nodes) in
-                     gen_chunk frontier lo hi st.bufs.(c))
-                   (Array.init nchunks (fun c -> c)));
-              (* Sequential apply in chunk order x buffer order: the
-                 deterministic part of the schedule. *)
-              for c = 0 to nchunks - 1 do
-                let b = st.bufs.(c) in
-                for j = 0 to b.cand_len - 1 do
-                  apply
-                    (Array.unsafe_get b.cand_node j)
-                    (Array.unsafe_get b.cand_arc j)
-                    (Array.unsafe_get b.cand_dist j)
-                done
+            (* One fused pass: the frozen distance of [u] is
+               [processed u], the distance it was drained with, and
+               [apply]'s check against live distances rejects every
+               candidate that would not improve them. *)
+            for j = 0 to !flen - 1 do
+              let u = Array.unsafe_get frontier j in
+              let du = A1.unsafe_get processed u in
+              let hi_row = A1.unsafe_get row (u + 1) in
+              for i = A1.unsafe_get row u to hi_row - 1 do
+                let a = A1.unsafe_get arc_of i in
+                let w = A1.unsafe_get len a in
+                if w < infinity then apply (A1.unsafe_get nbr i) a (du +. w)
               done
-            end
-            else
-              (* Fused scan: the same relaxations in the same order,
-                 generated and applied in one pass. [processed u] is the
-                 distance [u] was drained with, i.e. the frozen [dist u]
-                 the buffered path reads; [apply]'s check against live
-                 distances rejects everything the frozen filter would
-                 (live <= frozen) and decides the rest exactly as the
-                 buffered apply pass does. *)
-              for j = 0 to flen - 1 do
-                let u = Array.unsafe_get frontier j in
-                let du = A1.unsafe_get processed u in
-                let hi_row = A1.unsafe_get row (u + 1) in
-                for i = A1.unsafe_get row u to hi_row - 1 do
-                  let a = A1.unsafe_get arc_of i in
-                  let w = A1.unsafe_get len a in
-                  if w < infinity then apply (A1.unsafe_get nbr i) a (du +. w)
-                done
-              done
+            done
           end
         done
       end
@@ -532,13 +422,13 @@ let delta_stepping ?target ?delta ?max_len ?(parallel = false) g
 
 (* Arc count at which [run] switches from the heap to buckets: below
    it the heap's constants win, above it delta-stepping's cache-friendly
-   frontiers (and optional domain parallelism) do. Shared with the flow
-   solvers so "big instance" means one thing everywhere. *)
+   frontiers do. Shared with the flow solvers so "big instance" means
+   one thing everywhere. *)
 let auto_delta_arcs = 32768
 
-let run ?target ?max_len ?(parallel = false) g ~len ~src st =
+let run ?target ?max_len ?parallel:_ g ~len ~src st =
   if Graph.num_arcs g >= auto_delta_arcs then
-    delta_stepping ?target ?max_len ~parallel g ~len ~src st
+    delta_stepping ?target ?max_len g ~len ~src st
   else dijkstra ?target g ~len ~src st
 
 (* {2 Closure/convenience wrappers} *)

@@ -9,11 +9,10 @@
     shortest-path distances are the unique fixpoint of the Bellman
     equations over IEEE arithmetic, independent of relaxation order.
     Parent arcs are schedule-dependent, so {!delta_stepping} uses a
-    frozen-scan schedule (generate candidate relaxations against frozen
-    distances in fixed-size chunks, then apply sequentially in chunk
-    order) that is bit-identical for any domain count. On one domain
-    the same candidates are generated and applied in a single fused
-    pass, in the same order. *)
+    frozen-scan schedule (each round relaxes the frontier's arcs from
+    the distances its nodes were drained with, in frontier x CSR arc
+    order, in one sequential pass) that depends on nothing but the
+    graph, the lengths and the source. *)
 
 type state
 
@@ -31,14 +30,10 @@ val dijkstra :
     (default: an eighth of the longest finite arc length, clamped so at
     most 1024 buckets are live); each bucket is relaxed to a fixpoint by
     frozen-scan rounds. [?max_len] passes the longest finite arc length
-    when the caller tracks it (saves an O(arcs) scan). By default each
-    round is one fused sequential scan. With [~parallel:true], a round
-    whose frontier spans more than one 2048-node chunk generates its
-    candidates across domains instead, but only when
-    [Tb_prelude.Parallel.fans_out] says a map would really use more than
-    one domain; distances and parent arcs are bit-identical either way.
-    [?target] enables sound early exit once the target's distance falls
-    at or below the settled frontier. *)
+    when the caller tracks it (saves an O(arcs) scan). Each round is one
+    sequential scan; [?parallel] is accepted for source compatibility
+    and ignored. [?target] enables sound early exit once the target's
+    distance falls at or below the settled frontier. *)
 val delta_stepping :
   ?target:int ->
   ?delta:float ->
@@ -59,7 +54,8 @@ val dial : ?target:int -> Graph.t -> src:int -> state -> unit
 val auto_delta_arcs : int
 
 (** Size-dispatching entry point: {!dijkstra} below {!auto_delta_arcs}
-    arcs, {!delta_stepping} at or above it. *)
+    arcs, {!delta_stepping} at or above it. [?parallel] is ignored, as
+    in {!delta_stepping}. *)
 val run :
   ?target:int ->
   ?max_len:float ->

@@ -29,15 +29,10 @@ let domain_count () =
 
 let enabled = ref true
 
-(* Whether a map over [n] elements runs on more than one domain.
+(* [map_array f a] = Array.map f a, computed in parallel chunks.
    [gated] callers respect the [enabled] switch (the solver-level maps,
    which should go sequential when an outer loop already owns the
-   cores); [force_map_array] always parallelizes. *)
-let fans_out_impl ~gated n = (!enabled || not gated) && n > 1 && domain_count () > 1
-
-let fans_out n = fans_out_impl ~gated:true n
-
-(* [map_array f a] = Array.map f a, computed in parallel chunks.
+   cores); [force_map_array] always parallelizes.
 
    Results land in a pre-sized array with no per-element [Some] boxing:
    [f a.(0)] is computed up front on the orchestrating domain and seeds
@@ -46,9 +41,9 @@ let map_array_impl ~gated f a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
-    if not (fans_out_impl ~gated n) then Array.map f a
+    let workers = min (domain_count ()) n in
+    if (gated && not !enabled) || n = 1 || workers = 1 then Array.map f a
     else begin
-      let workers = min (domain_count ()) n in
       let results = Array.make n (f a.(0)) in
       let chunk w =
         (* Static block partition of [1, n) across [workers]; slot 0 is

@@ -23,13 +23,6 @@ val enabled : bool ref
     domain count. *)
 val map_array : ('a -> 'b) -> 'a array -> 'b array
 
-(** [fans_out n] is whether {!map_array} over [n] elements would run
-    on more than one domain right now: {!enabled} is set, [n > 1] and
-    {!domain_count} exceeds 1. Callers that pick a cheaper sequential
-    schedule when no fan-out happens test this instead of re-deriving
-    the gating. *)
-val fans_out : int -> bool
-
 (** Like {!map_array} but ignores {!enabled} — for outer experiment
     loops that own the cores while inner solver maps run sequential. *)
 val force_map_array : ('a -> 'b) -> 'a array -> 'b array
