@@ -81,7 +81,7 @@ let micro () =
         Test.make ~name:"dijkstra-128"
           (Staged.stage (fun () ->
                ignore
-                 (Tb_graph.Shortest_path.dijkstra_dist g
+                 (Tb_graph.Sssp.dijkstra_dist g
                     ~len:(fun _ -> 1.0)
                     ~src:0)));
         Test.make ~name:"bfs-apsp-128"

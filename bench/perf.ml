@@ -34,7 +34,7 @@ module Deadline = Tb_obs.Deadline
 module Rng = Tb_prelude.Rng
 module Graph = Tb_graph.Graph
 module Commodity = Tb_flow.Commodity
-module Cert = Tb_check.Cert
+module Cert = Tb_cert.Cert
 module Catalog = Tb_topo.Catalog
 
 type mode = Quick | Full | Scale | Scale_smoke
@@ -139,18 +139,18 @@ let dijkstra_workload ~name ~n ~degree ~reps =
   let g = Tb_graph.Equipment.random_regular rng ~n ~degree in
   let num_arcs = Graph.num_arcs g in
   (* Deterministic non-uniform lengths so the heap sees real churn. *)
-  let len =
-    Array.init num_arcs (fun a ->
-        1.0 +. (float_of_int ((a * 2654435761) land 255) /. 64.0))
-  in
-  let st = Tb_graph.Shortest_path.create_state n in
+  let len = Graph.make_floats num_arcs in
+  for a = 0 to num_arcs - 1 do
+    len.{a} <- 1.0 +. (float_of_int ((a * 2654435761) land 255) /. 64.0)
+  done;
+  let st = Tb_graph.Sssp.create_state n in
   plain ~name
     ~descr:
       (Printf.sprintf "%d Dijkstra runs on random regular n=%d d=%d" reps n
          degree)
     (fun () ->
       for i = 0 to reps - 1 do
-        Tb_graph.Shortest_path.dijkstra_arrays g ~len ~src:(i mod n) st
+        Tb_graph.Sssp.dijkstra g ~len ~src:(i mod n) st
       done)
 
 (* ---- Scale workloads: certified brackets on datacenter sizes. ---- *)

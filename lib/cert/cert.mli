@@ -56,6 +56,13 @@ val path_flows_feasible :
 
 (** {1 Dual / upper-bound certificates} *)
 
+(** [bellman_ford g ~len ~src] is the distance from [src] to every node
+    under per-arc lengths [len] (indexed by arc id; [infinity] or NaN
+    bans an arc), [infinity] where unreachable. Plain arc-order rounds
+    to a fixpoint, sharing no code with the solvers' shortest-path
+    engine: the checkers use it, and so do tests as an oracle. *)
+val bellman_ford : Graph.t -> len:float array -> src:int -> float array
+
 (** [dual_bound_valid g cs ~lengths ~upper] re-derives the concurrent-
     flow duality bound [D(l)/alpha(l)] from the certificate [lengths]
     (shortest distances by Bellman–Ford, independent of the solvers) and

@@ -9,6 +9,7 @@ module Colgen = Tb_flow.Colgen
 module Fleischer = Tb_flow.Fleischer
 module Restricted = Tb_flow.Restricted
 module Estimator = Tb_cuts.Estimator
+module Cert = Tb_cert.Cert
 module Request = Tb_service.Request
 module Service = Tb_service.Service
 module Sresult = Tb_service.Result

@@ -1,5 +1,5 @@
 (** The differential runner: evaluate one fuzz instance with every
-    applicable solver, validate every certificate of {!Cert}, and
+    applicable solver, validate every certificate of {!Tb_cert.Cert}, and
     cross-check the results against each other and against metamorphic
     transformations of the instance.
 
@@ -35,7 +35,7 @@ val create : unit -> tally
 
 (** [record t ~inst ~cert verdict] counts the verdict (and keeps the
     detail of a failure). *)
-val record : tally -> inst:Gen.instance -> cert:string -> Cert.verdict -> unit
+val record : tally -> inst:Gen.instance -> cert:string -> Tb_cert.Cert.verdict -> unit
 
 val passes : tally -> string -> int
 val fails : tally -> string -> int

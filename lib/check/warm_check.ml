@@ -2,6 +2,7 @@ module Graph = Tb_graph.Graph
 module Commodity = Tb_flow.Commodity
 module Fleischer = Tb_flow.Fleischer
 module Colgen = Tb_flow.Colgen
+module Cert = Tb_cert.Cert
 module Warm = Tb_harness.Warm
 module Solve = Tb_harness.Solve
 module Topology = Tb_topo.Topology

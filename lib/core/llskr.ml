@@ -1,5 +1,5 @@
 module Graph = Tb_graph.Graph
-module Shortest_path = Tb_graph.Shortest_path
+module Sssp = Tb_graph.Sssp
 module Topology = Tb_topo.Topology
 module Restricted = Tb_flow.Restricted
 module Commodity = Tb_flow.Commodity
@@ -20,17 +20,18 @@ module Commodity = Tb_flow.Commodity
    uplinks (plain Yen can return paths stacked on one uplink). *)
 
 let diverse_paths g ~src ~dst ~k =
-  let num_arcs = Graph.num_arcs g in
-  let penalty = Array.make num_arcs 1.0 in
+  if k < 1 then invalid_arg "Llskr.diverse_paths: k < 1";
+  let penalty = Graph.make_floats (Graph.num_arcs g) in
+  Bigarray.Array1.fill penalty 1.0;
+  let st = Sssp.create_state (Graph.num_nodes g) in
   let paths = ref [] in
   for _ = 1 to k do
-    match
-      Shortest_path.shortest_path g ~len:(fun a -> penalty.(a)) ~src ~dst
-    with
+    Sssp.dijkstra ~target:dst g ~len:penalty ~src st;
+    match Sssp.path_arcs g st dst with
     | None -> ()
     | Some arcs ->
       paths := arcs :: !paths;
-      List.iter (fun a -> penalty.(a) <- penalty.(a) *. 4.0) arcs
+      List.iter (fun a -> penalty.{a} <- penalty.{a} *. 4.0) arcs
   done;
   match List.rev !paths with
   | [] -> invalid_arg "Llskr.diverse_paths: disconnected pair"

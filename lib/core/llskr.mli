@@ -7,7 +7,7 @@ module Topology = Tb_topo.Topology
 
 (** [k] near-shortest paths spread across distinct uplinks (successive
     shortest paths under a multiplicative reuse penalty). Raises
-    [Invalid_argument] on a disconnected pair. *)
+    [Invalid_argument] if [k < 1] or the pair is disconnected. *)
 val diverse_paths : Graph.t -> src:int -> dst:int -> k:int -> int list array
 
 (** Path sets for every ordered endpoint pair (reverse paths are arc

@@ -1,5 +1,5 @@
 module Graph = Tb_graph.Graph
-module Shortest_path = Tb_graph.Shortest_path
+module Sssp = Tb_graph.Sssp
 module Lp = Tb_lp.Lp
 module Simplex = Tb_lp.Simplex
 
@@ -58,7 +58,10 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen")
   Trace.span "colgen.solve" ~args:[ ("commodities", Tb_obs.Json.Int k) ]
   @@ fun () ->
   let num_arcs = Graph.num_arcs g in
-  let st = Shortest_path.create_state (Graph.num_nodes g) in
+  let st = Sssp.create_state (Graph.num_nodes g) in
+  (* Arc lengths for every Dijkstra run: unit while seeding, then the
+     pricing lengths, refilled each iteration. *)
+  let y = Graph.make_floats num_arcs in
   (* Column store: per commodity, the list of candidate paths. *)
   let columns : int list list array = Array.make k [] in
   let add_path j p =
@@ -69,13 +72,12 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen")
     else false
   in
   (* Seed with hop-shortest paths. *)
+  Bigarray.Array1.fill y 1.0;
   Array.iteri
     (fun j c ->
-      match
-        Shortest_path.shortest_path g
-          ~len:(fun _ -> 1.0)
-          ~src:c.Commodity.src ~dst:c.Commodity.dst
-      with
+      let dst = c.Commodity.dst in
+      Sssp.dijkstra ~target:dst g ~len:y ~src:c.Commodity.src st;
+      match Sssp.path_arcs g st dst with
       | Some p -> ignore (add_path j p)
       | None -> invalid_arg "Colgen.solve: unreachable commodity")
     cs;
@@ -179,11 +181,11 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen")
        commodity j: the column (coeff 1 in row j, 1 in each a in p)
        improves iff alpha_j + sum y_a < 0, i.e. the y-length of p is
        below -alpha_j. *)
-    (* Pricing lengths as a flat array: capacity duals plus a tiny
-       floor so zero-dual arcs still order by hop count. *)
-    let y = Array.make num_arcs 1e-12 in
+    (* Pricing lengths: capacity duals plus a tiny floor so zero-dual
+       arcs still order by hop count. *)
+    Bigarray.Array1.fill y 1e-12;
     List.iteri
-      (fun idx a -> y.(a) <- max 0.0 s.Lp.duals.(k + idx) +. 1e-12)
+      (fun idx a -> y.{a} <- max 0.0 s.Lp.duals.(k + idx) +. 1e-12)
       used_arcs;
     let improved = ref false in
     Metrics.incr m_iterations;
@@ -194,11 +196,10 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen")
                 (fun j c ->
                   let alpha = s.Lp.duals.(j) in
                   Metrics.incr m_dijkstra;
-                  Shortest_path.dijkstra_arrays g ~len:y
-                    ~src:c.Commodity.src st;
-                  let dist = Shortest_path.distance st c.Commodity.dst in
+                  Sssp.dijkstra g ~len:y ~src:c.Commodity.src st;
+                  let dist = Sssp.distance st c.Commodity.dst in
                   if dist < -.alpha -. tol then begin
-                    match Shortest_path.path_arcs g st c.Commodity.dst with
+                    match Sssp.path_arcs g st c.Commodity.dst with
                     | Some p -> if add_path j p then improved := true
                     | None -> ()
                   end)

@@ -1,4 +1,3 @@
-module Shortest_path = Tb_graph.Shortest_path
 module Graph = Tb_graph.Graph
 (* A commodity is one end-to-end demand: route [demand * t] units from
    [src] to [dst], where [t] is the concurrent throughput being

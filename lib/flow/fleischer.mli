@@ -19,7 +19,7 @@ type result = {
           [upper], i.e. [upper = D(l)/alpha(l)] with
           [D(l) = sum_a l(a) c(a)] and
           [alpha(l) = sum_j d_j dist_l(s_j, t_j)] — machine-checkable
-          independently of this solver (see {!Tb_check.Cert}) *)
+          independently of this solver (see {!Tb_cert.Cert}) *)
   phases : int;
 }
 

@@ -21,8 +21,8 @@ let of_fleischer (r : Fleischer.result) =
     upper = r.Fleischer.upper }
 
 (* Instances below this LP-variable budget are solved exactly; above it,
-   approximately. The default keeps exact solves well under a second. *)
-let auto_exact_threshold = ref 1_500
+   approximately. It keeps exact solves well under a second. *)
+let auto_exact_threshold = 1_500
 
 let throughput ?deadline ?(solver = Auto) ?on_check g commodities =
   match solver with
@@ -32,7 +32,7 @@ let throughput ?deadline ?(solver = Auto) ?on_check g commodities =
   | Approx { eps; tol } ->
     of_fleischer (Fleischer.solve ?deadline ~eps ~tol ?on_check g commodities)
   | Auto ->
-    if Exact.variable_budget g commodities <= !auto_exact_threshold then begin
+    if Exact.variable_budget g commodities <= auto_exact_threshold then begin
       let v, _ = Exact.solve ?deadline ?on_check g commodities in
       exact_estimate v
     end

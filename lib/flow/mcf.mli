@@ -13,7 +13,7 @@ type solver =
   | Approx of { eps : float; tol : float }
 
 (** LP-variable budget below which [Auto] solves exactly. *)
-val auto_exact_threshold : int ref
+val auto_exact_threshold : int
 
 (** @param deadline wall-clock budget (milliseconds, see
     {!Tb_obs.Deadline}) forwarded to whichever backend runs; expiry

@@ -135,12 +135,13 @@ let start_run st src =
 
 (* {2 Heap Dijkstra on Bigarray state}
 
-   A port of [Shortest_path.dijkstra_arrays] onto the flat state, so the
-   flow solvers carry a single scratch-state type whichever traversal
-   the instance size selects. Same lazy-deletion discipline, same
-   unsafe-indexing justification: indices are node ids or CSR positions
-   established by Graph construction, and [len] is length-checked on
-   entry.
+   Lazy deletion: a node is pushed on every improvement and stale pops
+   are skipped. The loop indexes unsafely: indices are node ids or CSR
+   positions established by Graph construction, and [len] is
+   length-checked on entry. A node's parent is the first arc that
+   strictly improves it in heap-pop x CSR order; callers that build
+   paths from parent arcs (column-generation pricing, Llskr, the cut
+   rung's hop routing) depend on that tie-breaking.
 
    Priorities never cross into [Heap]: the key pushed for [v] is read
    from [dist] inside the heap ([push_keyed]), and a pop reports only

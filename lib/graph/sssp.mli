@@ -22,7 +22,10 @@ val create_state : int -> state
 
 (** Heap Dijkstra (lazy-deletion binary heap), the small-instance
     workhorse. [len] is indexed by arc id; [infinity] (or NaN) bans an
-    arc. [?target] allows early exit once that node is settled. *)
+    arc. [?target] allows early exit once that node is settled. A
+    node's parent arc is the first arc that strictly improves it in
+    heap-pop x CSR order, so paths built from parent arcs depend only on
+    the graph, the lengths and the source. *)
 val dijkstra :
   ?target:int -> Graph.t -> len:Graph.floats -> src:int -> state -> unit
 

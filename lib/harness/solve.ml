@@ -1,11 +1,12 @@
 module Graph = Tb_graph.Graph
-module Shortest_path = Tb_graph.Shortest_path
+module Sssp = Tb_graph.Sssp
 module Commodity = Tb_flow.Commodity
 module Fleischer = Tb_flow.Fleischer
 module Exact = Tb_flow.Exact
 module Mcf = Tb_flow.Mcf
 module Simplex = Tb_lp.Simplex
 module Cert = Tb_cert.Cert
+module Deadline = Tb_obs.Deadline
 module Convergence = Tb_obs.Convergence
 module Metrics = Tb_obs.Metrics
 module Json = Tb_obs.Json
@@ -68,7 +69,7 @@ let default_policy =
     tol = 0.04;
     relax = 2.0;
     eps = Fleischer.default_eps;
-    exact_threshold = 1_500;
+    exact_threshold = Mcf.auto_exact_threshold;
     rungs = [ Exact_lp; Fptas; Cut_bound ];
   }
 
@@ -121,27 +122,26 @@ let shortest_path_lower g cs =
   let n = Graph.num_nodes g in
   let num_arcs = Graph.num_arcs g in
   let load = Array.make num_arcs 0.0 in
-  let st = Shortest_path.create_state n in
+  let st = Sssp.create_state n in
   let groups = Commodity.group_by_source ~n cs in
-  let unit_len = Array.make num_arcs 1.0 in
-  let arc_srcs = Graph.arc_srcs g in
+  let unit_len = Graph.make_floats num_arcs in
+  Bigarray.Array1.fill unit_len 1.0;
   let unreachable = ref false in
   Array.iter
     (fun (s, idxs) ->
-      Shortest_path.dijkstra_arrays g ~len:unit_len ~src:s st;
+      Sssp.dijkstra g ~len:unit_len ~src:s st;
       Array.iter
         (fun j ->
           let c = cs.(j) in
-          if not (Shortest_path.reached st c.Commodity.dst) then
-            unreachable := true
+          if not (Sssp.reached st c.Commodity.dst) then unreachable := true
           else begin
             (* Walk the tree path dst -> src without allocating. *)
             let v = ref c.Commodity.dst in
-            let a = ref (Shortest_path.parent_arc st !v) in
+            let a = ref (Sssp.parent_arc st !v) in
             while !a >= 0 do
               load.(!a) <- load.(!a) +. c.Commodity.demand;
-              v := arc_srcs.(!a);
-              a := Shortest_path.parent_arc st !v
+              v := Graph.arc_src g !a;
+              a := Sssp.parent_arc st !v
             done
           end)
         idxs)

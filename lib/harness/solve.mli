@@ -49,8 +49,8 @@ type policy = {
   rungs : rung list; (** chain order *)
 }
 
-(** No budget, 2 retries at [x2] relaxation, exact below 1500 LP
-    variables, all three rungs. *)
+(** No budget, 2 retries at [x2] relaxation, exact below
+    {!Tb_flow.Mcf.auto_exact_threshold} LP variables, all three rungs. *)
 val default_policy : policy
 
 (** Raised only when a custom [rungs] list omitting [Cut_bound] is

@@ -4,7 +4,7 @@
    results being caught by the checkers. *)
 
 module Gen = Tb_check.Gen
-module Cert = Tb_check.Cert
+module Cert = Tb_cert.Cert
 module Diff = Tb_check.Diff
 module Fuzz = Tb_check.Fuzz
 module Graph = Tb_graph.Graph

@@ -114,6 +114,12 @@ let test_relative_structure () =
 
 (* ---- LLSKR ---- *)
 
+(* The exact arc lists are pinned: equal-length paths abound in both
+   graphs, so these lists guard the shortest-path engine's parent-arc
+   tie-breaking bit for bit. *)
+let check_paths msg expected paths =
+  Alcotest.(check (array (list int))) msg expected paths
+
 let test_diverse_paths_distinct () =
   let topo = Tb_topo.Fattree.make ~k:4 () in
   let g = topo.Topology.graph in
@@ -121,14 +127,13 @@ let test_diverse_paths_distinct () =
   let u = endpoints.(0) and v = endpoints.(Array.length endpoints - 1) in
   let paths = Topobench.Llskr.diverse_paths g ~src:u ~dst:v ~k:4 in
   Alcotest.(check int) "four paths" 4 (Array.length paths);
-  let firsts =
-    Array.to_list (Array.map (fun p -> List.hd p) paths)
-  in
   (* In a k=4 fat tree the 4 diverse paths leave on distinct uplinks
      (2 aggs x 2 cores behind each). *)
   Alcotest.(check bool) "distinct paths" true
     (List.length (List.sort_uniq compare (Array.to_list paths)) = 4);
-  ignore firsts
+  check_paths "pinned arcs"
+    [| [ 62; 54; 7; 11 ]; [ 60; 48; 1; 9 ]; [ 62; 52; 5; 11 ]; [ 60; 50; 3; 9 ] |]
+    paths
 
 let test_diverse_paths_valid () =
   let topo = jelly 9 16 4 in
@@ -143,7 +148,18 @@ let test_diverse_paths_valid () =
           walk (Graph.arc_dst g a) rest
       in
       walk 0 arcs)
-    paths
+    paths;
+  check_paths "pinned arcs" [| [ 48 ]; [ 10; 19; 46 ]; [ 48 ] |] paths
+
+let test_diverse_paths_reject_k0 () =
+  (* No paths requested is a caller error, not a connectivity verdict. *)
+  let topo = Tb_topo.Fattree.make ~k:4 () in
+  let g = topo.Topology.graph in
+  let rejected = Invalid_argument "Llskr.diverse_paths: k < 1" in
+  Alcotest.check_raises "k = 0" rejected (fun () ->
+      ignore (Topobench.Llskr.diverse_paths g ~src:0 ~dst:7 ~k:0));
+  Alcotest.check_raises "counting estimate, k_paths = 0" rejected (fun () ->
+      ignore (Topobench.Llskr.counting_estimate topo ~k_paths:0))
 
 let test_llskr_lp_dominates_counting_shape () =
   (* Both estimates must be positive and finite on a small fat tree. *)
@@ -180,6 +196,7 @@ let () =
         [
           Alcotest.test_case "diverse distinct" `Quick test_diverse_paths_distinct;
           Alcotest.test_case "paths valid" `Quick test_diverse_paths_valid;
+          Alcotest.test_case "zero k rejected" `Quick test_diverse_paths_reject_k0;
           Alcotest.test_case "estimates sane" `Slow
             test_llskr_lp_dominates_counting_shape;
         ] );

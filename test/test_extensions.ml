@@ -72,7 +72,27 @@ let test_colgen_midsize_bracket () =
   let f = Fleischer.solve ~tol:0.02 g cs in
   Alcotest.(check bool) "within bracket" true
     (f.Fleischer.lower -. 1e-6 <= c.Colgen.value
-    && c.Colgen.value <= f.Fleischer.upper +. 1e-6)
+    && c.Colgen.value <= f.Fleischer.upper +. 1e-6);
+  (* Pinned: the value's bits and a digest of the chosen path sets (arc
+     lists in order, one line per commodity). Both follow the
+     shortest-path engine's tie-breaking in seeding and pricing. *)
+  Alcotest.(check string) "value bits" "0x1.d1745d1745d22p-1"
+    (Printf.sprintf "%h" c.Colgen.value);
+  Alcotest.(check (pair int int)) "iterations, columns" (13, 126)
+    (c.Colgen.iterations, c.Colgen.columns);
+  let rendered =
+    String.concat "\n"
+      (Array.to_list
+         (Array.map
+            (fun ps ->
+              String.concat " | "
+                (List.map
+                   (fun (p, _) -> String.concat ";" (List.map string_of_int p))
+                   ps))
+            c.Colgen.paths))
+  in
+  Alcotest.(check string) "path sets digest" "4b87e3e267f0b6f37fe935f581028198"
+    (Digest.to_hex (Digest.string rendered))
 
 (* ---- VLB / constructive Theorem 2 ---- *)
 

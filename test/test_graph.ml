@@ -1,6 +1,6 @@
 module Graph = Tb_graph.Graph
 module Traversal = Tb_graph.Traversal
-module Shortest_path = Tb_graph.Shortest_path
+module Sssp = Tb_graph.Sssp
 module Union_find = Tb_graph.Union_find
 module Heap = Tb_graph.Heap
 module Permutation = Tb_graph.Permutation
@@ -289,12 +289,21 @@ let test_heap_pop_current_stale () =
 
 (* ---- Dijkstra ---- *)
 
-(* Oracle check for the array-based hot path: Bellman-Ford relaxes every
-   arc (n-1) times with the same length array, so any disagreement in
-   distances (including infinities on an unreachable island) is a bug in
-   the CSR relaxation loop or the stamp bookkeeping. *)
+(* Per-arc lengths as the Bigarray [Sssp] reads. *)
+let floats_of_fun g f =
+  let len = Graph.make_floats (Graph.num_arcs g) in
+  for a = 0 to Graph.num_arcs g - 1 do
+    len.{a} <- f a
+  done;
+  len
+
+(* Oracle check for the heap Dijkstra: the certificate checker's
+   Bellman-Ford relaxes every arc in rounds to a fixpoint with the same
+   lengths, so any disagreement in distances (including infinities on an
+   unreachable island) is a bug in the CSR relaxation loop or the stamp
+   bookkeeping. *)
 let prop_dijkstra_matches_bellman_ford =
-  QCheck.Test.make ~name:"dijkstra_arrays = Bellman-Ford oracle" ~count:40
+  QCheck.Test.make ~name:"heap dijkstra = Bellman-Ford oracle" ~count:40
     QCheck.(pair small_nat (int_range 4 20))
     (fun (seed, n) ->
       let rng = Rng.make (seed + 1) in
@@ -314,20 +323,14 @@ let prop_dijkstra_matches_bellman_ford =
         end
       done;
       let g = Graph.of_unit_edges ~n:(n + 2) !edges in
-      let len = Array.init (Graph.num_arcs g) (fun _ -> Rng.float rng 10.0) in
-      let dist = Array.make (n + 2) infinity in
-      dist.(0) <- 0.0;
-      for _ = 1 to n + 1 do
-        for a = 0 to Graph.num_arcs g - 1 do
-          let u = Graph.arc_src g a and v = Graph.arc_dst g a in
-          if dist.(u) +. len.(a) < dist.(v) then dist.(v) <- dist.(u) +. len.(a)
-        done
-      done;
-      let st = Shortest_path.create_state (n + 2) in
-      Shortest_path.dijkstra_arrays g ~len ~src:0 st;
+      let lens = Array.init (Graph.num_arcs g) (fun _ -> Rng.float rng 10.0) in
+      let dist = Tb_cert.Cert.bellman_ford g ~len:lens ~src:0 in
+      let len = floats_of_fun g (Array.get lens) in
+      let st = Sssp.create_state (n + 2) in
+      Sssp.dijkstra g ~len ~src:0 st;
       let ok = ref true in
       for v = 0 to n + 1 do
-        let d = Shortest_path.distance st v in
+        let d = Sssp.distance st v in
         if dist.(v) = infinity then begin
           if d <> infinity then ok := false
         end
@@ -335,11 +338,11 @@ let prop_dijkstra_matches_bellman_ford =
       done;
       (* Early exit agrees on the target's distance, both reachable
          targets and the unreachable island. *)
-      let st2 = Shortest_path.create_state (n + 2) in
+      let st2 = Sssp.create_state (n + 2) in
       List.iter
         (fun t ->
-          Shortest_path.dijkstra_arrays ~target:t g ~len ~src:0 st2;
-          let d = Shortest_path.distance st2 t in
+          Sssp.dijkstra ~target:t g ~len ~src:0 st2;
+          let d = Sssp.distance st2 t in
           if dist.(t) = infinity then begin
             if d <> infinity then ok := false
           end
@@ -351,7 +354,7 @@ let prop_dijkstra_matches_bfs_on_unit =
   QCheck.Test.make ~name:"dijkstra = BFS with unit lengths" ~count:30
     arbitrary_graph (fun g ->
       let bfs = Traversal.bfs_dist g 0 in
-      let dd = Shortest_path.dijkstra_dist g ~len:(fun _ -> 1.0) ~src:0 in
+      let dd = Sssp.dijkstra_dist g ~len:(fun _ -> 1.0) ~src:0 in
       Array.for_all2
         (fun b d ->
           if b < 0 then d = infinity else abs_float (float_of_int b -. d) < 1e-9)
@@ -367,12 +370,14 @@ let test_dijkstra_weighted () =
     let u, v = Graph.arc_endpoints g a in
     if (u = 0 && v = 2) || (u = 2 && v = 0) then 5.0 else 1.0
   in
-  let d = Shortest_path.dijkstra_dist g ~len ~src:0 in
+  let d = Sssp.dijkstra_dist g ~len ~src:0 in
   check_float "via middle" 2.0 d.(2)
 
 let test_dijkstra_path_arcs () =
   let g = Graph.of_unit_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
-  match Shortest_path.shortest_path g ~len:(fun _ -> 1.0) ~src:0 ~dst:3 with
+  let st = Sssp.create_state 4 in
+  Sssp.dijkstra ~target:3 g ~len:(floats_of_fun g (fun _ -> 1.0)) ~src:0 st;
+  match Sssp.path_arcs g st 3 with
   | None -> Alcotest.fail "no path"
   | Some arcs ->
     Alcotest.(check int) "three arcs" 3 (List.length arcs);
@@ -383,14 +388,13 @@ let prop_dijkstra_early_exit_consistent =
   QCheck.Test.make ~name:"early-exit dijkstra matches full run" ~count:30
     arbitrary_graph (fun g ->
       let n = Graph.num_nodes g in
-      let st1 = Shortest_path.create_state n in
-      let st2 = Shortest_path.create_state n in
+      let st1 = Sssp.create_state n in
+      let st2 = Sssp.create_state n in
       let target = n - 1 in
-      Shortest_path.dijkstra g ~len:(fun _ -> 1.0) ~src:0 st1;
-      Shortest_path.dijkstra ~target g ~len:(fun _ -> 1.0) ~src:0 st2;
-      abs_float
-        (Shortest_path.distance st1 target -. Shortest_path.distance st2 target)
-      < 1e-9)
+      let len = floats_of_fun g (fun _ -> 1.0) in
+      Sssp.dijkstra g ~len ~src:0 st1;
+      Sssp.dijkstra ~target g ~len ~src:0 st2;
+      abs_float (Sssp.distance st1 target -. Sssp.distance st2 target) < 1e-9)
 
 (* ---- Permutation ---- *)
 

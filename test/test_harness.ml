@@ -6,7 +6,7 @@ module Synthetic = Tb_tm.Synthetic
 module Mcf = Tb_flow.Mcf
 module Json = Tb_obs.Json
 module Fault = Tb_harness.Fault
-module Deadline = Tb_harness.Deadline
+module Deadline = Tb_obs.Deadline
 module Guard = Tb_harness.Guard
 module Checkpoint = Tb_harness.Checkpoint
 module Sweep = Tb_harness.Sweep
@@ -333,7 +333,28 @@ let test_chain_agrees_with_exact () =
        cuts.Solve.estimate.Mcf.lower cuts.Solve.estimate.Mcf.upper e)
     true
     (cuts.Solve.estimate.Mcf.lower <= e +. 1e-9
-    && e <= cuts.Solve.estimate.Mcf.upper +. 1e-9)
+    && e <= cuts.Solve.estimate.Mcf.upper +. 1e-9);
+  (* The cut rung's bracket, pinned as float bits on this instance and
+     on a less symmetric one (A2A on a jellyfish, where hop-shortest
+     routing has many equal-length choices): the lower bound follows
+     the shortest-path engine's parent-arc tie-breaking. *)
+  let check_bits msg (lo, hi) (est : Mcf.estimate) =
+    Alcotest.(check (pair string string)) msg (lo, hi)
+      (Printf.sprintf "%h" est.Mcf.lower, Printf.sprintf "%h" est.Mcf.upper)
+  in
+  check_bits "hypercube cut bits" ("0x1p+0", "0x1p+1") cuts.Solve.estimate;
+  let jelly =
+    Tb_topo.Jellyfish.make ~rng:(Rng.make 31) ~n:24 ~degree:4
+      ~hosts_per_switch:1 ()
+  in
+  let jcuts =
+    Solve.throughput
+      ~policy:{ Solve.default_policy with rungs = [ Solve.Cut_bound ] }
+      jelly (Synthetic.all_to_all jelly)
+  in
+  check_bits "jellyfish cut bits"
+    ("0x1.eb851eb851ebbp-1", "0x1.840ac76918414p+0")
+    jcuts.Solve.estimate
 
 let test_timeout_degrades_to_cuts () =
   let topo = small_topo () in
