@@ -139,6 +139,7 @@ examples:
 	dune exec examples/worst_case_hunt.exe
 	dune exec examples/expander_vs_fattree.exe
 	dune exec examples/placement_shuffle.exe
+	dune exec examples/custom_topology_file.exe
 
 clean:
 	dune clean

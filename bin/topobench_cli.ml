@@ -309,6 +309,13 @@ let pp_result name (r : Tb_service.Result.t) =
     r.Tb_service.Result.value r.Tb_service.Result.lower
     r.Tb_service.Result.upper r.Tb_service.Result.rung
 
+(* One solve through a fresh service. *)
+let solve_one spec tm_name topo tm =
+  let svc = Tb_service.Service.create ~capacity:16 () in
+  (Tb_service.Service.handle ~prebuilt:(topo, tm) svc
+     (service_request spec tm_name topo tm))
+    .Tb_service.Service.result
+
 (* ---- Subcommands. ---- *)
 
 let throughput_cmd =
@@ -316,14 +323,10 @@ let throughput_cmd =
     with_obs obs @@ fun () ->
     let topo = build_topology spec in
     let tm = build_tm spec topo tm_name in
-    let svc = Tb_service.Service.create ~capacity:16 () in
-    let resp =
-      Tb_service.Service.handle ~prebuilt:(topo, tm) svc
-        (service_request spec tm_name topo tm)
-    in
+    let r = solve_one spec tm_name topo tm in
     Printf.printf "%s under %s (%d flows)\n" (Topology.label topo)
       (Tm.label tm) (Tm.num_flows tm);
-    pp_result "throughput" resp.Tb_service.Service.result
+    pp_result "throughput" r
   in
   Cmd.v
     (Cmd.info "throughput" ~doc:"Throughput of a topology under a TM")
@@ -367,8 +370,7 @@ let cuts_cmd =
           (Tb_cuts.Estimator.name est)
           (if v = infinity then "-" else Printf.sprintf "%.4f" v))
       report.Tb_cuts.Estimator.per_estimator;
-    pp_estimate "throughput (for comparison)"
-      (Topobench.Throughput.of_tm topo tm)
+    pp_result "throughput (for comparison)" (solve_one spec tm_name topo tm)
   in
   Cmd.v
     (Cmd.info "cuts" ~doc:"Sparse-cut estimator suite")

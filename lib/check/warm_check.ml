@@ -144,13 +144,7 @@ let check_instance t ~index (inst : Gen.instance) =
       end;
       (* The harness path: the certificate-guarded pre-attempt must
          accept this warm start (no "warm start rejected" attempt). *)
-      let policy =
-        {
-          Solve.default_policy with
-          Solve.rungs = [ Solve.Fptas; Solve.Cut_bound ];
-          tol = fleischer_tol;
-        }
-      in
+      let policy = Solve.policy_of ~tol:fleischer_tol (Some Solve.Fptas) in
       let o = Solve.solve ~policy ~warm_lengths:w g2 cs2 in
       Diff.record t ~inst ~cert:"warm_harness_accept"
         (match

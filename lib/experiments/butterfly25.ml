@@ -18,9 +18,9 @@ let run cfg =
   let topo = Tb_topo.Flat_butterfly.make ~k:5 ~stages:3 () in
   let tm = Synthetic.longest_matching topo in
   let est =
-    Mcf.throughput
+    Topobench.Throughput.of_tm
       ~solver:(Mcf.Approx { eps = 0.05; tol = 0.01 })
-      topo.Topology.graph (Tb_tm.Tm.commodities tm)
+      topo tm
   in
   let budget = if cfg.Common.quick then 50_000 else 2_000_000 in
   let report =

@@ -16,7 +16,8 @@ type config = {
   seed : int;
   iterations : int;
   quick : bool;
-  solver : Mcf.solver;
+  eps : float; (* FPTAS step size *)
+  tol : float; (* certified relative gap, before [tol_for] loosens it *)
 }
 
 let default =
@@ -27,33 +28,24 @@ let default =
        stay narrow at these sizes). *)
     iterations = 2;
     quick = false;
-    solver = Mcf.Approx { eps = 0.4; tol = 0.04 };
+    eps = 0.4;
+    tol = 0.04;
   }
 
-let quick =
-  {
-    default with
-    quick = true;
-    iterations = 2;
-    solver = Mcf.Approx { eps = 0.4; tol = 0.06 };
-  }
+let quick = { default with quick = true; iterations = 2; tol = 0.06 }
 
 let rng cfg salt = Rng.split (Rng.make cfg.seed) salt
 
 (* Larger instances get a looser certified gap: the relative-throughput
    ratios the figures report tolerate it, and it keeps the full bench
    tractable on one core. *)
-let solver_for cfg topo =
-  match cfg.solver with
-  | Mcf.Approx { eps; tol } ->
-    let n = Tb_graph.Graph.num_nodes topo.Topology.graph in
-    let tol =
-      if n > 350 then max tol 0.09
-      else if n > 200 then max tol 0.07
-      else tol
-    in
-    Mcf.Approx { eps; tol }
-  | s -> s
+let tol_for cfg topo =
+  let n = Tb_graph.Graph.num_nodes topo.Topology.graph in
+  if n > 350 then max cfg.tol 0.09
+  else if n > 200 then max cfg.tol 0.07
+  else cfg.tol
+
+let solver_for cfg topo = Mcf.Approx { eps = cfg.eps; tol = tol_for cfg topo }
 
 (* One process-wide service instance: every experiment throughput goes
    through the Tb_service front door, so identical cells recomputed by
@@ -63,13 +55,10 @@ let solver_for cfg topo =
 let service = lazy (Tb_service.Service.create ~capacity:512 ())
 
 let throughput cfg topo tm =
-  let solver, eps, tol =
-    match solver_for cfg topo with
-    | Mcf.Approx { eps; tol } -> (Tb_service.Request.Fptas, Some eps, Some tol)
-    | Mcf.Exact_lp -> (Tb_service.Request.Exact_lp, None, None)
-    | Mcf.Auto -> (Tb_service.Request.Auto, None, None)
+  let req =
+    Tb_service.Request.of_instance ~solver:Tb_service.Request.Fptas
+      ~eps:cfg.eps ~tol:(tol_for cfg topo) topo tm
   in
-  let req = Tb_service.Request.of_instance ~solver ?eps ?tol topo tm in
   let resp =
     Tb_service.Service.handle ~prebuilt:(topo, tm) (Lazy.force service) req
   in
@@ -78,45 +67,13 @@ let throughput cfg topo tm =
   | Some msg -> failwith msg
   | None -> r.Tb_service.Result.value
 
-(* Fault-tolerant cell solving for sweeps: the Tb_harness degradation
-   chain (exact -> FPTAS with retries -> cut bounds) configured with
-   the config's certified tolerance, so one hung or numerically
-   poisoned solve degrades instead of killing a multi-hour run. *)
-let harness_policy ?(budget_ms = infinity) cfg topo =
-  let base = Tb_harness.Solve.default_policy in
-  match solver_for cfg topo with
-  | Mcf.Approx { eps; tol } -> { base with Tb_harness.Solve.eps; tol; budget_ms }
-  | Mcf.Exact_lp ->
-    { base with
-      Tb_harness.Solve.exact_threshold = Tb_flow.Exact.max_lp_variables;
-      budget_ms
-    }
-  | Mcf.Auto -> { base with Tb_harness.Solve.budget_ms }
-
-(* [?warm] threads a {!Tb_harness.Warm} cache under a caller-chosen key
-   (the intact topology label, shared by a sweep's neighboring cells):
-   the entry warm-starts the chain — certificate-guarded, so a stale
-   entry degrades to cold — and the outcome's dual lengths replace it
-   for the next cell. *)
-let resilient_throughput ?budget_ms ?fault ?warm cfg topo tm =
-  let module Warm = Tb_harness.Warm in
-  let warm_lengths =
-    match warm with
-    | None -> None
-    | Some (cache, key) ->
-      Option.bind (Warm.find cache key) (fun e ->
-          Warm.lengths_for e topo.Topology.graph)
-  in
-  let o =
-    Tb_harness.Solve.throughput
-      ~policy:(harness_policy ?budget_ms cfg topo)
-      ?fault ?warm_lengths topo tm
-  in
-  (match (warm, o.Tb_harness.Solve.dual_lengths) with
-  | Some (cache, key), Some lengths ->
-    Warm.store cache key (Warm.entry_of_lengths topo.Topology.graph lengths)
-  | _ -> ());
-  o
+(* Fault-tolerant cell solving for sweeps: the full Tb_harness
+   degradation chain (exact -> FPTAS with retries -> cut bounds) at the
+   config's certified tolerance, so one hung or numerically poisoned
+   solve degrades instead of killing a multi-hour run. *)
+let harness_policy ?budget_ms cfg topo =
+  Tb_harness.Solve.policy_of ~eps:cfg.eps ~tol:(tol_for cfg topo) ?budget_ms
+    None
 
 (* Graph-dependent TMs (LM and friends) are regenerated per random
    graph; fixed TMs (real-world placements) are evaluated verbatim. *)

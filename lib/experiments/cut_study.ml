@@ -44,7 +44,11 @@ let study_set cfg =
 
 let compute_row cfg topo =
   let tm = Synthetic.longest_matching topo in
-  let throughput = Topobench.Throughput.of_tm ~solver:cfg.Common.solver topo tm in
+  let throughput =
+    Topobench.Throughput.of_tm
+      ~solver:(Mcf.Approx { eps = cfg.Common.eps; tol = cfg.Common.tol })
+      topo tm
+  in
   let flows = Tm.flows tm in
   let report = Estimator.run topo.Topology.graph flows in
   let bisection_bound =

@@ -52,7 +52,10 @@ let cell ?warm cfg topo tm ~rate ~trial =
          this trial is throughput 0 (record it, don't crash). *)
       Json.Obj [ ("value", Json.Float 0.0); ("rung", Json.String "disconnected") ]
     | Some failed ->
-      let o = Common.resilient_throughput ?warm cfg failed tm in
+      let o =
+        Solve.throughput ~policy:(Common.harness_policy cfg failed) ?warm failed
+          tm
+      in
       Solve.outcome_to_json o
   in
   { Sweep.key; run }
@@ -139,7 +142,8 @@ let golden ~warm () =
       (* Loose certified gap: the vectors pin bit-identity, not
          precision, and the FPTAS cost at golden-test time scales with
          1/tol. *)
-      solver = Tb_flow.Mcf.Approx { eps = 0.4; tol = 0.08 };
+      eps = 0.4;
+      tol = 0.08;
     }
   in
   let topos =

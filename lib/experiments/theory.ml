@@ -96,7 +96,9 @@ let run_theorem1 cfg =
   let describe label g =
     let tm = uniform_tm g in
     let est =
-      Mcf.throughput ~solver:cfg.Common.solver g (Tb_tm.Tm.commodities tm)
+      Topobench.Throughput.of_graph
+        ~solver:(Mcf.Approx { eps = cfg.Common.eps; tol = cfg.Common.tol })
+        g tm
     in
     let report = Estimator.run g (Tb_tm.Tm.flows tm) in
     Table.add_row t

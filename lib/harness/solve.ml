@@ -73,6 +73,21 @@ let default_policy =
     rungs = [ Exact_lp; Fptas; Cut_bound ];
   }
 
+(* The one place a solver selection becomes a chain: [None] runs every
+   rung; a forced rung runs alone, except that a forced FPTAS keeps the
+   cut rung behind it so a failed solve degrades instead of raising. A
+   forced exact rung lifts the LP-size ceiling to the simplex's own. *)
+let policy_of ?(eps = default_policy.eps) ?(tol = default_policy.tol)
+    ?(budget_ms = default_policy.budget_ms) forced =
+  let rungs, exact_threshold =
+    match forced with
+    | None -> (default_policy.rungs, default_policy.exact_threshold)
+    | Some Exact_lp -> ([ Exact_lp ], Exact.max_lp_variables)
+    | Some Fptas -> ([ Fptas; Cut_bound ], default_policy.exact_threshold)
+    | Some Cut_bound -> ([ Cut_bound ], default_policy.exact_threshold)
+  in
+  { default_policy with eps; tol; budget_ms; rungs; exact_threshold }
+
 exception Exhausted of attempt list
 (* Only reachable with a custom [rungs] list omitting [Cut_bound]. *)
 
@@ -320,10 +335,23 @@ let solve ?(policy = default_policy) ?(fault = Fault.none) ?deadline
   in
   match warm_outcome with Some o -> o | None -> try_rungs policy.rungs
 
-let throughput ?policy ?fault ?deadline ?warm_lengths
-    (topo : Tb_topo.Topology.t) tm =
-  solve ?policy ?fault ?deadline ?warm_lengths topo.Tb_topo.Topology.graph
-    (Tb_tm.Tm.commodities tm)
+(* [?warm] threads a {!Warm} cache under a caller-chosen key: the
+   entry, transported onto this graph, warm-starts the chain, and the
+   outcome's dual lengths replace it for the next neighboring solve. *)
+let throughput ?policy ?fault ?deadline ?warm (topo : Tb_topo.Topology.t) tm =
+  let g = topo.Tb_topo.Topology.graph in
+  let warm_lengths =
+    Option.bind warm (fun (cache, key) ->
+        Option.bind (Warm.find cache key) (fun e -> Warm.lengths_for e g))
+  in
+  let o =
+    solve ?policy ?fault ?deadline ?warm_lengths g (Tb_tm.Tm.commodities tm)
+  in
+  (match (warm, o.dual_lengths) with
+  | Some (cache, key), Some lengths ->
+    Warm.store cache key (Warm.entry_of_lengths g lengths)
+  | _ -> ());
+  o
 
 (* ---- Provenance. ---- *)
 

@@ -53,6 +53,17 @@ type policy = {
     {!Tb_flow.Mcf.auto_exact_threshold} LP variables, all three rungs. *)
 val default_policy : policy
 
+(** The chain for a solver selection, on top of {!default_policy}:
+    - [None] runs every rung;
+    - [Some Exact_lp] runs only the exact rung, up to
+      {!Tb_flow.Exact.max_lp_variables} LP variables;
+    - [Some Fptas] runs the FPTAS, then [Cut_bound];
+    - [Some Cut_bound] runs only the cut rung.
+
+    [eps], [tol] and [budget_ms] default to {!default_policy}'s. *)
+val policy_of :
+  ?eps:float -> ?tol:float -> ?budget_ms:float -> rung option -> policy
+
 (** Raised only when a custom [rungs] list omitting [Cut_bound] is
     exhausted. *)
 exception Exhausted of attempt list
@@ -81,11 +92,16 @@ val solve :
   Tb_flow.Commodity.t array ->
   outcome
 
+(** {!solve} on a topology's graph and a TM's commodities.
+    @param warm a warm cache and the key this solve reads and writes:
+    the key's entry, transported onto the graph, is the warm start
+    ([warm_lengths] above), and the outcome's dual lengths, when the
+    FPTAS produced it, replace the entry. *)
 val throughput :
   ?policy:policy ->
   ?fault:Fault.t ->
   ?deadline:Tb_obs.Deadline.t ->
-  ?warm_lengths:float array ->
+  ?warm:Warm.t * string ->
   Tb_topo.Topology.t ->
   Tb_tm.Tm.t ->
   outcome

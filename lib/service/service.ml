@@ -5,7 +5,6 @@ module Trace = Tb_obs.Trace
 module Events = Tb_obs.Events
 module Solve = Tb_harness.Solve
 module Fault = Tb_harness.Fault
-module Warm = Tb_harness.Warm
 module Topology = Tb_topo.Topology
 module Tm = Tb_tm.Tm
 
@@ -129,23 +128,13 @@ let describe_exn = function
   | e -> Printexc.to_string e
 
 let policy_of (req : Request.t) =
-  let base = Solve.default_policy in
-  let rungs, exact_threshold =
-    match req.Request.solver with
-    | Request.Auto -> (base.Solve.rungs, base.Solve.exact_threshold)
-    | Request.Exact_lp -> ([ Solve.Exact_lp ], Tb_flow.Exact.max_lp_variables)
-    | Request.Fptas ->
-      ([ Solve.Fptas; Solve.Cut_bound ], base.Solve.exact_threshold)
-    | Request.Cut_bound -> ([ Solve.Cut_bound ], base.Solve.exact_threshold)
-  in
-  {
-    base with
-    Solve.eps = req.Request.eps;
-    tol = req.Request.tol;
-    budget_ms = req.Request.budget_ms;
-    rungs;
-    exact_threshold;
-  }
+  Solve.policy_of ~eps:req.Request.eps ~tol:req.Request.tol
+    ~budget_ms:req.Request.budget_ms
+    (match req.Request.solver with
+    | Request.Auto -> None
+    | Request.Exact_lp -> Some Solve.Exact_lp
+    | Request.Fptas -> Some Solve.Fptas
+    | Request.Cut_bound -> Some Solve.Cut_bound)
 
 (* One solve, fault-isolated: whatever goes wrong — a bad inline
    instance, infeasible parameters, an exhausted custom chain, an
@@ -161,27 +150,11 @@ let run_solve ~fault ?warm ~build ~hash (req : Request.t) =
   in
   try
     let topo, tm = Trace.span ~args:(targs hash) "service.build" build in
-    (* Warm threading: look up the caller's cache under its chosen key
-       and transport the entry's lengths onto this request's graph; the
-       solve chain certifies the warm bracket before accepting it. On
-       success, the outcome's dual lengths replace the entry so the
-       next neighboring request chains from this one. *)
-    let warm_lengths =
-      match warm with
-      | None -> None
-      | Some (cache, key) ->
-        Option.bind (Warm.find cache key) (fun e ->
-            Warm.lengths_for e topo.Topology.graph)
-    in
+    (* The chain certifies a warm bracket before accepting it. *)
     let outcome =
       Trace.span ~args:(targs hash) "service.solve" (fun () ->
-          Solve.throughput ~policy:(policy_of req) ~fault ?warm_lengths topo
-            tm)
+          Solve.throughput ~policy:(policy_of req) ~fault ?warm topo tm)
     in
-    (match (warm, outcome.Solve.dual_lengths) with
-    | Some (cache, key), Some lengths ->
-      Warm.store cache key (Warm.entry_of_lengths topo.Topology.graph lengths)
-    | _ -> ());
     record_solve
       (Result.of_outcome ~solve_ms:(elapsed ())
          ~topo_label:(Topology.label topo) ~tm_label:(Tm.label tm)

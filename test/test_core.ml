@@ -36,6 +36,91 @@ let test_throughput_deterministic () =
   let b = (Topobench.Throughput.of_tm topo tm).Mcf.value in
   Alcotest.(check (float 1e-12)) "same result" a b
 
+(* ---- Pinned brackets ----
+
+   The exact bits every solver selection produces on small instances,
+   through both entry points ([of_tm] and [of_graph]) and through the
+   experiments' fault-tolerant chain ([Common.harness_policy]). Each
+   selection routes through one solve chain, so any change to how a
+   selection maps onto it shows up here as a moved bit. The instances
+   cover both sides of [Auto]'s exact-LP threshold: hypercube:3 LM has
+   193 LP variables, the 24-switch Jellyfish LM has 2881. *)
+
+let bits =
+  Alcotest.testable
+    (fun ppf x -> Fmt.pf ppf "%h" x)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+let check_bits msg (value, lower, upper) (e : Mcf.estimate) =
+  Alcotest.(check (list bits)) msg [ value; lower; upper ]
+    [ e.Mcf.value; e.Mcf.lower; e.Mcf.upper ]
+
+let pin_hypercube () = Tb_topo.Hypercube.make ~dim:3 ()
+let pin_jelly () = jelly 7 24 5
+let pin_approx = Mcf.Approx { eps = 0.4; tol = 0.1 }
+
+let test_pinned_of_tm () =
+  let hc = pin_hypercube () and jf = pin_jelly () in
+  let ft = Tb_topo.Fattree.make ~k:6 () in
+  let of_tm = Topobench.Throughput.of_tm in
+  check_bits "Auto, exact side (hypercube:3 LM)" (0x1p+0, 0x1p+0, 0x1p+0)
+    (of_tm hc (Synthetic.longest_matching hc));
+  check_bits "Auto, FPTAS side (jellyfish LM)"
+    (0x1.78e2aa8db4d7bp-1, 0x1.73a37d356edc2p-1, 0x1.7e21d7e5fad34p-1)
+    (of_tm jf (Synthetic.longest_matching jf));
+  check_bits "Approx (fattree:6 LM, eps 0.4, tol 0.1)"
+    (0x1.ffffffffffff6p-1, 0x1p+0, 0x1.fffffffffffecp-1)
+    (of_tm ~solver:pin_approx ft (Synthetic.longest_matching ft));
+  check_bits "Exact_lp (hypercube:3 A2A)"
+    (0x1.0000000000007p+1, 0x1.0000000000007p+1, 0x1.0000000000007p+1)
+    (of_tm ~solver:Mcf.Exact_lp hc (Synthetic.all_to_all hc))
+
+let test_pinned_of_graph () =
+  let hc = pin_hypercube () and jf = pin_jelly () in
+  let doubled t = Graph.with_uniform_capacity t.Topology.graph 2.0 in
+  let hc_lm = Synthetic.longest_matching hc in
+  let jf_lm = Synthetic.longest_matching jf in
+  let of_graph = Topobench.Throughput.of_graph in
+  check_bits "Auto (doubled jellyfish LM)"
+    (0x1.78e2aa8db4d7bp+0, 0x1.73a37d356edc2p+0, 0x1.7e21d7e5fad34p+0)
+    (of_graph (doubled jf) jf_lm);
+  check_bits "Exact_lp (doubled hypercube:3 LM)" (0x1p+1, 0x1p+1, 0x1p+1)
+    (of_graph ~solver:Mcf.Exact_lp (doubled hc) hc_lm);
+  check_bits "Approx (doubled jellyfish LM, eps 0.4, tol 0.1)"
+    (0x1.7fe9de46c581fp+0, 0x1.6e978d4fdf3b4p+0, 0x1.913c2f3dabc8ap+0)
+    (of_graph ~solver:pin_approx (doubled jf) jf_lm)
+
+let test_pinned_harness_policy () =
+  let module Solve = Tb_harness.Solve in
+  let module Common = Tb_experiments.Common in
+  let solve topo tm =
+    Solve.throughput ~policy:(Common.harness_policy Common.default topo) topo tm
+  in
+  let hc2 = Tb_topo.Hypercube.make ~dim:2 () in
+  let o = solve hc2 (Synthetic.all_to_all hc2) in
+  Alcotest.(check string) "hypercube:2 rung" "exact" (Solve.rung_name o.Solve.rung);
+  check_bits "hypercube:2 A2A" (0x1p+1, 0x1p+1, 0x1p+1) o.Solve.estimate;
+  let jf = pin_jelly () in
+  let o = solve jf (Synthetic.longest_matching jf) in
+  Alcotest.(check string) "jellyfish rung" "fptas" (Solve.rung_name o.Solve.rung);
+  check_bits "jellyfish LM"
+    (0x1.7aa53fa3de6d2p-1, 0x1.7395d530cd7d8p-1, 0x1.81b4aa16ef5ccp-1)
+    o.Solve.estimate
+
+(* Two triangles with one demand crossing between them: the throughput
+   is exactly 0, and every selection must say so instead of raising. *)
+let test_disconnected_demand_zero () =
+  let g =
+    Graph.of_unit_edges ~n:6
+      [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ]
+  in
+  let tm = Tm.make ~label:"across" [| (0, 3, 1.0) |] in
+  List.iter
+    (fun (name, solver) ->
+      check_bits name (0.0, 0.0, 0.0)
+        (Topobench.Throughput.of_graph ~solver g tm))
+    [ ("Auto", Mcf.Auto); ("Exact_lp", Mcf.Exact_lp); ("Approx", pin_approx) ]
+
 (* ---- Theorem 2 lower bound ---- *)
 
 let theorem2_check topo seed =
@@ -178,6 +263,14 @@ let () =
           Alcotest.test_case "capacity monotone" `Quick
             test_throughput_capacity_monotone;
           Alcotest.test_case "deterministic" `Quick test_throughput_deterministic;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "of_tm per solver" `Quick test_pinned_of_tm;
+          Alcotest.test_case "of_graph per solver" `Quick test_pinned_of_graph;
+          Alcotest.test_case "harness policy" `Quick test_pinned_harness_policy;
+          Alcotest.test_case "disconnected demand is 0" `Quick
+            test_disconnected_demand_zero;
         ] );
       ( "theorem2",
         [

@@ -10,7 +10,8 @@ let tiny =
     Common.seed = 7;
     iterations = 2;
     quick = true;
-    solver = Mcf.Approx { eps = 0.4; tol = 0.08 };
+    eps = 0.4;
+    tol = 0.08;
   }
 
 let test_config_rng_deterministic () =

@@ -295,20 +295,22 @@ let test_fleischer_domain_determinism () =
        (fun a b -> Int64.equal (bits a) (bits b))
        r1.Fleischer.flow r4.Fleischer.flow)
 
-(* ---- Mcf dispatcher ---- *)
+(* ---- Solver selection ---- *)
 
 let test_mcf_auto_small_exact () =
   let est =
-    Mcf.throughput ring4
-      [| cm ~src:0 ~dst:2 ~demand:1.0; cm ~src:1 ~dst:3 ~demand:1.0 |]
+    Topobench.Throughput.of_graph ring4
+      (Tb_tm.Tm.make ~label:"cross" [| (0, 2, 1.0); (1, 3, 1.0) |])
   in
   check_float "small goes exact (tight bracket)" est.Mcf.lower est.Mcf.upper;
   check_float "value" 1.0 est.Mcf.value
 
 let test_mcf_forced_approx () =
   let est =
-    Mcf.throughput ~solver:(Mcf.Approx { eps = 0.3; tol = 0.03 }) ring4
-      [| cm ~src:0 ~dst:2 ~demand:1.0 |]
+    Topobench.Throughput.of_graph
+      ~solver:(Mcf.Approx { eps = 0.3; tol = 0.03 })
+      ring4
+      (Tb_tm.Tm.make ~label:"one" [| (0, 2, 1.0) |])
   in
   Alcotest.(check bool) "bracket valid" true (est.Mcf.lower <= est.Mcf.upper);
   Alcotest.(check bool) "contains 2.0" true

@@ -213,17 +213,13 @@ let test_sweep_interrupt () =
 module Warm = Tb_harness.Warm
 
 (* Four cells of one topology whose solves chain dual lengths through
-   [cache] — the resilient_throughput pattern, inlined. The instance
-   exceeds the exact rung's variable budget, so every cell lands on the
-   FPTAS rung, where warm state matters; no deadline, so outputs are
+   [cache] under one key, as a failure sweep's cells do. The FPTAS rung
+   is forced, where warm state matters; no deadline, so outputs are
    deterministic. *)
 let warm_cells cache counter =
   let topo = small_topo () in
   let tm = Synthetic.all_to_all topo in
-  let g = topo.Topology.graph in
-  let policy =
-    { Solve.default_policy with rungs = [ Solve.Fptas; Solve.Cut_bound ]; tol = 0.05 }
-  in
+  let policy = Solve.policy_of ~tol:0.05 (Some Solve.Fptas) in
   List.map
     (fun key ->
       {
@@ -231,15 +227,8 @@ let warm_cells cache counter =
         run =
           (fun () ->
             incr counter;
-            let warm_lengths =
-              Option.bind (Warm.find cache "topo") (fun e ->
-                  Warm.lengths_for e g)
-            in
-            let o = Solve.throughput ~policy ?warm_lengths topo tm in
-            (match o.Solve.dual_lengths with
-            | Some l -> Warm.store cache "topo" (Warm.entry_of_lengths g l)
-            | None -> ());
-            Solve.outcome_to_json o);
+            Solve.outcome_to_json
+              (Solve.throughput ~policy ~warm:(cache, "topo") topo tm));
       })
     [ "c1"; "c2"; "c3"; "c4" ]
 
@@ -292,6 +281,45 @@ let test_warm_sweep_resume_identical () =
     "resumed warm output bit-identical to uninterrupted warm run" true
     (resumed = reference);
   Sys.remove path
+
+(* ---- Solver selection ----
+
+   The chain each selection maps onto, written out in full, so a change
+   to any selection's rungs, threshold or defaults shows up here. *)
+
+let test_policy_of_selections () =
+  let check name expected forced =
+    Alcotest.(check bool) name true (Solve.policy_of forced = expected)
+  in
+  let auto =
+    {
+      Solve.budget_ms = infinity;
+      retries = 2;
+      tol = 0.04;
+      relax = 2.0;
+      eps = 0.4;
+      exact_threshold = 1500;
+      rungs = [ Solve.Exact_lp; Solve.Fptas; Solve.Cut_bound ];
+    }
+  in
+  check "None: whole chain" auto None;
+  check "Exact_lp: exact rung, simplex ceiling"
+    { auto with exact_threshold = 5000; rungs = [ Solve.Exact_lp ] }
+    (Some Solve.Exact_lp);
+  check "Fptas: FPTAS then cuts"
+    { auto with rungs = [ Solve.Fptas; Solve.Cut_bound ] }
+    (Some Solve.Fptas);
+  check "Cut_bound: cuts only" { auto with rungs = [ Solve.Cut_bound ] }
+    (Some Solve.Cut_bound);
+  Alcotest.(check bool) "eps, tol and budget_ms pass through" true
+    (Solve.policy_of ~eps:0.3 ~tol:0.1 ~budget_ms:50.0 (Some Solve.Fptas)
+    = {
+        auto with
+        eps = 0.3;
+        tol = 0.1;
+        budget_ms = 50.0;
+        rungs = [ Solve.Fptas; Solve.Cut_bound ];
+      })
 
 (* ---- Degradation chain ---- *)
 
@@ -485,6 +513,8 @@ let () =
           Alcotest.test_case "faults never crash" `Quick
             test_faults_never_crash;
           Alcotest.test_case "outcome json" `Quick test_outcome_json;
+          Alcotest.test_case "policy_of selections" `Quick
+            test_policy_of_selections;
         ] );
       ( "failures",
         [

@@ -655,8 +655,6 @@ let test_solver_deadline_args () =
   Alcotest.(check bool) "Fleischer.solve honors ?deadline" true
     (times_out (fun () ->
          Tb_flow.Fleischer.solve ~deadline:(expired ()) ~tol:0.01 g cs));
-  Alcotest.(check bool) "Mcf.throughput honors ?deadline" true
-    (times_out (fun () -> Tb_flow.Mcf.throughput ~deadline:(expired ()) g cs));
   (* Colgen: ?tol is the pricing slack (renamed from ?pricing_tol) and
      ?deadline threads through the pricing loop. *)
   let small = Tb_topo.Hypercube.make ~dim:2 () in
