@@ -1,4 +1,4 @@
-.PHONY: all build test check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline bench-pairs loadgen loadgen-quick chaos-quick serve-smoke examples clean
+.PHONY: all build test check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke examples clean
 
 all: build
 
@@ -88,6 +88,17 @@ bench-pairs:
 	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(SEED)" ]; then \
 	  echo "usage: make bench-pairs BASE=<ref> WORKLOAD=<workload> SEED=<seed>" >&2; exit 2; fi
 	sh scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(SEED)
+
+# Regenerate WORKLOAD's benchsuite golden brackets at seed 42 in a
+# temporary copy of the working tree and compare them byte for byte with
+# the committed benchsuite/golden/WORKLOAD.json; writes nothing in the
+# checkout. A change that must keep brackets bit-identical runs it on
+# all four workloads.
+#   make golden-bits WORKLOAD=ksp-routing
+golden-bits:
+	@if [ -z "$(WORKLOAD)" ]; then \
+	  echo "usage: make golden-bits WORKLOAD=<workload>" >&2; exit 2; fi
+	sh scripts/golden_bits.sh $(WORKLOAD)
 
 # Re-pin the committed perf baseline after an intentional perf change.
 # Run on an idle machine; review the diff before committing.

@@ -37,23 +37,33 @@ let diverse_paths g ~src ~dst ~k =
   | [] -> invalid_arg "Llskr.diverse_paths: disconnected pair"
   | ps -> Array.of_list ps
 
-(* All ordered endpoint pairs with their path sets. Paths for (v, u) are
-   the arc-reversals of (u, v)'s, halving the path computations. *)
+(* Path sets memoized per unordered pair: [diverse_paths] runs once,
+   from the smaller endpoint to the larger, and the other orientation
+   gets the arc-reversals, halving the path computations. *)
+let path_sets g ~k =
+  let cache = Hashtbl.create 64 in
+  fun u v ->
+    let lo = min u v and hi = max u v in
+    let fwd =
+      match Hashtbl.find_opt cache (lo, hi) with
+      | Some p -> p
+      | None ->
+        let p = diverse_paths g ~src:lo ~dst:hi ~k in
+        Hashtbl.add cache (lo, hi) p;
+        p
+    in
+    if u = lo then fwd else Array.map (fun arcs -> List.rev_map Graph.arc_rev arcs) fwd
+
+(* All ordered endpoint pairs with their path sets. *)
 let pair_paths (topo : Topology.t) ~k_paths =
-  let g = topo.Topology.graph in
+  let paths = path_sets topo.Topology.graph ~k:k_paths in
   let endpoints = Topology.endpoint_nodes topo in
   let ne = Array.length endpoints in
   let out = ref [] in
   for i = 0 to ne - 1 do
     for j = i + 1 to ne - 1 do
       let u = endpoints.(i) and v = endpoints.(j) in
-      let fwd = diverse_paths g ~src:u ~dst:v ~k:k_paths in
-      let bwd =
-        Array.map
-          (fun arcs -> List.rev_map Graph.arc_rev arcs)
-          fwd
-      in
-      out := ((u, v), fwd) :: ((v, u), bwd) :: !out
+      out := ((u, v), paths u v) :: ((v, u), paths v u) :: !out
     done
   done;
   !out
@@ -99,7 +109,7 @@ let counting_estimate (topo : Topology.t) ~k_paths =
 (* Exact (bracketed) concurrent throughput restricted to the same LLSKR
    path sets, under the same A2A TM — the paper's "Comparison 2/3"
    method. Maximizes the *minimum* flow, per Section II-A. *)
-let lp_estimate ?(eps = 0.07) ?(tol = 0.03) (topo : Topology.t) ~k_paths =
+let lp_estimate ?(tol = 0.03) (topo : Topology.t) ~k_paths =
   let hosts = topo.Topology.hosts in
   let total_servers = float_of_int (Topology.num_servers topo) in
   let pairs = pair_paths topo ~k_paths in
@@ -116,5 +126,5 @@ let lp_estimate ?(eps = 0.07) ?(tol = 0.03) (topo : Topology.t) ~k_paths =
            })
          pairs)
   in
-  let r = Restricted.solve ~eps ~tol topo.Topology.graph specs in
+  let r = Restricted.solve ~tol topo.Topology.graph specs in
   0.5 *. (r.Restricted.lower +. r.Restricted.upper)

@@ -10,8 +10,12 @@ module Topology = Tb_topo.Topology
     [Invalid_argument] if [k < 1] or the pair is disconnected. *)
 val diverse_paths : Graph.t -> src:int -> dst:int -> k:int -> int list array
 
-(** Path sets for every ordered endpoint pair (reverse paths are arc
-    reversals of forward ones). *)
+(** [path_sets g ~k] is a memoized [fun u v -> paths]: [diverse_paths]
+    runs once per unordered pair, from the smaller node to the larger,
+    and the other orientation gets the arc reversals of those paths. *)
+val path_sets : Graph.t -> k:int -> int -> int -> int list array
+
+(** Path sets for every ordered endpoint pair, from {!path_sets}. *)
 val pair_paths :
   Topology.t -> k_paths:int -> ((int * int) * int list array) list
 
@@ -22,4 +26,4 @@ val counting_estimate : Topology.t -> k_paths:int -> float
 
 (** Bracketed concurrent throughput restricted to the same path sets
     under the same A2A TM (midpoint returned). *)
-val lp_estimate : ?eps:float -> ?tol:float -> Topology.t -> k_paths:int -> float
+val lp_estimate : ?tol:float -> Topology.t -> k_paths:int -> float

@@ -26,22 +26,7 @@ let value r = 0.5 *. (r.lower +. r.upper)
 let ksp_throughput ?(eps = 0.25) ?(tol = 0.03) (topo : Topology.t) tm ~k =
   if k < 1 then invalid_arg "Routing.ksp_throughput: k < 1";
   let g = topo.Topology.graph in
-  (* Share path computations across the forward/backward orientations of
-     each unordered pair. *)
-  let cache = Hashtbl.create 64 in
-  let paths_for u v =
-    let key = (min u v, max u v) in
-    let fwd =
-      match Hashtbl.find_opt cache key with
-      | Some p -> p
-      | None ->
-        let p = Llskr.diverse_paths g ~src:(fst key) ~dst:(snd key) ~k in
-        Hashtbl.add cache key p;
-        p
-    in
-    if u = fst key then fwd
-    else Array.map (fun arcs -> List.rev_map Tb_graph.Graph.arc_rev arcs) fwd
-  in
+  let paths_for = Llskr.path_sets g ~k in
   let specs =
     Array.map
       (fun (u, v, w) ->

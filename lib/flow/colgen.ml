@@ -45,11 +45,7 @@ module Convergence = Tb_obs.Convergence
 
 let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen")
     ?(warm_paths = []) g commodities =
-  let on_check =
-    match deadline with
-    | None -> on_check
-    | Some d -> Convergence.combine (Tb_obs.Deadline.sink d) on_check
-  in
+  let on_check = Tb_obs.Deadline.guard deadline on_check in
   let cs = Commodity.normalize commodities in
   let k = Array.length cs in
   if k = 0 then invalid_arg "Colgen.solve: no non-trivial commodities";

@@ -36,20 +36,24 @@ module A1 = Bigarray.Array1
    Lengths grow geometrically, so they are renormalized when they become
    large; every quantity used (path choice, D/alpha) is scale-invariant.
 
+   The state and its bookkeeping (lengths, flows, pushes, both bounds,
+   the stopping rule) live in {!Mwu}, shared with {!Restricted}. This
+   module is the shortest-path-tree oracle: the Dial load estimate, tree
+   routing with its staleness test, alpha summed in group order, and the
+   eps anneal.
+
    Scale. All per-arc state (lengths, flows, snapshots) and per-node
    state (tree distances) lives in Bigarrays — flat, unscanned by the
    GC, shared across domains without copying — and the shortest-path
    workhorse is selected by instance size: heap Dijkstra below
    [delta_threshold_arcs] arcs (where its constants win), delta-stepping
-   above it (see {!Tb_graph.Sssp}). The one-off congestion estimate uses
-   Dial buckets (its lengths are all-ones by construction). The longest
-   current arc length is tracked incrementally so delta-stepping never
-   rescans the length array to size its buckets.
+   above it (see {!Tb_graph.Sssp}). The one-off load estimate uses
+   Dial buckets (its lengths are all-ones by construction).
 
    Parallelism: the route phases are inherently sequential (every push
    updates the lengths the next push routes against), but the two
-   certification passes — the one-off congestion estimate and the dual
-   bound recomputed every [check_every] phases — are read-only over the
+   certification passes — the one-off load estimate and the dual
+   bound recomputed every 10 phases — are read-only over the
    lengths. On small instances they fan out one Dijkstra per source
    group across domains; each group produces a self-contained partial (a
    partial alpha sum, or a packed list of load contributions) and the
@@ -147,15 +151,15 @@ let contrib_push c a x =
   c.c_len <- c.c_len + 1
 
 (* Load of routing every commodity once along hop-shortest paths,
-   ignoring capacities; used to pre-scale demands so that a phase routes
-   roughly "one unit of congestion" and the phase count stays O(log m /
-   eps^2) regardless of the demand scale. Hop-shortest trees come from
+   ignoring capacities; {!Mwu.create} pre-scales demands by it so that a
+   phase routes roughly "one unit of congestion" and the phase count
+   stays O(log m / eps^2) regardless of the demand scale. Hop-shortest trees come from
    Dial buckets (unit lengths by definition). On small instances the
    source groups fan out across domains and the per-group contribution
    lists are applied to the load array sequentially in group order
    (deterministic for any domain count); large instances run the groups
    sequentially. *)
-let congestion_estimate ~big g cs =
+let load_estimate ~big g cs =
   let n = Graph.num_nodes g in
   let num_arcs = Graph.num_arcs g in
   let groups = Commodity.group_by_source ~n cs in
@@ -189,13 +193,7 @@ let congestion_estimate ~big g cs =
         A1.set load a (A1.get load a +. c.c_amts.(i))
       done)
     parts;
-  let cap = Graph.ba_arc_caps g in
-  let worst = ref 0.0 in
-  for a = 0 to num_arcs - 1 do
-    let r = A1.get load a /. A1.get cap a in
-    if r > !worst then worst := r
-  done;
-  !worst
+  load
 
 exception Unreachable_commodity of Commodity.t
 
@@ -210,37 +208,12 @@ let check_reachability g cs =
         raise (Unreachable_commodity c))
     cs
 
-(* A warm length function is usable iff it covers every arc with a
-   strictly positive finite value: both certified bounds hold for ANY
-   positive lengths (the primal counts completed phases, the dual
-   D(l)/alpha(l) is LP weak duality), so a warm start can only change
-   how fast the bracket closes, never whether it is valid. *)
-let warm_usable num_arcs = function
-  | None -> None
-  | Some w ->
-    if
-      Array.length w = num_arcs
-      && Array.for_all (fun l -> Float.is_finite l && l > 0.0) w
-    then Some w
-    else None
-
 let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
-    ?(max_phases = 30_000) ?(check_every = 10)
-    ?(on_check = Convergence.tracing "fleischer") ?(sssp = Auto) ?warm_lengths
-    g commodities =
+    ?(max_phases = 30_000) ?(on_check = Convergence.tracing "fleischer")
+    ?(sssp = Auto) ?warm_lengths g commodities =
   (* A deadline is just another observer of the periodic checks: it
      raises Timed_out at the next bound evaluation after expiry. *)
-  let on_check =
-    match deadline with
-    | None -> on_check
-    | Some d -> Convergence.combine (Tb_obs.Deadline.sink d) on_check
-  in
-  (* The step size adapts downward when the duality gap stalls: a large
-     step closes most of the gap cheaply, a smaller one finishes the
-     job. Both bounds are certified for any step schedule (the primal
-     counts completed phases; the dual holds for any lengths), so
-     adaptation cannot compromise correctness. *)
-  let eps = ref eps in
+  let on_check = Tb_obs.Deadline.guard deadline on_check in
   let cs = Commodity.normalize commodities in
   if Array.length cs = 0 then
     invalid_arg "Fleischer.solve: no non-trivial commodities";
@@ -259,46 +232,10 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   Trace.span "fleischer.solve"
     ~args:[ ("commodities", Tb_obs.Json.Int k); ("arcs", Tb_obs.Json.Int num_arcs) ]
   @@ fun () ->
-  (* Pre-scale demands so one phase ~ unit congestion. *)
-  let sigma =
-    let est = congestion_estimate ~big:use_delta g cs in
-    if est > 0.0 then 1.0 /. est else 1.0
+  let t =
+    Mwu.create g ~eps ~load:(load_estimate ~big:use_delta g cs) ~warm_lengths cs
   in
-  let demand = Array.map (fun c -> c.Commodity.demand *. sigma) cs in
-  let cap = Graph.ba_arc_caps g in
-  let len = Graph.make_floats num_arcs in
-  (* Longest current arc length, maintained incrementally: lengths only
-     grow between renormalizations, so a max-tracking write per push
-     keeps delta-stepping's bucket sizing O(1) per traversal. Held in an
-     unboxed cell: closures capture it, and a captured [float ref]
-     boxes on every write. *)
-  let max_len = [| 0.0 |] in
-  for a = 0 to num_arcs - 1 do
-    let l = 1.0 /. A1.get cap a in
-    A1.set len a l;
-    if l > max_len.(0) then max_len.(0) <- l
-  done;
-  (match warm_usable num_arcs warm_lengths with
-  | None -> ()
-  | Some w ->
-    (* Rescale so the largest warm length is 1.0: the dual bound is
-       scale-invariant and this keeps lengths far from the 1e150
-       renormalization ceiling regardless of what the caller saved. *)
-    let wmax = Array.fold_left Float.max 0.0 w in
-    max_len.(0) <- 0.0;
-    for a = 0 to num_arcs - 1 do
-      let l = w.(a) /. wmax in
-      A1.set len a l;
-      if l > max_len.(0) then max_len.(0) <- l
-    done);
-  (* Snapshot of the lengths that achieved [best_upper]: returned as the
-     dual certificate, so a checker can re-derive the upper bound from
-     the result alone (D(l)/alpha(l) is scale-invariant in [l], hence
-     insensitive to renormalization and demand pre-scaling). *)
-  let best_len = Graph.make_floats num_arcs in
-  A1.blit len best_len;
-  let flow = Graph.make_floats num_arcs in
-  A1.fill flow 0.0;
+  let len = t.Mwu.len and c = t.Mwu.c in
   let groups = Commodity.group_by_source ~n cs in
   (* Single-destination sources (matching TMs) afford an early-exit
      SSSP. The options are built once per solve, not once per tree. *)
@@ -313,32 +250,16 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   (* Scratch: current tree distance per destination, per active source. *)
   let dist_at_tree = Graph.make_floats n in
   A1.fill dist_at_tree infinity;
+  (* Scratch: the arcs of the tree path being routed, dst to src. *)
+  let path = Array.make n 0 in
   let sssp_tree ?target ~src st =
     Metrics.incr m_dijkstra;
     if use_delta then
-      Sssp.delta_stepping ?target ~max_len:max_len.(0) g ~len ~src st
+      Sssp.delta_stepping ?target ~max_len:c.Mwu.max_len g ~len ~src st
     else Sssp.dijkstra ?target g ~len ~src st
   in
-  (* [max_len.(0)] is exactly the largest current length (see above),
-     so no scan is needed to decide whether to rescale. *)
-  let renormalize () =
-    if max_len.(0) > 1e150 then begin
-      let inv = 1.0 /. max_len.(0) in
-      let m' = ref 0.0 in
-      for a = 0 to num_arcs - 1 do
-        let l = A1.unsafe_get len a *. inv in
-        A1.unsafe_set len a l;
-        if l > !m' then m' := l
-      done;
-      max_len.(0) <- !m'
-    end
-  in
-  (* Worst congestion max_a flow(a)/cap(a), tracked at each push: flows
-     only grow, so the running max of the ratios written is exactly the
-     max over the current flows. Unboxed cell, as for [max_len]. *)
-  let congestion = [| 0.0 |] in
-  (* Dual bound D(l)/alpha(l) under the *current* lengths. The alpha
-     sum runs one SSSP per source group; each group's partial is summed
+  (* alpha(l) under the *current* lengths, for the dual bound. The sum
+     runs one SSSP per source group; each group's partial is summed
      within the group in commodity order and the partials are folded in
      group order, so the bound is bit-identical regardless of the
      domain count (the lengths are read-only during the pass). Each
@@ -353,14 +274,10 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
         ( s,
           targets.(gi),
           Array.map (fun j -> cs.(j).Commodity.dst) idxs,
-          Array.map (fun j -> demand.(j)) idxs ))
+          Array.map (fun j -> t.Mwu.demand.(j)) idxs ))
       groups
   in
-  let dual_bound () =
-    let dsum = ref 0.0 in
-    for a = 0 to num_arcs - 1 do
-      dsum := !dsum +. (A1.unsafe_get len a *. A1.unsafe_get cap a)
-    done;
+  let alpha () =
     let run (s, target, targets, weights) =
       with_state pool @@ fun st ->
       sssp_tree ?target ~src:s st;
@@ -370,19 +287,15 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
       if use_delta then Array.map run dual_groups
       else Parallel.map_array run dual_groups
     in
-    let alpha = Array.fold_left ( +. ) 0.0 parts in
-    if alpha > 0.0 then !dsum /. alpha else infinity
+    Array.fold_left ( +. ) 0.0 parts
   in
-  let phases = ref 0 in
-  let best_lower = ref 0.0 in
-  let best_upper = ref infinity in
+  let dual_check () =
+    Mwu.dual_check t ~alpha:(alpha ()) on_check;
+    Trace.counter "dijkstra" [ ("runs", float_of_int (Metrics.count m_dijkstra)) ]
+  in
   let stall_window = 120 in
   let window_start = ref 0 in
   let window_gap = ref infinity in
-  let flow_snapshot = Graph.make_floats num_arcs in
-  A1.fill flow_snapshot 0.0;
-  let snapshot_scale = ref 0.0 in
-  let stop = ref false in
   (* Rebuild the tree of source [s] and record its distances, against
      which the phase loop measures staleness. *)
   let refresh s target =
@@ -391,15 +304,16 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
     | Some t -> A1.set dist_at_tree t (Sssp.distance st t)
     | None -> Sssp.distances_into st dist_at_tree
   in
-  while not !stop do
+  let running = ref true in
+  while !running do
     (* ---- One phase: route every commodity's full demand. ----
 
        Each commodity's demand is routed along the current tree of its
-       source: walk parent arcs to measure the path's current length and
-       bottleneck (no allocation), then either push along it or, when the
-       path has grown stale by more than a (1 + eps) factor, refresh the
-       tree and retry. Plain loops over local refs: no float crosses a
-       call, so nothing here is boxed. *)
+       source: walk parent arcs to collect the path and measure its
+       current length (no allocation), then either push along it or,
+       when the path has grown stale by more than a (1 + eps) factor,
+       refresh the tree and retry. Plain loops over local refs: no float
+       crosses a call, so nothing here is boxed. *)
     for gi = 0 to Array.length groups - 1 do
       let s, idxs = groups.(gi) in
       let target = targets.(gi) in
@@ -407,110 +321,58 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
       for i = 0 to Array.length idxs - 1 do
         let j = idxs.(i) in
         let dst = cs.(j).Commodity.dst in
-        let remaining = ref demand.(j) in
-        while !remaining > 1e-15 do
-          let cur_len = ref 0.0 and bottleneck = ref infinity in
+        c.Mwu.remaining <- t.Mwu.demand.(j);
+        while c.Mwu.remaining > 1e-15 do
+          let cur_len = ref 0.0 and hops = ref 0 in
           let v = ref dst in
           while !v <> s do
             let a = Sssp.parent_arc st !v in
             if a < 0 then failwith "Fleischer: lost reachability";
             cur_len := !cur_len +. A1.unsafe_get len a;
-            let c = A1.unsafe_get cap a in
-            if c < !bottleneck then bottleneck := c;
+            path.(!hops) <- a;
+            incr hops;
             v := Graph.arc_src g a
           done;
-          if !cur_len > ((1.0 +. !eps) *. A1.get dist_at_tree dst) +. 1e-300 then
-            refresh s target
-          else begin
-            let f = if !remaining <= !bottleneck then !remaining else !bottleneck in
-            let v = ref dst in
-            while !v <> s do
-              let a = Sssp.parent_arc st !v in
-              let fa = A1.unsafe_get flow a +. f in
-              A1.unsafe_set flow a fa;
-              let r = fa /. A1.unsafe_get cap a in
-              if r > congestion.(0) then congestion.(0) <- r;
-              let l =
-                A1.unsafe_get len a *. (1.0 +. (!eps *. f /. A1.unsafe_get cap a))
-              in
-              A1.unsafe_set len a l;
-              if l > max_len.(0) then max_len.(0) <- l;
-              v := Graph.arc_src g a
-            done;
-            remaining := !remaining -. f
-          end
+          if !cur_len > ((1.0 +. c.Mwu.eps) *. A1.get dist_at_tree dst) +. 1e-300
+          then refresh s target
+          else Mwu.route t path !hops
         done
       done
     done;
-    incr phases;
+    Mwu.end_phase t;
     Metrics.incr m_phases;
-    renormalize ();
-    (* ---- Bounds. ---- *)
-    let cong = congestion.(0) in
-    if cong > 0.0 then begin
-      let lower = float_of_int !phases /. cong in
-      if lower > !best_lower then begin
-        best_lower := lower;
-        A1.blit flow flow_snapshot;
-        snapshot_scale := 1.0 /. cong
-      end
-    end;
-    if !phases mod check_every = 0 || !phases = 1 then begin
-      let ub = dual_bound () in
-      if ub < !best_upper then begin
-        best_upper := ub;
-        A1.blit len best_len
-      end;
-      Convergence.check on_check ~phase:!phases ~lower:!best_lower
-        ~upper:!best_upper ~eps:!eps;
-      Trace.counter "dijkstra"
-        [ ("runs", float_of_int (Metrics.count m_dijkstra)) ];
+    if t.Mwu.phases mod 10 = 0 || t.Mwu.phases = 1 then begin
+      dual_check ();
       (* Stall detection: if the gap improved by < 2% relatively since
-         the window started, halve the step. *)
-      let gap = !best_upper /. max !best_lower 1e-300 in
-      if !phases - !window_start >= stall_window then begin
-        if gap > !window_gap /. 1.02 && !eps > 0.021 then
-          eps := max 0.02 (!eps /. 2.0);
-        window_start := !phases;
+         the window started, halve the step. A large step closes most of
+         the gap cheaply, a smaller one finishes the job; both bounds
+         hold for any step schedule, so adapting cannot compromise
+         correctness. *)
+      let gap = c.Mwu.upper /. max c.Mwu.lower 1e-300 in
+      if t.Mwu.phases - !window_start >= stall_window then begin
+        if gap > !window_gap /. 1.02 && c.Mwu.eps > 0.021 then
+          c.Mwu.eps <- max 0.02 (c.Mwu.eps /. 2.0);
+        window_start := t.Mwu.phases;
         window_gap := gap
       end
       else if gap < !window_gap /. 1.02 then begin
-        window_start := !phases;
+        window_start := t.Mwu.phases;
         window_gap := gap
       end
     end;
-    if
-      !best_upper < infinity
-      && !best_lower > 0.0
-      && !best_upper /. !best_lower <= 1.0 +. tol
-    then stop := true
-    else if !phases >= max_phases then begin
-      Logs.warn (fun m ->
-          m "Fleischer: phase cap %d hit (gap %.3f); result is still bracketed"
-            max_phases
-            ((!best_upper /. !best_lower) -. 1.0));
-      stop := true
-    end
+    running := not (Mwu.converged t ~solver:"Fleischer" ~tol ~max_phases)
   done;
   (* Final tight dual check. *)
-  let ub = dual_bound () in
-  if ub < !best_upper then begin
-    best_upper := ub;
-    A1.blit len best_len
-  end;
-  Convergence.check on_check ~phase:!phases ~lower:!best_lower
-    ~upper:!best_upper ~eps:!eps;
-  Trace.counter "dijkstra"
-    [ ("runs", float_of_int (Metrics.count m_dijkstra)) ];
-  Metrics.observe h_phases (float_of_int !phases);
-  (* Undo the demand pre-scaling: lambda(d) = lambda(d') * sigma. *)
-  let lower = !best_lower *. sigma and upper = !best_upper *. sigma in
+  dual_check ();
+  Metrics.observe h_phases (float_of_int t.Mwu.phases);
+  let lower = Mwu.lower t and upper = Mwu.upper t in
   Metrics.set g_lower lower;
   Metrics.set g_upper upper;
   {
     lower;
     upper;
-    flow = Array.init num_arcs (fun a -> A1.get flow_snapshot a *. !snapshot_scale);
-    lengths = Array.init num_arcs (fun a -> A1.get best_len a);
-    phases = !phases;
+    flow =
+      Array.init num_arcs (fun a -> A1.get t.Mwu.best_flow a *. c.Mwu.flow_scale);
+    lengths = Array.init num_arcs (fun a -> A1.get t.Mwu.best_len a);
+    phases = t.Mwu.phases;
   }

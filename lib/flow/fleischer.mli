@@ -69,7 +69,6 @@ val solve :
   ?eps:float ->
   ?tol:float ->
   ?max_phases:int ->
-  ?check_every:int ->
   ?on_check:Tb_obs.Convergence.sink ->
   ?sssp:workhorse ->
   ?warm_lengths:float array ->

@@ -1,13 +1,14 @@
 module Graph = Tb_graph.Graph
 (* Path-restricted maximum concurrent flow.
 
-   Same multiplicative-weights scheme as {!Fleischer}, but each commodity
-   may only use an explicit set of paths (arc lists). This replicates
-   routing-scheme studies: the Fig. 15 comparison computes exact LP
-   throughput restricted to LLSKR's path choices. The "shortest path
-   oracle" degenerates to a min over the commodity's path set, so no
-   Dijkstra is needed and phases are cheap even with thousands of
-   commodities. *)
+   The same multiplicative-weights state as {!Fleischer} ({!Mwu}), but
+   each commodity may only use an explicit set of paths (arc lists).
+   This replicates routing-scheme studies: the Fig. 15 comparison
+   computes exact LP throughput restricted to LLSKR's path choices. The
+   "shortest path oracle" degenerates to a min over the commodity's path
+   set, so no Dijkstra is needed and phases are cheap even with
+   thousands of commodities; it is also why the dual bound is checked
+   every 5 phases rather than Fleischer's 10. *)
 
 type spec = { commodity : Commodity.t; paths : int list array }
 
@@ -23,11 +24,7 @@ let t_solve = Metrics.timer "restricted.solve"
 
 let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
     ?(on_check = Convergence.tracing "restricted") ?warm_lengths g specs =
-  let on_check =
-    match deadline with
-    | None -> on_check
-    | Some d -> Convergence.combine (Tb_obs.Deadline.sink d) on_check
-  in
+  let on_check = Tb_obs.Deadline.guard deadline on_check in
   let specs =
     Array.of_list
       (List.filter
@@ -47,48 +44,25 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
   Trace.span "restricted.solve"
     ~args:[ ("commodities", Tb_obs.Json.Int (Array.length specs)) ]
   @@ fun () ->
-  let num_arcs = Graph.num_arcs g in
-  (* Read-only alias of the graph's per-arc capacity array. *)
-  let cap = Graph.arc_caps g in
-  let len = Array.init num_arcs (fun a -> 1.0 /. cap.(a)) in
-  (* Same warm-start contract as {!Fleischer.solve}: both bounds hold
-     for any positive lengths, so a usable warm length function only
-     accelerates convergence. Rescaled so max = 1.0 to stay clear of
-     the renormalization ceiling. *)
-  (match warm_lengths with
-  | Some w
-    when Array.length w = num_arcs
-         && Array.for_all (fun l -> Float.is_finite l && l > 0.0) w ->
-    let wmax = Array.fold_left Float.max 0.0 w in
-    for a = 0 to num_arcs - 1 do
-      len.(a) <- w.(a) /. wmax
-    done
-  | _ -> ());
-  let flow = Array.make num_arcs 0.0 in
   (* Pre-scale demands: route once along first paths. *)
-  let sigma =
-    let load = Array.make num_arcs 0.0 in
-    Array.iter
-      (fun s ->
-        List.iter
-          (fun a -> load.(a) <- load.(a) +. s.commodity.Commodity.demand)
-          s.paths.(0))
-      specs;
-    let worst = ref 0.0 in
-    for a = 0 to num_arcs - 1 do
-      let r = load.(a) /. cap.(a) in
-      if r > !worst then worst := r
-    done;
-    if !worst > 0.0 then 1.0 /. !worst else 1.0
-  in
-  let demand =
-    Array.map (fun s -> s.commodity.Commodity.demand *. sigma) specs
+  let load = Graph.make_floats (Graph.num_arcs g) in
+  Bigarray.Array1.fill load 0.0;
+  Array.iter
+    (fun s ->
+      List.iter
+        (fun a -> load.{a} <- load.{a} +. s.commodity.Commodity.demand)
+        s.paths.(0))
+    specs;
+  let t =
+    Mwu.create g ~eps ~load ~warm_lengths
+      (Array.map (fun s -> s.commodity) specs)
   in
   (* The phase loop below is allocation-free: paths are flattened to arc
      arrays once, every loop is an index loop over local refs, and the
      shortest length is handed back through an unboxed cell rather than
      a boxed tuple. Sums and minima run in path order: reordering them
      would change the brackets' last bits. *)
+  let len = t.Mwu.len in
   let paths = Array.map (fun s -> Array.map Array.of_list s.paths) specs in
   let best_len = [| infinity |] in
   (* Index of commodity [j]'s shortest path (first on ties); its length
@@ -100,7 +74,7 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
       let p = ps.(i) in
       let l = ref 0.0 in
       for k = 0 to Array.length p - 1 do
-        l := !l +. len.(p.(k))
+        l := !l +. len.{p.(k)}
       done;
       if !l < !bl then begin
         bl := !l;
@@ -110,90 +84,30 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
     best_len.(0) <- !bl;
     !best
   in
-  let congestion () =
-    let w = ref 0.0 in
-    for a = 0 to num_arcs - 1 do
-      let r = flow.(a) /. cap.(a) in
-      if r > !w then w := r
-    done;
-    !w
-  in
-  let dual_bound () =
-    let dsum = ref 0.0 in
-    for a = 0 to num_arcs - 1 do
-      dsum := !dsum +. (len.(a) *. cap.(a))
-    done;
+  let alpha () =
     let alpha = ref 0.0 in
     for j = 0 to Array.length specs - 1 do
       ignore (shortest_of j);
-      alpha := !alpha +. (demand.(j) *. best_len.(0))
+      alpha := !alpha +. (t.Mwu.demand.(j) *. best_len.(0))
     done;
-    if !alpha > 0.0 then !dsum /. !alpha else infinity
+    !alpha
   in
-  let renormalize () =
-    let m = ref 0.0 in
-    for a = 0 to num_arcs - 1 do
-      if len.(a) > !m then m := len.(a)
-    done;
-    if !m > 1e150 then begin
-      let inv = 1.0 /. !m in
-      for a = 0 to num_arcs - 1 do
-        len.(a) <- len.(a) *. inv
-      done
-    end
-  in
-  let phases = ref 0 in
-  let best_lower = ref 0.0 and best_upper = ref infinity in
-  let stop = ref false in
-  while not !stop do
+  (* The step stays fixed: Fleischer's stall anneal would move these
+     brackets (see DESIGN.md, "One MWU state"). *)
+  let running = ref true in
+  while !running do
     for j = 0 to Array.length specs - 1 do
-      let remaining = ref demand.(j) in
-      while !remaining > 1e-15 do
+      t.Mwu.c.remaining <- t.Mwu.demand.(j);
+      while t.Mwu.c.remaining > 1e-15 do
         let p = paths.(j).(shortest_of j) in
-        let bottleneck = ref infinity in
-        for k = 0 to Array.length p - 1 do
-          let c = cap.(p.(k)) in
-          bottleneck := if !bottleneck <= c then !bottleneck else c
-        done;
-        let f = if !remaining <= !bottleneck then !remaining else !bottleneck in
-        for k = 0 to Array.length p - 1 do
-          let a = p.(k) in
-          flow.(a) <- flow.(a) +. f;
-          len.(a) <- len.(a) *. (1.0 +. (eps *. f /. cap.(a)))
-        done;
-        remaining := !remaining -. f
+        Mwu.route t p (Array.length p)
       done
     done;
-    incr phases;
+    Mwu.end_phase t;
     Metrics.incr m_phases;
-    renormalize ();
-    let cong = congestion () in
-    if cong > 0.0 then begin
-      let lower = float_of_int !phases /. cong in
-      if lower > !best_lower then best_lower := lower
-    end;
-    if !phases mod 5 = 0 || !phases = 1 then begin
-      let ub = dual_bound () in
-      if ub < !best_upper then best_upper := ub;
-      Convergence.check on_check ~phase:!phases ~lower:!best_lower
-        ~upper:!best_upper ~eps
-    end;
-    if
-      !best_upper < infinity
-      && !best_lower > 0.0
-      && !best_upper /. !best_lower <= 1.0 +. tol
-    then stop := true
-    else if !phases >= max_phases then begin
-      Logs.warn (fun m -> m "Restricted: phase cap hit");
-      stop := true
-    end
+    if t.Mwu.phases mod 5 = 0 || t.Mwu.phases = 1 then
+      Mwu.dual_check t ~alpha:(alpha ()) on_check;
+    running := not (Mwu.converged t ~solver:"Restricted" ~tol ~max_phases)
   done;
-  let ub = dual_bound () in
-  if ub < !best_upper then best_upper := ub;
-  Convergence.check on_check ~phase:!phases ~lower:!best_lower
-    ~upper:!best_upper ~eps;
-  {
-    lower = !best_lower *. sigma;
-    upper = !best_upper *. sigma;
-    phases = !phases;
-  }
+  Mwu.dual_check t ~alpha:(alpha ()) on_check;
+  { lower = Mwu.lower t; upper = Mwu.upper t; phases = t.Mwu.phases }

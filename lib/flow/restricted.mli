@@ -1,7 +1,7 @@
 (** Path-restricted maximum concurrent flow: each commodity may only use
     an explicit set of paths (arc lists). Used to evaluate routing
     schemes — e.g. the LLSKR replication of Fig. 15 — with the same
-    certified-bracket method as {!Fleischer}. *)
+    certified-bracket method, on the same {!Mwu} state, as {!Fleischer}. *)
 
 module Graph = Tb_graph.Graph
 

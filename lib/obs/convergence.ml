@@ -4,7 +4,7 @@
    column generation) periodically evaluate certified bounds; a sink is
    the observer of those checks. Solvers accept [?on_check] and default
    to {!null}, so the callback costs one closure call per *check* (every
-   [check_every] phases), never per phase.
+   10 phases for Fleischer, every 5 for Restricted), never per phase.
 
    A sample carries the solver's view at one check: completed phase
    count, certified lower/upper bounds in the solver's internal

@@ -1,8 +1,8 @@
 (** Observer interface for iterative solvers' bound checks.
 
     Solvers accept [?on_check:sink] and call it at every certified-bound
-    evaluation — cheap by construction, since checks happen every
-    [check_every] phases, not every phase. Bounds are reported in the
+    evaluation — cheap by construction, since checks happen every few
+    phases (10 for Fleischer, 5 for Restricted), not every phase. Bounds are reported in the
     solver's internal pre-scaled units: the invariants (lower
     non-decreasing, upper non-increasing, final ratio within [1 + tol])
     hold there, and the result's rescaling preserves the ratio. *)

@@ -6,8 +6,8 @@
    {!check} raises once the budget is spent. Threading {!sink} /
    {!hook} through those existing hooks turns any solve into a bounded
    one without touching the solver inner loops: the solver unwinds at
-   its next check point, which is at most [check_every] phases (or a
-   few hundred pivots) late. *)
+   its next check point, which is at most 10 phases (or a few hundred
+   pivots) late. *)
 
 exception Timed_out of { elapsed_ms : float; budget_ms : float }
 
@@ -30,6 +30,9 @@ let check t =
 (* Adapters for the two hook shapes in the solver layer. *)
 let sink t : Convergence.sink = fun _ -> check t
 let hook t () = check t
+
+let guard deadline on_check =
+  match deadline with None -> on_check | Some d -> Convergence.combine (sink d) on_check
 
 let describe = function
   | Timed_out { elapsed_ms; budget_ms } ->

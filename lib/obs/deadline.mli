@@ -30,6 +30,10 @@ val check : t -> unit
     flow solvers. *)
 val sink : t -> Convergence.sink
 
+(** [guard deadline on_check] runs {!sink} of the deadline, if any,
+    before [on_check]: how a solver honours its [?deadline]. *)
+val guard : t option -> Convergence.sink -> Convergence.sink
+
 (** {!check} as a thunk, for pivot-style hooks. *)
 val hook : t -> unit -> unit
 

@@ -233,6 +233,81 @@ let test_restricted_matches_exact_with_all_paths () =
   Alcotest.(check bool) "close to exact" true
     (r.Restricted.upper >= exact *. 0.85)
 
+(* Pinned Restricted trajectories: the exact bits of lower and upper and
+   the phase count, on fattree:6 LM and its same-equipment Jellyfish.
+   The Routing cases run the benchsuite's ksp-routing settings (eps 0.4,
+   tol 0.1); their phase count is read off the solver's phase counter.
+   The 1531-phase solve at the default eps/tol runs far past
+   Fleischer's 120-phase stall window, where an eps anneal would move
+   its bits. An unusable warm vector must reproduce the cold solve. *)
+
+let pin_bits =
+  Alcotest.testable
+    (fun ppf x -> Fmt.pf ppf "%h" x)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+let check_pin msg (lower, upper, phases) (lower', upper', phases') =
+  Alcotest.(check (list pin_bits)) (msg ^ " bounds") [ lower; upper ] [ lower'; upper' ];
+  Alcotest.(check int) (msg ^ " phases") phases phases'
+
+let pin_fattree () = Tb_topo.Fattree.make ~k:6 ()
+
+let pin_jellyfish () =
+  Tb_topo.Jellyfish.matching_equipment ~rng:(Rng.make 42) (pin_fattree ())
+
+let ksp_specs (topo : Tb_topo.Topology.t) tm ~k =
+  let g = topo.Tb_topo.Topology.graph in
+  Array.map
+    (fun (u, v, w) ->
+      {
+        Restricted.commodity = cm ~src:u ~dst:v ~demand:w;
+        paths = Topobench.Llskr.diverse_paths g ~src:u ~dst:v ~k;
+      })
+    (Tb_tm.Tm.flows tm)
+
+let restricted_phases = Tb_obs.Metrics.counter "restricted.phases"
+
+let test_restricted_pinned_ksp () =
+  let routed topo k =
+    let tm = Tb_tm.Synthetic.longest_matching topo in
+    let before = Tb_obs.Metrics.count restricted_phases in
+    let r = Topobench.Routing.ksp_throughput ~eps:0.4 ~tol:0.1 topo tm ~k in
+    ( r.Topobench.Routing.lower,
+      r.Topobench.Routing.upper,
+      Tb_obs.Metrics.count restricted_phases - before )
+  in
+  let ft = pin_fattree () and jf = pin_jellyfish () in
+  check_pin "fattree:6 k=1" (0x1.c71c71c71c72p-4, 0x1.f2372d691a9bap-4, 15) (routed ft 1);
+  check_pin "fattree:6 k=4" (0x1.c71c71c71c71ep-2, 0x1.edc21a5725957p-2, 65) (routed ft 4);
+  check_pin "jellyfish k=1" (0x1.5555555555555p-3, 0x1.6bd39b4e9afb2p-3, 25) (routed jf 1);
+  check_pin "jellyfish k=4" (0x1.eca56368aff1ep-2, 0x1.0e43ba2fca142p-1, 145) (routed jf 4)
+
+let test_restricted_pinned_direct () =
+  let jf = pin_jellyfish () in
+  let g = jf.Tb_topo.Topology.graph in
+  let tm = Tb_tm.Synthetic.longest_matching jf in
+  let specs = ksp_specs jf tm ~k:4 in
+  let pin (r : Restricted.result) =
+    (r.Restricted.lower, r.Restricted.upper, r.Restricted.phases)
+  in
+  check_pin "default eps/tol, past the stall window"
+    (0x1.f1b24e5818b4cp-2, 0x1.004758ad3e1cp-1, 1531)
+    (pin (Restricted.solve g specs));
+  let cold = (0x1.e9bd37a6f4de9p-2, 0x1.0d39b010e8026p-1, 165) in
+  let solve ?warm_lengths () = pin (Restricted.solve ~eps:0.4 ~tol:0.1 ?warm_lengths g specs) in
+  check_pin "cold" cold (solve ());
+  let lengths =
+    (Fleischer.solve ~eps:0.4 ~tol:0.1 g (Tb_tm.Tm.commodities tm)).Fleischer.lengths
+  in
+  check_pin "warm from Fleischer lengths"
+    (0x1.e198a0883582cp-2, 0x1.08c750b997b6ep-1, 594)
+    (solve ~warm_lengths:lengths ());
+  check_pin "warm vector too short is cold" cold
+    (solve ~warm_lengths:(Array.sub lengths 1 (Array.length lengths - 1)) ());
+  let zeroed = Array.copy lengths in
+  zeroed.(0) <- 0.0;
+  check_pin "warm vector with a zero is cold" cold (solve ~warm_lengths:zeroed ())
+
 let test_fleischer_weighted_capacities () =
   (* Non-unit capacities: a fat direct link should carry proportionally
      more. Path 0-1 with cap 3 vs detour 0-2-1 with cap 1: max flow
@@ -363,6 +438,9 @@ let () =
             test_restricted_less_than_free;
           Alcotest.test_case "all paths ~ exact" `Quick
             test_restricted_matches_exact_with_all_paths;
+          Alcotest.test_case "pinned ksp routing" `Quick test_restricted_pinned_ksp;
+          Alcotest.test_case "pinned direct and warm" `Quick
+            test_restricted_pinned_direct;
         ] );
       ( "mcf",
         [

@@ -298,8 +298,10 @@ let test_fleischer_delta_trajectory () =
    across modules). Minor-heap words are deterministic, so the ceilings
    are hard: each sits about 4x above the measured steady state (4,400
    words for the delta-stepping trees, which is their per-call closures;
-   0 for the heap trees; 87,000 for the solve), and one boxed float per
-   relaxation overshoots it 20x or more. Scratch
+   0 for the heap trees; 87,000 for the Fleischer solve; 5,300 for the
+   370-phase Restricted solve), and one boxed float per relaxation
+   overshoots it 20x or more (per routed path, 4x or more, for
+   Restricted). Scratch
    buffers grow on the first runs, so every measurement follows a
    warm-up pass; domains are pinned to 1 so the count does not depend on
    the machine. *)
@@ -355,6 +357,23 @@ let test_alloc_fleischer () =
         ignore (Tb_flow.Fleischer.solve ~eps:0.4 ~tol:0.06 topo.Topology.graph cs))
   in
   check_ceiling "Fleischer.solve on fattree:8 A2A" ~ceiling:350_000.0 words
+
+let test_alloc_restricted () =
+  let topo = build "fattree:8" in
+  let g = topo.Topology.graph in
+  let specs =
+    Array.map
+      (fun (u, v, w) ->
+        {
+          Tb_flow.Restricted.commodity = Tb_flow.Commodity.make ~src:u ~dst:v ~demand:w;
+          paths = Topobench.Llskr.diverse_paths g ~src:u ~dst:v ~k:4;
+        })
+      (Tb_tm.Tm.flows (Tb_tm.Synthetic.longest_matching topo))
+  in
+  let words =
+    minor_words_after_warmup (fun () -> ignore (Tb_flow.Restricted.solve g specs))
+  in
+  check_ceiling "Restricted.solve on fattree:8 LM, k = 4" ~ceiling:21_000.0 words
 
 (* ---- Graph.Builder equivalence. ---- *)
 
@@ -512,6 +531,7 @@ let () =
             test_alloc_delta_stepping;
           Alcotest.test_case "heap Dijkstra trees" `Quick test_alloc_dijkstra;
           Alcotest.test_case "Fleischer solve" `Quick test_alloc_fleischer;
+          Alcotest.test_case "Restricted solve" `Quick test_alloc_restricted;
         ] );
       ( "builder",
         [
