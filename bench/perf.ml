@@ -291,23 +291,11 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
     Array.init (Graph.num_arcs g) (fun a -> 1.0 /. cap.(a))
   in
   let len_fn a = len.(a) in
-  let enumerate ?banned () =
-    Array.map
-      (fun (c : Tb_flow.Commodity.t) ->
-        Kshortest.k_shortest_canonical ?banned g ~len:len_fn
-          ~src:c.Tb_flow.Commodity.src ~dst:c.Tb_flow.Commodity.dst ~k)
-      cs
+  let scratch ?banned src dst =
+    Kshortest.k_shortest ?banned g ~len:len_fn ~src ~dst ~k
   in
-  let spec pools =
-    Array.map2
-      (fun (c : Tb_flow.Commodity.t) ps ->
-        {
-          Restricted.commodity = c;
-          paths =
-            Array.of_list
-              (List.map (fun (p : Kshortest.path) -> p.Kshortest.arcs) ps);
-        })
-      cs pools
+  let arcs_of ps =
+    Array.of_list (List.map (fun (p : Kshortest.path) -> p.Kshortest.arcs) ps)
   in
   (* Failed edges spread over the edge list, kept only when the
      remaining graph stays connected (so every commodity still has a
@@ -339,10 +327,20 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
     in
     collect [] variants 1
   in
-  let pools0 = enumerate () in
+  (* The intact pools by flow endpoints: an LM TM's commodities are
+     distinct (src, dst) pairs. *)
+  let intact = Hashtbl.create (Array.length cs) in
+  Array.iter
+    (fun (c : Tb_flow.Commodity.t) ->
+      let src = c.Tb_flow.Commodity.src and dst = c.Tb_flow.Commodity.dst in
+      Hashtbl.replace intact (src, dst) (scratch src dst))
+    cs;
+  let repaired banned src dst =
+    Kshortest.repair_deleted g ~len:len_fn ~banned ~src ~dst ~k
+      (Hashtbl.find intact (src, dst))
+  in
   let duals = (Tb_flow.Fleischer.solve ~tol:0.1 g cs).Tb_flow.Fleischer.lengths in
   let warm_results = ref [] in
-  let warm_pools = ref [] in
   (* Every trial's warm time, so the speedup is taken against their
      median rather than whichever trial happened to run last. *)
   let warm_trials_ms = ref [] in
@@ -351,36 +349,34 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
     let out =
       List.map
         (fun banned ->
-          let pools =
-            Array.map2
-              (fun (c : Tb_flow.Commodity.t) prev ->
-                Kshortest.repair_deleted g ~len:len_fn ~banned
-                  ~src:c.Tb_flow.Commodity.src ~dst:c.Tb_flow.Commodity.dst ~k
-                  prev)
-              cs pools0
-          in
-          let r =
-            Restricted.solve ~eps ~tol ~warm_lengths:duals g (spec pools)
-          in
-          (pools, r))
+          Restricted.solve ~eps ~tol ~warm_lengths:duals g
+            ~paths:(fun src dst -> arcs_of (repaired banned src dst))
+            cs)
         banned_variants
     in
     warm_trials_ms := Clock.ns_to_ms (Clock.elapsed_ns t0) :: !warm_trials_ms;
-    warm_pools := List.map fst out;
-    warm_results := List.map snd out
+    warm_results := out
   in
   let post () =
     let t0 = Clock.now_ns () in
     let cold =
       List.map
         (fun banned ->
-          let pools = enumerate ~banned () in
-          (pools, Restricted.solve ~eps ~tol g (spec pools)))
+          Restricted.solve ~eps ~tol g
+            ~paths:(fun src dst -> arcs_of (scratch ~banned src dst))
+            cs)
         banned_variants
     in
     let cold_ms = Clock.ns_to_ms (Clock.elapsed_ns t0) in
     let identical =
-      List.for_all2 (fun (cp, _) wp -> cp = wp) cold !warm_pools
+      List.for_all
+        (fun banned ->
+          Array.for_all
+            (fun (c : Tb_flow.Commodity.t) ->
+              let src = c.Tb_flow.Commodity.src and dst = c.Tb_flow.Commodity.dst in
+              repaired banned src dst = scratch ~banned src dst)
+            cs)
+        banned_variants
     in
     let bounded (r : Restricted.result) =
       r.Restricted.lower > 0.0
@@ -389,11 +385,11 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
     in
     let certified =
       List.for_all bounded !warm_results
-      && List.for_all (fun (_, r) -> bounded r) cold
+      && List.for_all bounded cold
     in
     let agree =
       List.for_all2
-        (fun (_, (c : Restricted.result)) (w : Restricted.result) ->
+        (fun (c : Restricted.result) (w : Restricted.result) ->
           Cert.agreement
             [
               ("cold", c.Restricted.lower, c.Restricted.upper);
@@ -418,7 +414,7 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
         ("brackets_certified", Json.Bool certified);
         ("agreement", Json.String (if agree then "ok" else "FAILED"));
         ("phases_warm", Json.Int (phases !warm_results));
-        ("phases_cold", Json.Int (phases (List.map snd cold)));
+        ("phases_cold", Json.Int (phases cold));
         ("variants", Json.Int (List.length banned_variants));
         ("commodities", Json.Int (Array.length cs));
       ],

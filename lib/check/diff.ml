@@ -209,20 +209,13 @@ let check_instance ~service t ~index (inst : Gen.instance) =
     (* Restricted-path MCF over k-shortest paths: a certified lower
        bound on the unrestricted optimum, never above it. *)
     if Array.length cs <= restricted_commodity_cap then begin
-      let spec =
-        Array.map
-          (fun (c : Commodity.t) ->
-            let ps =
-              Kshortest.k_shortest_hops g ~src:c.Commodity.src
-                ~dst:c.Commodity.dst ~k:3
-            in
-            {
-              Restricted.commodity = c;
-              paths = Array.of_list (List.map (fun p -> p.Kshortest.arcs) ps);
-            })
-          cs
+      let paths src dst =
+        Array.of_list
+          (List.map
+             (fun p -> p.Kshortest.arcs)
+             (Kshortest.k_shortest g ~len:(fun _ -> 1.0) ~src ~dst ~k:3))
       in
-      let rr = Restricted.solve ~tol:fleischer_tol g spec in
+      let rr = Restricted.solve ~tol:fleischer_tol g ~paths cs in
       let unrestricted_upper =
         match exact with
         | Some v -> Float.min v fr.Fleischer.upper

@@ -54,16 +54,18 @@ let path_sets g ~k =
     in
     if u = lo then fwd else Array.map (fun arcs -> List.rev_map Graph.arc_rev arcs) fwd
 
-(* All ordered endpoint pairs with their path sets. *)
-let pair_paths (topo : Topology.t) ~k_paths =
-  let paths = path_sets topo.Topology.graph ~k:k_paths in
+(* All ordered endpoint pairs, both orientations of each unordered
+   pair adjacent, last endpoint pair first. This order is the LP's
+   commodity order and the counting sums' order, so the estimates'
+   last bits depend on it. *)
+let a2a_pairs (topo : Topology.t) =
   let endpoints = Topology.endpoint_nodes topo in
   let ne = Array.length endpoints in
   let out = ref [] in
   for i = 0 to ne - 1 do
     for j = i + 1 to ne - 1 do
       let u = endpoints.(i) and v = endpoints.(j) in
-      out := ((u, v), paths u v) :: ((v, u), paths v u) :: !out
+      out := (u, v) :: (v, u) :: !out
     done
   done;
   !out
@@ -77,18 +79,19 @@ let counting_estimate (topo : Topology.t) ~k_paths =
   let g = topo.Topology.graph in
   let hosts = topo.Topology.hosts in
   let total_servers = float_of_int (Topology.num_servers topo) in
-  let pairs = pair_paths topo ~k_paths in
+  let paths = path_sets g ~k:k_paths in
+  let pairs = a2a_pairs topo in
   let count = Array.make (Graph.num_arcs g) 0.0 in
   List.iter
-    (fun ((u, v), paths) ->
+    (fun (u, v) ->
       let subflows = float_of_int (hosts.(u) * hosts.(v)) in
       Array.iter
         (fun arcs -> List.iter (fun a -> count.(a) <- count.(a) +. subflows) arcs)
-        paths)
+        (paths u v))
     pairs;
   let flow_rate_sum = ref 0.0 and flow_weight = ref 0.0 in
   List.iter
-    (fun ((u, v), paths) ->
+    (fun (u, v) ->
       let rate =
         Array.fold_left
           (fun acc arcs ->
@@ -96,7 +99,7 @@ let counting_estimate (topo : Topology.t) ~k_paths =
               List.fold_left (fun w a -> max w count.(a)) 0.0 arcs
             in
             if worst > 0.0 then acc +. (1.0 /. worst) else acc)
-          0.0 paths
+          0.0 (paths u v)
       in
       let weight = float_of_int (hosts.(u) * hosts.(v)) in
       (* [rate] is per server-flow of this pair. *)
@@ -110,21 +113,16 @@ let counting_estimate (topo : Topology.t) ~k_paths =
    path sets, under the same A2A TM — the paper's "Comparison 2/3"
    method. Maximizes the *minimum* flow, per Section II-A. *)
 let lp_estimate ?(tol = 0.03) (topo : Topology.t) ~k_paths =
+  let g = topo.Topology.graph in
   let hosts = topo.Topology.hosts in
   let total_servers = float_of_int (Topology.num_servers topo) in
-  let pairs = pair_paths topo ~k_paths in
-  let specs =
+  let cs =
     Array.of_list
       (List.map
-         (fun ((u, v), paths) ->
-           {
-             Restricted.commodity =
-               Commodity.make ~src:u ~dst:v
-                 ~demand:
-                   (float_of_int (hosts.(u) * hosts.(v)) /. total_servers);
-             paths;
-           })
-         pairs)
+         (fun (u, v) ->
+           Commodity.make ~src:u ~dst:v
+             ~demand:(float_of_int (hosts.(u) * hosts.(v)) /. total_servers))
+         (a2a_pairs topo))
   in
-  let r = Restricted.solve ~tol topo.Topology.graph specs in
+  let r = Restricted.solve ~tol g ~paths:(path_sets g ~k:k_paths) cs in
   0.5 *. (r.Restricted.lower +. r.Restricted.upper)

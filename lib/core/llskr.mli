@@ -15,10 +15,6 @@ val diverse_paths : Graph.t -> src:int -> dst:int -> k:int -> int list array
     and the other orientation gets the arc reversals of those paths. *)
 val path_sets : Graph.t -> k:int -> int -> int -> int list array
 
-(** Path sets for every ordered endpoint pair, from {!path_sets}. *)
-val pair_paths :
-  Topology.t -> k_paths:int -> ((int * int) * int list array) list
-
 (** Yuan-style estimate under all-to-all traffic: invert the maximum
     subflow count along each subflow's path, average per flow, rescale
     by N. *)

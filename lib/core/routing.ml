@@ -2,7 +2,6 @@ module Topology = Tb_topo.Topology
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
 module Restricted = Tb_flow.Restricted
-module Commodity = Tb_flow.Commodity
 
 (* Routing-restricted throughput.
 
@@ -13,11 +12,7 @@ module Commodity = Tb_flow.Commodity
    single-path routing; growing k approaches the optimum, mimicking
    ECMP-style multipath). *)
 
-type result = {
-  k : int;
-  lower : float;
-  upper : float;
-}
+type result = Restricted.result = { lower : float; upper : float; phases : int }
 
 let value r = 0.5 *. (r.lower +. r.upper)
 
@@ -26,18 +21,7 @@ let value r = 0.5 *. (r.lower +. r.upper)
 let ksp_throughput ?(eps = 0.25) ?(tol = 0.03) (topo : Topology.t) tm ~k =
   if k < 1 then invalid_arg "Routing.ksp_throughput: k < 1";
   let g = topo.Topology.graph in
-  let paths_for = Llskr.path_sets g ~k in
-  let specs =
-    Array.map
-      (fun (u, v, w) ->
-        {
-          Restricted.commodity = Commodity.make ~src:u ~dst:v ~demand:w;
-          paths = paths_for u v;
-        })
-      (Tm.flows tm)
-  in
-  let r = Restricted.solve ~eps ~tol g specs in
-  { k; lower = r.Restricted.lower; upper = r.Restricted.upper }
+  Restricted.solve ~eps ~tol g ~paths:(Llskr.path_sets g ~k) (Tm.commodities tm)
 
 (* Convenience ladder: single path, modest multipath, optimal. *)
 let ladder ?solver (topo : Topology.t) tm ~ks =

@@ -7,7 +7,11 @@ module Topology = Tb_topo.Topology
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
 
-type result = { k : int; lower : float; upper : float }
+type result = Tb_flow.Restricted.result = {
+  lower : float;
+  upper : float;
+  phases : int;
+}
 
 val value : result -> float
 

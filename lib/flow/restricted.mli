@@ -1,15 +1,19 @@
 (** Path-restricted maximum concurrent flow: each commodity may only use
-    an explicit set of paths (arc lists). Used to evaluate routing
-    schemes — e.g. the LLSKR replication of Fig. 15 — with the same
-    certified-bracket method, on the same {!Mwu} state, as {!Fleischer}. *)
+    the paths (arc lists) a path evaluator gives it. Used to evaluate
+    routing schemes — e.g. the LLSKR replication of Fig. 15 — with the
+    same certified-bracket method, on the same {!Mwu} state, as
+    {!Fleischer}. *)
 
 module Graph = Tb_graph.Graph
 
-type spec = { commodity : Commodity.t; paths : int list array }
 type result = { lower : float; upper : float; phases : int }
 
-(** @raise Invalid_argument on an empty commodity set or a commodity
-    with an empty path set.
+(** [solve g ~paths cs] runs on [Commodity.normalize cs]; [paths src dst]
+    is the set of arc lists that flow [src -> dst] may use, called once
+    per kept commodity, in order.
+    @raise Invalid_argument on an empty commodity set, or, naming the
+    commodity, on an empty path set or a path that is not a contiguous
+    arc chain from its [src] to its [dst].
     @param deadline wall-clock budget (milliseconds, see
     {!Tb_obs.Deadline}), checked at every bound evaluation; expiry
     raises [Tb_obs.Deadline.Timed_out].
@@ -29,5 +33,6 @@ val solve :
   ?on_check:Tb_obs.Convergence.sink ->
   ?warm_lengths:float array ->
   Graph.t ->
-  spec array ->
+  paths:(int -> int -> int list array) ->
+  Commodity.t array ->
   result

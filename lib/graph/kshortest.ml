@@ -1,15 +1,15 @@
-(* Yen's algorithm for the K shortest loopless paths, used to replicate
-   the LLSKR routing scheme of Yuan et al. (Fig. 15 of the paper): each
-   flow is split into subflows pinned to its K shortest paths.
+(* Yen's algorithm for the K shortest loopless paths, in one canonical
+   order, plus incremental repair after arc deletions. The warm-started
+   failure-sweep bench and the differential fuzzer's restricted-path
+   subject enumerate with it; LLSKR's Fig. 15 paths are penalty-diverse
+   Dijkstra paths instead ([Llskr.diverse_paths]).
 
    The closure length function is materialized into a Bigarray ONCE per
    [k_shortest] call and each spur query runs over the same reusable
    {!Sssp.state}: arc/node bans are applied by writing [infinity] into
-   the shared length array and restored afterwards (bans are tiny — a
-   handful of arcs per spur — versus the old per-spur closure pass that
-   touched every arc through a Hashtbl). The traversal itself goes
-   through {!Sssp.run}, so large graphs get the delta-stepping
-   workhorse. *)
+   the shared length array and restored afterwards, in saved order — the
+   earliest save of an arc is restored last, so double bans are safe.
+   Banning a node bans every arc into it. *)
 
 module A1 = Bigarray.Array1
 
@@ -24,99 +24,7 @@ let path_of_arcs g ~len ~src arcs =
   in
   { arcs; nodes = List.rev nodes; length }
 
-let k_shortest g ~len ~src ~dst ~k =
-  if k <= 0 then []
-  else begin
-    let n = Graph.num_nodes g in
-    let num_arcs = Graph.num_arcs g in
-    let base = Graph.make_floats num_arcs in
-    for a = 0 to num_arcs - 1 do
-      A1.set base a (len a)
-    done;
-    let st = Sssp.create_state n in
-    (* Ban log: (arc, original length), restored in saved order — the
-       earliest save of an arc is restored last, so double bans are
-       safe. *)
-    let saved = ref [] in
-    let ban_arc a =
-      saved := (a, A1.get base a) :: !saved;
-      A1.set base a infinity
-    in
-    (* Banning a node = banning every arc into it (same semantics as
-       the old closure, which gave infinite length to any arc whose
-       destination was banned). *)
-    let ban_node v =
-      Graph.iter_succ (fun _ arc -> ban_arc (Graph.arc_rev arc)) g v
-    in
-    let restore () =
-      List.iter (fun (a, l) -> A1.set base a l) !saved;
-      saved := []
-    in
-    let shortest ~src ~dst =
-      Sssp.run ~target:dst g ~len:base ~src st;
-      Sssp.path_arcs g st dst
-    in
-    match shortest ~src ~dst with
-    | None -> []
-    | Some arcs0 ->
-      let accepted = ref [ path_of_arcs g ~len ~src arcs0 ] in
-      (* Candidate pool; small (k * path length entries), a sorted list
-         is fine. *)
-      let candidates : path list ref = ref [] in
-      let path_key p = p.arcs in
-      let have_candidate p =
-        List.exists (fun q -> path_key q = path_key p) !candidates
-        || List.exists (fun q -> path_key q = path_key p) !accepted
-      in
-      let finished = ref false in
-      while (not !finished) && List.length !accepted < k do
-        let prev = List.hd !accepted in
-        let prev_nodes = Array.of_list prev.nodes in
-        let prev_arcs = Array.of_list prev.arcs in
-        (* Spur from every node of the newest accepted path except dst. *)
-        for i = 0 to Array.length prev_arcs - 1 do
-          let spur_node = prev_nodes.(i) in
-          let root_arcs = Array.sub prev_arcs 0 i in
-          let root_list = Array.to_list root_arcs in
-          let banned_arcs = Hashtbl.create 8 in
-          (* Ban the next arc of every known path sharing this root. *)
-          let ban_if_shares p =
-            let pa = Array.of_list p.arcs in
-            if Array.length pa > i && Array.sub pa 0 i = root_arcs then
-              Hashtbl.replace banned_arcs pa.(i) ()
-          in
-          List.iter ban_if_shares !accepted;
-          List.iter ban_if_shares !candidates;
-          Hashtbl.iter (fun a () -> ban_arc a) banned_arcs;
-          for j = 0 to i - 1 do
-            ban_node prev_nodes.(j)
-          done;
-          (match shortest ~src:spur_node ~dst with
-          | None -> ()
-          | Some spur_arcs ->
-            let total = root_list @ spur_arcs in
-            let p = path_of_arcs g ~len ~src total in
-            if not (have_candidate p) then candidates := p :: !candidates);
-          restore ()
-        done;
-        match
-          List.sort (fun a b -> compare a.length b.length) !candidates
-        with
-        | [] -> finished := true
-        | best :: rest ->
-          accepted := best :: !accepted;
-          candidates := rest
-      done;
-      List.sort (fun a b -> compare a.length b.length) !accepted
-  end
-
-(* Hop-count specialisation. *)
-let k_shortest_hops g ~src ~dst ~k =
-  k_shortest g ~len:(fun _ -> 1.0) ~src ~dst ~k
-
-(* ---- Canonical variant and incremental repair ---------------------- *)
-
-(* Total order for the canonical variant: (length, node sequence), node
+(* The canonical total order: (length, node sequence), node
    sequences compared lexicographically. Distinct simple s->t paths are
    never prefixes of one another (both end at dst, and a proper prefix
    ending at dst would make the longer one non-simple), so this is a
@@ -188,7 +96,7 @@ let canonical_shortest g ~base ~st ~src ~dst =
     end
   end
 
-let k_shortest_canonical ?(banned = []) g ~len ~src ~dst ~k =
+let k_shortest ?(banned = []) g ~len ~src ~dst ~k =
   if k <= 0 then []
   else begin
     let n = Graph.num_nodes g in
@@ -231,11 +139,13 @@ let k_shortest_canonical ?(banned = []) g ~len ~src ~dst ~k =
         let prev = List.hd !accepted in
         let prev_nodes = Array.of_list prev.nodes in
         let prev_arcs = Array.of_list prev.arcs in
+        (* Spur from every node of the newest accepted path except dst. *)
         for i = 0 to Array.length prev_arcs - 1 do
           let spur_node = prev_nodes.(i) in
           let root_arcs = Array.sub prev_arcs 0 i in
           let root_list = Array.to_list root_arcs in
           let banned_arcs = Hashtbl.create 8 in
+          (* Ban the next arc of every known path sharing this root. *)
           let ban_if_shares p =
             let pa = Array.of_list p.arcs in
             if Array.length pa > i && Array.sub pa 0 i = root_arcs then
@@ -276,4 +186,4 @@ let k_shortest_canonical ?(banned = []) g ~len ~src ~dst ~k =
 let repair_deleted g ~len ~banned ~src ~dst ~k prev =
   let uses_banned p = List.exists (fun a -> List.mem a banned) p.arcs in
   if banned = [] || not (List.exists uses_banned prev) then prev
-  else k_shortest_canonical g ~len ~banned ~src ~dst ~k
+  else k_shortest g ~len ~banned ~src ~dst ~k

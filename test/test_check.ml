@@ -278,10 +278,10 @@ let test_broken_results_caught () =
 
    The warm-start seam in Tb_graph.Kshortest: after deleting one edge,
    [repair_deleted] must return the bit-identical path set a cold
-   [k_shortest_canonical ~banned] call would — including the no-op case
-   where no previous path used the edge. Exercised over the catalog
-   families and 50 generated instances, on both the all-ties hop metric
-   and a non-uniform length function. *)
+   [k_shortest ~banned] call would — including the no-op case where no
+   previous path used the edge. Exercised over the catalog families and
+   50 generated instances, on both the all-ties hop metric and a
+   non-uniform length function. *)
 
 module Kshortest = Tb_graph.Kshortest
 
@@ -305,7 +305,7 @@ let repair_matches_scratch ?(max_edges = max_int) g ~src ~dst ~k =
   in
   List.for_all
     (fun len ->
-      let prev = Kshortest.k_shortest_canonical g ~len ~src ~dst ~k in
+      let prev = Kshortest.k_shortest g ~len ~src ~dst ~k in
       List.for_all
         (fun j ->
           let e = edges.((j * 7919) mod m) in
@@ -313,7 +313,7 @@ let repair_matches_scratch ?(max_edges = max_int) g ~src ~dst ~k =
           | [] -> true
           | banned ->
             Kshortest.repair_deleted g ~len ~banned ~src ~dst ~k prev
-            = Kshortest.k_shortest_canonical ~banned g ~len ~src ~dst ~k)
+            = Kshortest.k_shortest ~banned g ~len ~src ~dst ~k)
         (List.init tested Fun.id))
     lens
 

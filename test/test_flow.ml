@@ -189,44 +189,47 @@ let test_exact_budget_guard () =
 
 (* ---- Restricted (path-constrained) ---- *)
 
-let all_paths g ~src ~dst =
-  List.map
-    (fun p -> p.Kshortest.arcs)
-    (Kshortest.k_shortest_hops g ~src ~dst ~k:16)
+let all_paths g src dst =
+  Array.of_list
+    (List.map
+       (fun p -> p.Kshortest.arcs)
+       (Kshortest.k_shortest g ~len:(fun _ -> 1.0) ~src ~dst ~k:16))
 
 let test_restricted_less_than_free () =
-  (* Restricting ring flows to single clockwise paths halves throughput. *)
-  let spec_one_path =
-    [|
-      { Restricted.commodity = cm ~src:0 ~dst:2 ~demand:1.0;
-        paths = [| [ 0; 2 ] |] };
-      (* arcs 0=(0->1), 2=(1->2) *)
-      { Restricted.commodity = cm ~src:1 ~dst:3 ~demand:1.0;
-        paths = [| [ 2; 4 ] |] };
-      (* arcs (1->2), (2->3): shares arc 2 *)
-    |]
+  (* Restricting ring flows to single clockwise paths halves throughput:
+     0->2 takes arcs 0 = (0->1) and 2 = (1->2), 1->3 takes arcs 2 and
+     4 = (2->3). *)
+  let r =
+    Restricted.solve ~tol:0.02 ring4
+      ~paths:(fun src _ -> if src = 0 then [| [ 0; 2 ] |] else [| [ 2; 4 ] |])
+      [| cm ~src:0 ~dst:2 ~demand:1.0; cm ~src:1 ~dst:3 ~demand:1.0 |]
   in
-  let r = Restricted.solve ~tol:0.02 ring4 spec_one_path in
   Alcotest.(check bool) "about 0.5" true
     (r.Restricted.lower <= 0.51 && r.Restricted.upper >= 0.49)
+
+let test_restricted_rejects_broken_paths () =
+  let rejects msg what path_set =
+    Alcotest.check_raises msg
+      (Invalid_argument ("Restricted.solve: commodity 0->2: " ^ what))
+      (fun () ->
+        ignore
+          (Restricted.solve ring4
+             ~paths:(fun src _ -> if src = 1 then [| [ 2; 4 ] |] else path_set)
+             [| cm ~src:1 ~dst:3 ~demand:1.0; cm ~src:0 ~dst:2 ~demand:1.0 |]))
+  in
+  let broken i = Printf.sprintf "path %d is not an arc chain from src to dst" i in
+  rejects "arc 2->3 for 0->2" (broken 0) [| [ 4 ] |];
+  rejects "empty path" (broken 1) [| [ 0; 2 ]; [] |];
+  rejects "arc out of range" (broken 0) [| [ 0; 99 ] |];
+  rejects "stops short of dst" (broken 0) [| [ 0 ] |];
+  rejects "empty path set" "empty path set" [||]
 
 let test_restricted_matches_exact_with_all_paths () =
   let cs =
     [| cm ~src:0 ~dst:7 ~demand:1.0; cm ~src:3 ~dst:4 ~demand:1.0 |]
   in
-  let specs =
-    Array.map
-      (fun c ->
-        {
-          Restricted.commodity = c;
-          paths =
-            Array.of_list
-              (all_paths cube3 ~src:c.Commodity.src ~dst:c.Commodity.dst);
-        })
-      cs
-  in
   let exact, _ = Exact.solve cube3 cs in
-  let r = Restricted.solve ~tol:0.02 cube3 specs in
+  let r = Restricted.solve ~tol:0.02 cube3 ~paths:(all_paths cube3) cs in
   (* With a rich path set the restricted optimum is close to exact (it
      cannot exceed it). *)
   Alcotest.(check bool) "le exact" true (r.Restricted.lower <= exact +. 1e-6);
@@ -255,16 +258,6 @@ let pin_fattree () = Tb_topo.Fattree.make ~k:6 ()
 let pin_jellyfish () =
   Tb_topo.Jellyfish.matching_equipment ~rng:(Rng.make 42) (pin_fattree ())
 
-let ksp_specs (topo : Tb_topo.Topology.t) tm ~k =
-  let g = topo.Tb_topo.Topology.graph in
-  Array.map
-    (fun (u, v, w) ->
-      {
-        Restricted.commodity = cm ~src:u ~dst:v ~demand:w;
-        paths = Topobench.Llskr.diverse_paths g ~src:u ~dst:v ~k;
-      })
-    (Tb_tm.Tm.flows tm)
-
 let restricted_phases = Tb_obs.Metrics.counter "restricted.phases"
 
 let test_restricted_pinned_ksp () =
@@ -286,18 +279,19 @@ let test_restricted_pinned_direct () =
   let jf = pin_jellyfish () in
   let g = jf.Tb_topo.Topology.graph in
   let tm = Tb_tm.Synthetic.longest_matching jf in
-  let specs = ksp_specs jf tm ~k:4 in
+  let paths src dst = Topobench.Llskr.diverse_paths g ~src ~dst ~k:4 in
+  let cs = Tb_tm.Tm.commodities tm in
   let pin (r : Restricted.result) =
     (r.Restricted.lower, r.Restricted.upper, r.Restricted.phases)
   in
   check_pin "default eps/tol, past the stall window"
     (0x1.f1b24e5818b4cp-2, 0x1.004758ad3e1cp-1, 1531)
-    (pin (Restricted.solve g specs));
+    (pin (Restricted.solve g ~paths cs));
   let cold = (0x1.e9bd37a6f4de9p-2, 0x1.0d39b010e8026p-1, 165) in
-  let solve ?warm_lengths () = pin (Restricted.solve ~eps:0.4 ~tol:0.1 ?warm_lengths g specs) in
+  let solve ?warm_lengths () = pin (Restricted.solve ~eps:0.4 ~tol:0.1 ?warm_lengths g ~paths cs) in
   check_pin "cold" cold (solve ());
   let lengths =
-    (Fleischer.solve ~eps:0.4 ~tol:0.1 g (Tb_tm.Tm.commodities tm)).Fleischer.lengths
+    (Fleischer.solve ~eps:0.4 ~tol:0.1 g cs).Fleischer.lengths
   in
   check_pin "warm from Fleischer lengths"
     (0x1.e198a0883582cp-2, 0x1.08c750b997b6ep-1, 594)
@@ -436,6 +430,8 @@ let () =
         [
           Alcotest.test_case "single path halves" `Quick
             test_restricted_less_than_free;
+          Alcotest.test_case "broken paths rejected" `Quick
+            test_restricted_rejects_broken_paths;
           Alcotest.test_case "all paths ~ exact" `Quick
             test_restricted_matches_exact_with_all_paths;
           Alcotest.test_case "pinned ksp routing" `Quick test_restricted_pinned_ksp;

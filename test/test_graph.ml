@@ -453,25 +453,30 @@ let test_hungarian_known () =
 
 (* ---- K shortest paths ---- *)
 
+let hops = Kshortest.k_shortest ~len:(fun _ -> 1.0)
+
 let test_kshortest_square () =
   let g = Graph.of_unit_edges ~n:4 [ (0, 1); (1, 3); (0, 2); (2, 3) ] in
-  let paths = Kshortest.k_shortest_hops g ~src:0 ~dst:3 ~k:3 in
+  let paths = hops g ~src:0 ~dst:3 ~k:3 in
   Alcotest.(check int) "two simple paths" 2 (List.length paths);
   List.iter
     (fun p -> check_float "both length 2" 2.0 p.Kshortest.length)
-    paths
+    paths;
+  (* Equal lengths tie-break on the node sequence. *)
+  Alcotest.(check (list (list int))) "tie order" [ [ 0; 1; 3 ]; [ 0; 2; 3 ] ]
+    (List.map (fun p -> p.Kshortest.nodes) paths)
 
 let test_kshortest_ladder () =
   (* Path graph has exactly one simple path. *)
   let g = Graph.of_unit_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
-  let paths = Kshortest.k_shortest_hops g ~src:0 ~dst:3 ~k:5 in
+  let paths = hops g ~src:0 ~dst:3 ~k:5 in
   Alcotest.(check int) "single path" 1 (List.length paths)
 
 let prop_kshortest_sorted_distinct =
   QCheck.Test.make ~name:"k-shortest sorted, distinct, valid" ~count:20
     arbitrary_graph (fun g ->
       let n = Graph.num_nodes g in
-      let paths = Kshortest.k_shortest_hops g ~src:0 ~dst:(n - 1) ~k:4 in
+      let paths = hops g ~src:0 ~dst:(n - 1) ~k:4 in
       let lengths = List.map (fun p -> p.Kshortest.length) paths in
       let arcs = List.map (fun p -> p.Kshortest.arcs) paths in
       lengths = List.sort compare lengths
