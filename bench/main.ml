@@ -126,8 +126,9 @@ let micro () =
 let metrics_file = "BENCH_metrics.json"
 
 let () =
-  (* Experiments parallelize at the data-point level; the solver-level
-     gated maps go sequential so the cores are not oversubscribed. *)
+  (* Experiments parallelize at the data-point level; the gated inner
+     map (Relative's random baselines) goes sequential so the cores are
+     not oversubscribed. *)
   Tb_prelude.Parallel.enabled := false;
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in

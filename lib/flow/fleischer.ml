@@ -1,7 +1,6 @@
 module Graph = Tb_graph.Graph
 module Sssp = Tb_graph.Sssp
 module Traversal = Tb_graph.Traversal
-module Parallel = Tb_prelude.Parallel
 module Metrics = Tb_obs.Metrics
 module Trace = Tb_obs.Trace
 module Convergence = Tb_obs.Convergence
@@ -43,24 +42,20 @@ module A1 = Bigarray.Array1
    eps anneal.
 
    Scale. All per-arc state (lengths, flows, snapshots) and per-node
-   state (tree distances) lives in Bigarrays — flat, unscanned by the
-   GC, shared across domains without copying — and the shortest-path
-   workhorse is selected by instance size: heap Dijkstra below
-   [delta_threshold_arcs] arcs (where its constants win), delta-stepping
-   above it (see {!Tb_graph.Sssp}). The one-off load estimate uses
-   Dial buckets (its lengths are all-ones by construction).
+   state (tree distances) lives in Bigarrays — flat and unscanned by
+   the GC — and the shortest-path workhorse is selected by instance
+   size: heap Dijkstra below [Sssp.auto_delta_arcs] arcs (where its
+   constants win), delta-stepping above it (see {!Tb_graph.Sssp}). The
+   one-off load estimate uses Dial buckets (its lengths are all-ones by
+   construction).
 
-   Parallelism: the route phases are inherently sequential (every push
-   updates the lengths the next push routes against), but the two
-   certification passes — the one-off load estimate and the dual
-   bound recomputed every 10 phases — are read-only over the
-   lengths. On small instances they fan out one Dijkstra per source
-   group across domains; each group produces a self-contained partial (a
-   partial alpha sum, or a packed list of load contributions) and the
-   partials are reduced sequentially in group order, so the result is
-   bit-identical for any domain count, including the sequential gated
-   path. On large instances the group loop runs sequentially, and so
-   does each delta-stepping traversal. *)
+   One domain: the route phases are inherently sequential (every push
+   updates the lengths the next push routes against), and the two
+   certification passes — the load estimate and the dual bound
+   recomputed every 10 phases — run one tree per source group in group
+   order on the same scratch state, so a solve's bounds, flows and
+   phase count do not depend on the domain count. Domain parallelism
+   belongs to the callers that map over independent solves. *)
 
 type result = {
   lower : float; (* certified achievable throughput *)
@@ -71,13 +66,6 @@ type result = {
 }
 
 type workhorse = Auto | Heap_dijkstra | Delta_stepping
-
-(* Arc count at which [Auto] switches the per-source traversals from
-   heap Dijkstra to delta-stepping. Chosen so every pre-scale
-   catalog/bench instance stays on the heap path (bit-identical
-   trajectories to the pre-Bigarray solver) while the scale workloads
-   get the bucketed traversal. *)
-let delta_threshold_arcs = Sssp.auto_delta_arcs
 
 let value r = 0.5 *. (r.lower +. r.upper)
 
@@ -100,99 +88,33 @@ let g_upper = Metrics.gauge "fleischer.upper"
 let default_eps = 0.4
 let default_tol = 0.03
 
-(* ---- Scratch-state pool for the parallel certification passes. ----
-
-   Borrow one SSSP state per concurrently running domain; a solve
-   allocates at most [domain_count] states however many groups it
-   certifies, and the sequential path reuses a single state. *)
-
-type pool = { mutex : Mutex.t; mutable free : Sssp.state list; nodes : int }
-
-let pool_create nodes = { mutex = Mutex.create (); free = []; nodes }
-
-let with_state pool f =
-  let borrowed =
-    Mutex.protect pool.mutex (fun () ->
-        match pool.free with
-        | st :: rest ->
-          pool.free <- rest;
-          Some st
-        | [] -> None)
-  in
-  let st =
-    match borrowed with
-    | Some st -> st
-    | None -> Sssp.create_state pool.nodes
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect pool.mutex (fun () -> pool.free <- st :: pool.free))
-    (fun () -> f st)
-
-(* Packed per-group load contributions, built by walking [parent_arc]
-   (no per-commodity path list). Grown by doubling. *)
-type contrib = {
-  mutable c_arcs : int array;
-  mutable c_amts : float array;
-  mutable c_len : int;
-}
-
-let contrib_push c a x =
-  let cap = Array.length c.c_arcs in
-  if c.c_len = cap then begin
-    let arcs = Array.make (2 * cap) 0 and amts = Array.make (2 * cap) 0.0 in
-    Array.blit c.c_arcs 0 arcs 0 cap;
-    Array.blit c.c_amts 0 amts 0 cap;
-    c.c_arcs <- arcs;
-    c.c_amts <- amts
-  end;
-  c.c_arcs.(c.c_len) <- a;
-  c.c_amts.(c.c_len) <- x;
-  c.c_len <- c.c_len + 1
-
 (* Load of routing every commodity once along hop-shortest paths,
    ignoring capacities; {!Mwu.create} pre-scales demands by it so that a
    phase routes roughly "one unit of congestion" and the phase count
-   stays O(log m / eps^2) regardless of the demand scale. Hop-shortest trees come from
-   Dial buckets (unit lengths by definition). On small instances the
-   source groups fan out across domains and the per-group contribution
-   lists are applied to the load array sequentially in group order
-   (deterministic for any domain count); large instances run the groups
-   sequentially. *)
-let load_estimate ~big g cs =
-  let n = Graph.num_nodes g in
-  let num_arcs = Graph.num_arcs g in
-  let groups = Commodity.group_by_source ~n cs in
-  let pool = pool_create n in
-  let run (s, idxs) =
-    with_state pool @@ fun st ->
-    Metrics.incr m_dijkstra;
-    Sssp.dial g ~src:s st;
-    let c = { c_arcs = Array.make 64 0; c_amts = Array.make 64 0.0; c_len = 0 } in
-    Array.iter
-      (fun j ->
-        let d = cs.(j).Commodity.demand in
-        (* Walk the tree path dst -> src; unreached leaves nothing. *)
-        let v = ref cs.(j).Commodity.dst in
-        let a = ref (Sssp.parent_arc st !v) in
-        while !a >= 0 do
-          contrib_push c !a d;
-          v := Graph.arc_src g !a;
-          a := Sssp.parent_arc st !v
-        done)
-      idxs;
-    c
-  in
-  let parts = if big then Array.map run groups else Parallel.map_array run groups in
-  let load = Graph.make_floats num_arcs in
+   stays O(log m / eps^2) regardless of the demand scale. Hop-shortest
+   trees come from Dial buckets (unit lengths by definition), built on
+   the solve's scratch state [st]; each commodity's demand is added
+   along its tree path in group, commodity and path-arc order. *)
+let load_estimate g st cs groups =
+  let load = Graph.make_floats (Graph.num_arcs g) in
   A1.fill load 0.0;
   Array.iter
-    (fun c ->
-      for i = 0 to c.c_len - 1 do
-        let a = c.c_arcs.(i) in
-        A1.set load a (A1.get load a +. c.c_amts.(i))
-      done)
-    parts;
+    (fun (s, idxs) ->
+      Metrics.incr m_dijkstra;
+      Sssp.dial g ~src:s st;
+      Array.iter
+        (fun j ->
+          let d = cs.(j).Commodity.demand in
+          (* Walk the tree path dst -> src; unreached leaves nothing. *)
+          let v = ref cs.(j).Commodity.dst in
+          let a = ref (Sssp.parent_arc st !v) in
+          while !a >= 0 do
+            A1.set load !a (A1.get load !a +. d);
+            v := Graph.arc_src g !a;
+            a := Sssp.parent_arc st !v
+          done)
+        idxs)
+    groups;
   load
 
 exception Unreachable_commodity of Commodity.t
@@ -222,7 +144,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let num_arcs = Graph.num_arcs g in
   let use_delta =
     match sssp with
-    | Auto -> num_arcs >= delta_threshold_arcs
+    | Auto -> num_arcs >= Sssp.auto_delta_arcs
     | Heap_dijkstra -> false
     | Delta_stepping -> true
   in
@@ -232,11 +154,10 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   Trace.span "fleischer.solve"
     ~args:[ ("commodities", Tb_obs.Json.Int k); ("arcs", Tb_obs.Json.Int num_arcs) ]
   @@ fun () ->
-  let t =
-    Mwu.create g ~eps ~load:(load_estimate ~big:use_delta g cs) ~warm_lengths cs
-  in
-  let len = t.Mwu.len and c = t.Mwu.c in
   let groups = Commodity.group_by_source ~n cs in
+  let st = Sssp.create_state n in
+  let t = Mwu.create g ~eps ~load:(load_estimate g st cs groups) ~warm_lengths cs in
+  let len = t.Mwu.len and c = t.Mwu.c in
   (* Single-destination sources (matching TMs) afford an early-exit
      SSSP. The options are built once per solve, not once per tree. *)
   let targets =
@@ -245,29 +166,26 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
         if Array.length idxs = 1 then Some cs.(idxs.(0)).Commodity.dst else None)
       groups
   in
-  let st = Sssp.create_state n in
-  let pool = pool_create n in
   (* Scratch: current tree distance per destination, per active source. *)
   let dist_at_tree = Graph.make_floats n in
   A1.fill dist_at_tree infinity;
   (* Scratch: the arcs of the tree path being routed, dst to src. *)
   let path = Array.make n 0 in
-  let sssp_tree ?target ~src st =
+  let sssp_tree ?target src =
     Metrics.incr m_dijkstra;
     if use_delta then
       Sssp.delta_stepping ?target ~max_len:c.Mwu.max_len g ~len ~src st
     else Sssp.dijkstra ?target g ~len ~src st
   in
-  (* alpha(l) under the *current* lengths, for the dual bound. The sum
-     runs one SSSP per source group; each group's partial is summed
-     within the group in commodity order and the partials are folded in
-     group order, so the bound is bit-identical regardless of the
-     domain count (the lengths are read-only during the pass). Each
-     group's destinations and demands are gathered once per solve, so
-     the per-tree sum is one [Sssp.weighted_distance_sum] call rather
-     than a boxed [Sssp.distance] per commodity. A single-destination
-     group's tree stops once that destination is settled: its distance
-     is final then, so alpha is unchanged. *)
+  (* alpha(l) under the *current* lengths, for the dual bound: one SSSP
+     per source group on the solve's own state (every phase refreshes a
+     group's tree before routing it), summed within the group in
+     commodity order and folded in group order. Each group's
+     destinations and demands are gathered once per solve, so the
+     per-tree sum is one [Sssp.weighted_distance_sum] call rather than
+     a boxed [Sssp.distance] per commodity. A single-destination group's
+     tree stops once that destination is settled: its distance is final
+     then, so alpha is unchanged. *)
   let dual_groups =
     Array.mapi
       (fun gi (s, idxs) ->
@@ -278,16 +196,11 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
       groups
   in
   let alpha () =
-    let run (s, target, targets, weights) =
-      with_state pool @@ fun st ->
-      sssp_tree ?target ~src:s st;
-      Sssp.weighted_distance_sum st ~targets ~weights
-    in
-    let parts =
-      if use_delta then Array.map run dual_groups
-      else Parallel.map_array run dual_groups
-    in
-    Array.fold_left ( +. ) 0.0 parts
+    Array.fold_left
+      (fun acc (s, target, targets, weights) ->
+        sssp_tree ?target s;
+        acc +. Sssp.weighted_distance_sum st ~targets ~weights)
+      0.0 dual_groups
   in
   let dual_check () =
     Mwu.dual_check t ~alpha:(alpha ()) on_check;
@@ -299,7 +212,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   (* Rebuild the tree of source [s] and record its distances, against
      which the phase loop measures staleness. *)
   let refresh s target =
-    sssp_tree ?target ~src:s st;
+    sssp_tree ?target s;
     match target with
     | Some t -> A1.set dist_at_tree t (Sssp.distance st t)
     | None -> Sssp.distances_into st dist_at_tree

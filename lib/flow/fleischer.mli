@@ -30,15 +30,14 @@ val default_eps : float
 val default_tol : float
 
 (** Per-source shortest-path workhorse selection. [Auto] picks heap
-    Dijkstra below {!delta_threshold_arcs} arcs and delta-stepping (see
-    {!Tb_graph.Sssp}) at or above it; both run sequentially. The explicit
+    Dijkstra below {!Tb_graph.Sssp.auto_delta_arcs} arcs and
+    delta-stepping (see {!Tb_graph.Sssp}) at or above it; both run
+    sequentially. The explicit
     constructors force one for differential tests. Either choice yields
     a valid certified bracket; trajectories (and hence the exact bracket
     endpoints) may differ because shortest-path {e trees} are
     tie-broken differently. *)
 type workhorse = Auto | Heap_dijkstra | Delta_stepping
-
-val delta_threshold_arcs : int
 
 exception Unreachable_commodity of Commodity.t
 

@@ -256,7 +256,7 @@ let ensure_buckets st b =
   end;
   Array.fill st.bucket_len 0 b 0
 
-let delta_stepping ?target ?delta ?max_len ?parallel:_ g
+let delta_stepping ?target ?delta ?max_len g
     ~(len : Graph.floats) ~src st =
   check_run "Sssp.delta_stepping" g st src;
   check_len "Sssp.delta_stepping" g len;

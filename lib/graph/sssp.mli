@@ -34,14 +34,12 @@ val dijkstra :
     most 1024 buckets are live); each bucket is relaxed to a fixpoint by
     frozen-scan rounds. [?max_len] passes the longest finite arc length
     when the caller tracks it (saves an O(arcs) scan). Each round is one
-    sequential scan; [?parallel] is accepted for source compatibility
-    and ignored. [?target] enables sound early exit once the target's
-    distance falls at or below the settled frontier. *)
+    sequential scan. [?target] enables sound early exit once the
+    target's distance falls at or below the settled frontier. *)
 val delta_stepping :
   ?target:int ->
   ?delta:float ->
   ?max_len:float ->
-  ?parallel:bool ->
   Graph.t ->
   len:Graph.floats ->
   src:int ->
@@ -57,8 +55,7 @@ val dial : ?target:int -> Graph.t -> src:int -> state -> unit
 val auto_delta_arcs : int
 
 (** Size-dispatching entry point: {!dijkstra} below {!auto_delta_arcs}
-    arcs, {!delta_stepping} at or above it. [?parallel] is ignored, as
-    in {!delta_stepping}. *)
+    arcs, {!delta_stepping} at or above it. [?parallel] is ignored. *)
 val run :
   ?target:int ->
   ?max_len:float ->

@@ -1,6 +1,6 @@
 (* Domain-based data parallelism for embarrassingly parallel experiment
-   sweeps (one throughput computation per data point) and for the
-   read-only solver certification passes.
+   sweeps and service batches: one independent throughput computation
+   per element. The solvers themselves run on one domain.
 
    A tiny fork-join map is all the framework needs: each call spawns up
    to [domain_count () - 1] worker domains, statically splits the index
@@ -30,13 +30,17 @@ let domain_count () =
 let enabled = ref true
 
 (* [map_array f a] = Array.map f a, computed in parallel chunks.
-   [gated] callers respect the [enabled] switch (the solver-level maps,
-   which should go sequential when an outer loop already owns the
-   cores); [force_map_array] always parallelizes.
+   [gated] callers respect the [enabled] switch (inner maps, which
+   should go sequential when an outer loop already owns the cores);
+   [force_map_array] always parallelizes.
 
    Results land in a pre-sized array with no per-element [Some] boxing:
    [f a.(0)] is computed up front on the orchestrating domain and seeds
-   every slot, then the workers overwrite slots 1..n-1 in place. *)
+   every slot, then the workers overwrite slots 1..n-1 in place.
+
+   A raising element never strands a domain: every spawned domain is
+   joined before the first exception (the orchestrator's, else the
+   earliest worker's) is re-raised. *)
 let map_array_impl ~gated f a =
   let n = Array.length a in
   if n = 0 then [||]
@@ -58,19 +62,23 @@ let map_array_impl ~gated f a =
         Array.init (workers - 1) (fun w ->
             Domain.spawn (fun () -> chunk (w + 1)))
       in
-      chunk 0;
-      Array.iter Domain.join domains;
+      let capture run =
+        match run () with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ())
+      in
+      let first =
+        Array.fold_left
+          (fun first d ->
+            let e = capture (fun () -> Domain.join d) in
+            if Option.is_some first then first else e)
+          (capture (fun () -> chunk 0))
+          domains
+      in
+      Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) first;
       results
     end
   end
 
 let map_array f a = map_array_impl ~gated:true f a
 let force_map_array f a = map_array_impl ~gated:false f a
-
-(* Parallel [List.init n f] specialised to arrays. *)
-let init n f = map_array f (Array.init n (fun i -> i))
-
-let map2_array f a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Parallel.map2_array";
-  map_array (fun i -> f a.(i) b.(i)) (Array.init n (fun i -> i))

@@ -1,6 +1,5 @@
 (** Fork-join data parallelism over OCaml 5 domains, used to spread
-    independent throughput computations — and the solvers' read-only
-    certification passes — across cores. *)
+    independent throughput computations across cores. *)
 
 (** Worker-domain cap from the hardware: one core is left for the
     orchestrating domain, capped at 8. *)
@@ -20,15 +19,11 @@ val enabled : bool ref
     {!domain_count} domains. [f] must not share mutable state across
     elements. Respects {!enabled}. Results are returned in index order,
     so any sequential fold over them is deterministic regardless of the
-    domain count. *)
+    domain count. If some [f] raises, every spawned domain is joined
+    before the first exception (the calling domain's, else the earliest
+    worker's) is re-raised. *)
 val map_array : ('a -> 'b) -> 'a array -> 'b array
 
 (** Like {!map_array} but ignores {!enabled} — for outer experiment
-    loops that own the cores while inner solver maps run sequential. *)
+    loops that own the cores while gated inner maps run sequential. *)
 val force_map_array : ('a -> 'b) -> 'a array -> 'b array
-
-(** [init n f] is [Array.init n f] in parallel. *)
-val init : int -> (int -> 'a) -> 'a array
-
-(** Pointwise parallel map over two same-length arrays. *)
-val map2_array : ('a -> 'b -> 'c) -> 'a array -> 'b array -> 'c array

@@ -182,9 +182,8 @@ type pool_outcome = {
 
 (* Replay the same mix through a supervised pool, with every response
    checked against a fault-free oracle: each distinct request is solved
-   once in-process (chaos off, inner parallelism off, matching the
-   worker discipline) and the pool's answers must render the same
-   canonical bytes ({!Result.canonical} — wall-clock [solve_ms] is the
+   once in-process (chaos off) and the pool's answers must render the
+   same canonical bytes ({!Result.canonical} — wall-clock [solve_ms] is the
    only nondeterministic field). Overload rejections are typed, so the
    client loop resubmits instead of timing out. *)
 let run_pool ?(pool_cfg = default_pool) cfg =
@@ -195,8 +194,6 @@ let run_pool ?(pool_cfg = default_pool) cfg =
   let distinct = Hashtbl.length distinct_tbl in
   (* The oracle. *)
   let oracle = Hashtbl.create 64 in
-  let was_parallel = !Tb_prelude.Parallel.enabled in
-  Tb_prelude.Parallel.enabled := false;
   let osvc = Service.create ~capacity:(max distinct cfg.cache_capacity) () in
   Hashtbl.iter
     (fun hash req ->
@@ -204,7 +201,6 @@ let run_pool ?(pool_cfg = default_pool) cfg =
       Hashtbl.replace oracle hash
         (Json.to_string (Result.to_json (Result.canonical resp.Service.result))))
     distinct_tbl;
-  Tb_prelude.Parallel.enabled := was_parallel;
   (* The pool under test. *)
   let pool =
     Pool.create

@@ -285,9 +285,6 @@ let worker_main t ~slot ~(wfd : Unix.file_descr) =
     (fun (w : worker) ->
       if w.fd <> wfd then (try Unix.close w.fd with Unix.Unix_error _ -> ()))
     t.workers;
-  (* The pool owns the cores: one solver per worker process, inner
-     domain fan-out off (same discipline as Service.handle_batch). *)
-  Tb_prelude.Parallel.enabled := false;
   (* A terminal Ctrl-C goes to the whole process group; the supervisor
      coordinates shutdown, workers just follow their socket. *)
   (try Sys.set_signal Sys.sigint Sys.Signal_ignore

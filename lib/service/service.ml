@@ -260,17 +260,10 @@ let handle_batch t reqs =
     in
     run_solve ~fault:Fault.none ~build ~hash:hashes.(i) req
   in
-  (* The batch fan-out owns the cores; the solvers' inner gated maps go
-     sequential for the duration so the domains are not oversubscribed
-     (same discipline as the experiment drivers). *)
   Metrics.set g_queue (float_of_int (Array.length to_solve));
-  let was_enabled = !Tb_prelude.Parallel.enabled in
-  Tb_prelude.Parallel.enabled := false;
   let solved =
     Fun.protect
-      ~finally:(fun () ->
-        Tb_prelude.Parallel.enabled := was_enabled;
-        Metrics.set g_queue 0.0)
+      ~finally:(fun () -> Metrics.set g_queue 0.0)
       (fun () -> Tb_prelude.Parallel.force_map_array solve_one to_solve)
   in
   with_lock t (fun () ->

@@ -85,10 +85,9 @@ val handle :
 (** Serve a batch: duplicate hashes are coalesced to one solve (the
     [coalesced] counter totals the duplicates), distinct requests
     naming the same topology share one graph build, and the misses fan
-    out over domains via {!Tb_prelude.Parallel.force_map_array} (inner
-    solver parallelism is disabled for the duration — the batch owns
-    the cores). Responses come back in request order; a failing cell
-    yields an error response, never an exception. *)
+    out over domains via {!Tb_prelude.Parallel.force_map_array} (each
+    solve runs on one domain). Responses come back in request order; a
+    failing cell yields an error response, never an exception. *)
 val handle_batch : t -> Request.t list -> response list
 
 (** [{"hash": h, "cached": b, "result": {...}}]. *)

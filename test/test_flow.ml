@@ -335,10 +335,10 @@ let test_fleischer_demand_scale_invariance () =
 let bits = Int64.bits_of_float
 
 let test_fleischer_domain_determinism () =
-  (* The parallel certification passes must be bit-identical to the
-     sequential path: per-source partials are folded in group order
-     regardless of how groups were distributed over domains. Compare
-     raw float bits, not a tolerance. *)
+  (* A solve runs on one domain, so its result must not depend on the
+     domain count: this guards against a domain fan-out (and a
+     reduction order that follows it) coming back. Compare raw float
+     bits, not a tolerance. *)
   let rng = Rng.make 11 in
   let g = Tb_graph.Equipment.random_regular rng ~n:24 ~degree:4 in
   let cs =

@@ -108,10 +108,34 @@ let prop_parallel_matches_sequential =
 let test_parallel_empty () =
   Alcotest.(check (array int)) "empty" [||] (Parallel.map_array (fun x -> x) [||])
 
-let test_parallel_init () =
-  Alcotest.(check (array int))
-    "init" (Array.init 17 (fun i -> 2 * i))
-    (Parallel.init 17 (fun i -> 2 * i))
+(* A raising element must not strand a domain: the exception surfaces
+   only after every spawned domain has finished its chunk. With k
+   domains over [0, n), the orchestrator owns the first block of
+   [1, n) and the last worker owns the last block. *)
+let test_parallel_raise_joins () =
+  let probe ~domains ~n ~raise_at =
+    Unix.putenv "TOPOBENCH_DOMAINS" (string_of_int domains);
+    Fun.protect ~finally:(fun () -> Unix.putenv "TOPOBENCH_DOMAINS" "")
+    @@ fun () ->
+    let done_ = Atomic.make 0 and last = n - 2 in
+    let f i =
+      if i = raise_at then failwith (string_of_int i);
+      if i >= last then begin
+        Unix.sleepf 0.3;
+        Atomic.incr done_
+      end;
+      i
+    in
+    (match Parallel.force_map_array f (Array.init n (fun i -> i)) with
+    | _ -> Alcotest.fail "expected an exception"
+    | exception Failure m ->
+        Alcotest.(check string) "first exception" (string_of_int raise_at) m);
+    Alcotest.(check int) "last worker joined" 2 (Atomic.get done_)
+  in
+  (* The orchestrator's chunk raises. *)
+  probe ~domains:2 ~n:5 ~raise_at:1;
+  (* A worker raises; a later worker is still joined. *)
+  probe ~domains:3 ~n:7 ~raise_at:3
 
 let test_parallel_domains_override () =
   let with_env v f =
@@ -192,7 +216,8 @@ let () =
         [
           Qseed.to_alcotest prop_parallel_matches_sequential;
           Alcotest.test_case "empty" `Quick test_parallel_empty;
-          Alcotest.test_case "init" `Quick test_parallel_init;
+          Alcotest.test_case "raise joins every domain" `Quick
+            test_parallel_raise_joins;
           Alcotest.test_case "TOPOBENCH_DOMAINS override" `Quick
             test_parallel_domains_override;
         ] );

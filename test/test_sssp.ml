@@ -298,7 +298,7 @@ let test_fleischer_delta_trajectory () =
    across modules). Minor-heap words are deterministic, so the ceilings
    are hard: each sits about 4x above the measured steady state (4,400
    words for the delta-stepping trees, which is their per-call closures;
-   0 for the heap trees; 87,000 for the Fleischer solve; 5,300 for the
+   0 for the heap trees; 26,000 for the Fleischer solve; 5,300 for the
    370-phase Restricted solve), and one boxed float per relaxation
    overshoots it 20x or more (per routed path, 4x or more, for
    Restricted). Scratch
@@ -356,7 +356,7 @@ let test_alloc_fleischer () =
     minor_words_after_warmup (fun () ->
         ignore (Tb_flow.Fleischer.solve ~eps:0.4 ~tol:0.06 topo.Topology.graph cs))
   in
-  check_ceiling "Fleischer.solve on fattree:8 A2A" ~ceiling:350_000.0 words
+  check_ceiling "Fleischer.solve on fattree:8 A2A" ~ceiling:100_000.0 words
 
 let test_alloc_restricted () =
   let topo = build "fattree:8" in
