@@ -286,10 +286,7 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
       ~hosts_per_switch:2 g
   in
   let cs = Tb_tm.Tm.commodities (Tb_tm.Synthetic.longest_matching topo) in
-  let len =
-    let cap = Graph.arc_caps g in
-    Array.init (Graph.num_arcs g) (fun a -> 1.0 /. cap.(a))
-  in
+  let len = Array.init (Graph.num_arcs g) (fun a -> 1.0 /. Graph.arc_cap g a) in
   let len_fn a = len.(a) in
   let scratch ?banned src dst =
     Kshortest.k_shortest ?banned g ~len:len_fn ~src ~dst ~k

@@ -54,7 +54,7 @@ let perturb ~seed ~index g cs =
   in
   if index mod 2 = 1 then scale_demand ()
   else begin
-    let num_edges = Array.length (Graph.edges g) in
+    let num_edges = Graph.num_edges g in
     let rec try_edge attempt =
       if attempt >= num_edges then scale_demand ()
       else begin

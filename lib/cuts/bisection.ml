@@ -46,30 +46,32 @@ let exact g =
 let kl_pass g cut =
   let n = Graph.num_nodes g in
   let cur = Array.copy cut in
-  (* d.(v) = external cost - internal cost of v under [cur]. *)
+  let m = Graph.num_edges g in
+  let eu = Graph.ba_edge_u g and ev = Graph.ba_edge_v g in
+  let ecap = Graph.ba_edge_cap g in
+  (* d.(v) = external cost - internal cost of v under [cur], summed over
+     the edge columns in edge-id order (no record per edge). *)
   let d = Array.make n 0.0 in
   let recompute_d () =
     Array.fill d 0 n 0.0;
-    Graph.iter_edges
-      (fun _ e ->
-        let u = e.Graph.u and v = e.Graph.v and c = e.Graph.cap in
-        if cur.(u) <> cur.(v) then begin
-          d.(u) <- d.(u) +. c;
-          d.(v) <- d.(v) +. c
-        end
-        else begin
-          d.(u) <- d.(u) -. c;
-          d.(v) <- d.(v) -. c
-        end)
-      g
+    for e = 0 to m - 1 do
+      let u = eu.{e} and v = ev.{e} and c = ecap.{e} in
+      if cur.(u) <> cur.(v) then begin
+        d.(u) <- d.(u) +. c;
+        d.(v) <- d.(v) +. c
+      end
+      else begin
+        d.(u) <- d.(u) -. c;
+        d.(v) <- d.(v) -. c
+      end
+    done
   in
   let locked = Array.make n false in
-  let edge_cap = Hashtbl.create (Graph.num_edges g) in
-  Graph.iter_edges
-    (fun _ e ->
-      Hashtbl.replace edge_cap (min e.Graph.u e.Graph.v, max e.Graph.u e.Graph.v)
-        e.Graph.cap)
-    g;
+  (* Keyed (smaller id, larger id): the columns are normalized that way. *)
+  let edge_cap = Hashtbl.create m in
+  for e = 0 to m - 1 do
+    Hashtbl.replace edge_cap (eu.{e}, ev.{e}) ecap.{e}
+  done;
   let cap_between u v =
     Option.value ~default:0.0
       (Hashtbl.find_opt edge_cap (min u v, max u v))

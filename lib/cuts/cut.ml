@@ -30,11 +30,16 @@ let is_proper cut =
   let k = size cut in
   k > 0 && k < Array.length cut
 
+(* Indexes the edge columns in edge-id order: no record or boxed float
+   per edge, and the same sum as a fold over [Graph.edges]. *)
 let capacity g cut =
-  Graph.fold_edges
-    (fun acc _ e ->
-      if cut.(e.Graph.u) <> cut.(e.Graph.v) then acc +. e.Graph.cap else acc)
-    0.0 g
+  let eu = Graph.ba_edge_u g and ev = Graph.ba_edge_v g in
+  let ecap = Graph.ba_edge_cap g in
+  let s = ref 0.0 in
+  for e = 0 to Graph.num_edges g - 1 do
+    if cut.(eu.{e}) <> cut.(ev.{e}) then s := !s +. ecap.{e}
+  done;
+  !s
 
 (* (demand S->~S, demand ~S->S) for a flow list. *)
 let demand_across flows cut =

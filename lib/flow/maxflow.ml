@@ -8,8 +8,8 @@ module Graph = Tb_graph.Graph
    exist as real arcs, the residual capacity of arc [a] is
    [cap a - flow a + flow (rev a)]. We store net flow per arc.
 
-   All level/blocking-flow loops index the graph's CSR arrays and the
-   per-arc capacity array directly. *)
+   All level/blocking-flow loops index the graph's CSR Bigarrays and
+   per-arc capacity column directly. *)
 
 type result = { value : float; flow : float array (* per arc *) }
 
@@ -18,12 +18,12 @@ let eps = 1e-12
 let solve g ~src ~dst =
   if src = dst then invalid_arg "Maxflow.solve: src = dst";
   let num_arcs = Graph.num_arcs g in
-  let adj_start = Graph.adj_start g
-  and adj_node = Graph.adj_node g
-  and adj_arc = Graph.adj_arc g
-  and cap = Graph.arc_caps g in
+  let adj_start = Graph.ba_adj_start g
+  and adj_node = Graph.ba_adj_node g
+  and adj_arc = Graph.ba_adj_arc g
+  and cap = Graph.ba_arc_caps g in
   let flow = Array.make num_arcs 0.0 in
-  let residual a = cap.(a) -. flow.(a) +. flow.(Graph.arc_rev a) in
+  let residual a = cap.{a} -. flow.(a) +. flow.(Graph.arc_rev a) in
   let n = Graph.num_nodes g in
   let level = Array.make n (-1) in
   let build_levels () =
@@ -33,9 +33,9 @@ let solve g ~src ~dst =
     Queue.add src q;
     while not (Queue.is_empty q) do
       let u = Queue.pop q in
-      for i = adj_start.(u) to adj_start.(u + 1) - 1 do
-        let v = adj_node.(i) in
-        if level.(v) < 0 && residual adj_arc.(i) > eps then begin
+      for i = adj_start.{u} to adj_start.{u + 1} - 1 do
+        let v = adj_node.{i} in
+        if level.(v) < 0 && residual adj_arc.{i} > eps then begin
           level.(v) <- level.(u) + 1;
           Queue.add v q
         end
@@ -55,12 +55,12 @@ let solve g ~src ~dst =
   let rec dfs u pushed =
     if u = dst then pushed
     else begin
-      let hi = adj_start.(u + 1) in
+      let hi = adj_start.{u + 1} in
       let rec advance () =
         if iter.(u) >= hi then 0.0
         else begin
           let i = iter.(u) in
-          let v = adj_node.(i) and a = adj_arc.(i) in
+          let v = adj_node.{i} and a = adj_arc.{i} in
           let r = residual a in
           if level.(v) = level.(u) + 1 && r > eps then begin
             let got = dfs v (min pushed r) in
@@ -84,7 +84,9 @@ let solve g ~src ~dst =
   in
   let total = ref 0.0 in
   while build_levels () do
-    Array.blit adj_start 0 iter 0 n;
+    for u = 0 to n - 1 do
+      iter.(u) <- adj_start.{u}
+    done;
     let continue = ref true in
     while !continue do
       let f = dfs src infinity in

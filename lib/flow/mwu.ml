@@ -36,6 +36,10 @@ let zeros n =
   a
 
 let create g ~eps ~(load : Graph.floats) ~warm_lengths cs =
+  (* With eps outside (0, 1) a length is stale right after its refresh,
+     so a phase would never end. *)
+  if not (eps > 0.0 && eps < 1.0) then
+    invalid_arg "Mwu.create: eps must lie in (0, 1)";
   let num_arcs = Graph.num_arcs g in
   let cap = Graph.ba_arc_caps g in
   let worst = ref 0.0 in

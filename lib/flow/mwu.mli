@@ -35,7 +35,8 @@ type t = {
     routing each demand once along the oracle's first path, and sets
     [sigma = 1 / max_a load(a) / c(a)]. Lengths start at [1/c(a)], or at
     [warm_lengths] rescaled to a maximum of 1 if it has one strictly
-    positive finite entry per arc. *)
+    positive finite entry per arc. Raises [Invalid_argument] unless
+    [0 < eps < 1]. *)
 val create :
   Graph.t ->
   eps:float ->

@@ -10,22 +10,17 @@
    - Simple graphs only: no self-loops, no parallel edges. Topology
      constructors are expected to deduplicate.
 
-   Memory layout: the authoritative storage is a set of Bigarrays —
-   per-edge endpoint/capacity columns (e_u/e_v/e_cap) and the CSR
-   adjacency (row pointers plus packed neighbor ids, arc ids and arc
-   capacities). Bigarrays live outside the OCaml heap: a 100k-node,
-   10M-edge fat-tree costs ~72 bytes/edge of flat storage that the GC
-   never scans and that domains share without copying. The [int] and
-   [float64] element kinds are used throughout because those are the two
-   kinds the compiler reads back unboxed (int32/int64 elements would box
-   on every access in the Dijkstra/delta-stepping inner loops).
-
-   The pre-Bigarray int/float-array layout (plus the boxed edge-record
-   array) is kept behind the same accessors as a [legacy] view. It is
-   materialized eagerly at construction for small graphs — so every
-   existing caller sees bit-identical arrays with no extra latency — and
-   lazily (once, under a lock) for large graphs, where only cold paths
-   (dot export, LP solvers that cap out far below this size) ask for it. *)
+   Memory layout: the only storage is a set of Bigarrays — per-edge
+   endpoint/capacity columns (e_u/e_v/e_cap) and the CSR adjacency (row
+   pointers plus packed neighbor ids, arc ids and arc capacities).
+   Bigarrays live outside the OCaml heap: a 100k-node, 10M-edge fat-tree
+   costs ~72 bytes/edge of flat storage that the GC never scans and that
+   domains share without copying. The [int] and [float64] element kinds
+   are used throughout because those are the two kinds the compiler
+   reads back unboxed (int32/int64 elements would box on every access in
+   the Dijkstra/delta-stepping inner loops). Edge records ([edge],
+   [edges], [iter_edges]) are built on demand from the columns; loops
+   over every edge that must not allocate index the columns directly. *)
 
 module A1 = Bigarray.Array1
 
@@ -37,17 +32,6 @@ let make_floats n : floats = A1.create Bigarray.float64 Bigarray.c_layout n
 
 type edge = { u : int; v : int; cap : float }
 
-(* The exact pre-Bigarray representation, for callers that want plain
-   OCaml arrays (LP constraint builders, dot export, tests). *)
-type legacy = {
-  l_edges : edge array;
-  l_adj_start : int array;
-  l_adj_node : int array;
-  l_adj_arc : int array;
-  l_arc_caps : float array;
-  l_arc_srcs : int array;
-}
-
 type t = {
   n : int;
   m : int;
@@ -58,14 +42,7 @@ type t = {
   col_node : ints; (* length 2m, packed neighbor ids *)
   col_arc : ints; (* length 2m, packed outgoing arc ids *)
   cap_arc : floats; (* length 2m, capacity per directed arc *)
-  mutable legacy : legacy option;
 }
-
-(* Arc count above which the legacy arrays are built lazily instead of
-   at construction time. 2^21 arcs (= 1M edges) is far above every
-   catalog/bench instance that predates the scale workloads, so small
-   graphs keep their exact historical behavior. *)
-let eager_legacy_arcs = 1 lsl 21
 
 let num_nodes g = g.n
 let num_edges g = g.m
@@ -99,56 +76,11 @@ let arc_src g a =
 (* The opposite-direction arc over the same undirected edge. *)
 let arc_rev a = a lxor 1
 
-let edge_mk g e = { u = A1.get g.e_u e; v = A1.get g.e_v e; cap = A1.get g.e_cap e }
+let edge g e = { u = A1.get g.e_u e; v = A1.get g.e_v e; cap = A1.get g.e_cap e }
 
-(* {2 Legacy materialization} *)
-
-(* One lock for all graphs: materialization is rare (once per large
-   graph, never for small ones) so contention is a non-issue, and a
-   global lock avoids carrying a mutex in every graph value. *)
-let legacy_lock = Mutex.create ()
-
-let build_legacy g =
-  let m = g.m in
-  let m2 = 2 * m in
-  let l_edges = Array.init m (fun e -> edge_mk g e) in
-  let l_adj_start = Array.init (g.n + 1) (fun i -> A1.get g.row_start i) in
-  let l_adj_node = Array.init m2 (fun i -> A1.get g.col_node i) in
-  let l_adj_arc = Array.init m2 (fun i -> A1.get g.col_arc i) in
-  let l_arc_caps = Array.init m2 (fun i -> A1.get g.cap_arc i) in
-  let l_arc_srcs =
-    Array.init m2 (fun a ->
-        let e = a lsr 1 in
-        if a land 1 = 0 then A1.get g.e_u e else A1.get g.e_v e)
-  in
-  { l_edges; l_adj_start; l_adj_node; l_adj_arc; l_arc_caps; l_arc_srcs }
-
-let legacy g =
-  match g.legacy with
-  | Some l -> l
-  | None ->
-      Mutex.lock legacy_lock;
-      let l =
-        match g.legacy with
-        | Some l -> l
-        | None ->
-            let l = build_legacy g in
-            g.legacy <- Some l;
-            l
-      in
-      Mutex.unlock legacy_lock;
-      l
-
-let edges g = (legacy g).l_edges
-let edge g e = match g.legacy with Some l -> l.l_edges.(e) | None -> edge_mk g e
-
-(* Direct CSR access for pre-Bigarray callers. The arrays are the
-   graph's own (cached) storage — treat them as read-only. *)
-let adj_start g = (legacy g).l_adj_start
-let adj_node g = (legacy g).l_adj_node
-let adj_arc g = (legacy g).l_adj_arc
-let arc_caps g = (legacy g).l_arc_caps
-let arc_srcs g = (legacy g).l_arc_srcs
+(* A fresh record array per call, like [succ]; loops that must not
+   allocate index the edge columns instead. *)
+let edges g = Array.init g.m (fun e -> edge g e)
 
 (* Allocating convenience view of one CSR row; hot loops index the CSR
    Bigarrays directly instead. *)
@@ -207,52 +139,30 @@ let build_csr ~n ~m ~(e_u : ints) ~(e_v : ints) ~(e_cap : floats) =
     A1.unsafe_set cap_arc (2 * e) c;
     A1.unsafe_set cap_arc ((2 * e) + 1) c
   done;
-  { n; m; e_u; e_v; e_cap; row_start; col_node; col_arc; cap_arc; legacy = None }
-
-let maybe_eager_legacy ?edges g =
-  if 2 * g.m <= eager_legacy_arcs then begin
-    let l = build_legacy g in
-    (* Keep the caller's record array when it was handed to us: callers
-       that built the records pay nothing extra for the legacy view. *)
-    let l = match edges with Some es -> { l with l_edges = es } | None -> l in
-    g.legacy <- Some l
-  end;
-  g
-
-let of_edge_array ~n edges =
-  let m = Array.length edges in
-  let e_u = make_ints m and e_v = make_ints m in
-  let e_cap = make_floats m in
-  Array.iteri
-    (fun i e ->
-      A1.unsafe_set e_u i e.u;
-      A1.unsafe_set e_v i e.v;
-      A1.unsafe_set e_cap i e.cap)
-    edges;
-  maybe_eager_legacy ~edges (build_csr ~n ~m ~e_u ~e_v ~e_cap)
+  { n; m; e_u; e_v; e_cap; row_start; col_node; col_arc; cap_arc }
 
 let of_edges ~n edge_list =
-  let seen = Hashtbl.create (List.length edge_list * 2) in
-  let norm (u, v, c) =
-    if u = v then invalid_arg "Graph.of_edges: self-loop";
-    if u < 0 || v < 0 || u >= n || v >= n then
-      invalid_arg "Graph.of_edges: node out of range";
-    if c <= 0.0 then invalid_arg "Graph.of_edges: non-positive capacity";
-    if u < v then (u, v, c) else (v, u, c)
-  in
-  let dedup =
-    List.filter_map
-      (fun e ->
-        let u, v, c = norm e in
-        if Hashtbl.mem seen (u, v) then
-          invalid_arg "Graph.of_edges: parallel edge"
-        else begin
-          Hashtbl.add seen (u, v) ();
-          Some { u; v; cap = c }
-        end)
-      edge_list
-  in
-  of_edge_array ~n (Array.of_list dedup)
+  let m = List.length edge_list in
+  let seen = Hashtbl.create (2 * m) in
+  let e_u = make_ints m and e_v = make_ints m in
+  let e_cap = make_floats m in
+  List.iteri
+    (fun i (u, v, c) ->
+      if u = v then invalid_arg "Graph.of_edges: self-loop";
+      if u < 0 || v < 0 || u >= n || v >= n then
+        invalid_arg "Graph.of_edges: node out of range";
+      if not (Float.is_finite c) then
+        invalid_arg "Graph.of_edges: non-finite capacity";
+      if c <= 0.0 then invalid_arg "Graph.of_edges: non-positive capacity";
+      let u, v = if u < v then (u, v) else (v, u) in
+      if Hashtbl.mem seen (u, v) then
+        invalid_arg "Graph.of_edges: parallel edge";
+      Hashtbl.add seen (u, v) ();
+      A1.unsafe_set e_u i u;
+      A1.unsafe_set e_v i v;
+      A1.unsafe_set e_cap i c)
+    edge_list;
+  build_csr ~n ~m ~e_u ~e_v ~e_cap
 
 let of_unit_edges ~n pairs =
   of_edges ~n (List.map (fun (u, v) -> (u, v, 1.0)) pairs)
@@ -263,12 +173,9 @@ let has_edge g u v =
   scan (A1.get g.row_start u)
 
 let iter_edges f g =
-  match g.legacy with
-  | Some l -> Array.iteri (fun i e -> f i e) l.l_edges
-  | None ->
-      for e = 0 to g.m - 1 do
-        f e (edge_mk g e)
-      done
+  for e = 0 to g.m - 1 do
+    f e (edge g e)
+  done
 
 let fold_edges f acc g =
   let r = ref acc in
@@ -282,7 +189,7 @@ let with_uniform_capacity g c =
   A1.fill e_cap c;
   let cap_arc = make_floats (2 * g.m) in
   A1.fill cap_arc c;
-  maybe_eager_legacy { g with e_cap; cap_arc; legacy = None }
+  { g with e_cap; cap_arc }
 
 (* {2 Builder — incremental construction for scale generators} *)
 
@@ -320,6 +227,8 @@ module Builder = struct
     if u = v then invalid_arg "Graph.Builder.add: self-loop";
     if u < 0 || v < 0 || u >= b.bn || v >= b.bn then
       invalid_arg "Graph.Builder.add: node out of range";
+    if not (Float.is_finite c) then
+      invalid_arg "Graph.Builder.add: non-finite capacity";
     if c <= 0.0 then invalid_arg "Graph.Builder.add: non-positive capacity";
     if b.bm = A1.dim b.bu then grow b;
     let i = b.bm in
@@ -348,7 +257,7 @@ module Builder = struct
       A1.blit (A1.sub b.bv 0 m) e_v;
       A1.blit (A1.sub b.bc 0 m) e_cap
     end;
-    maybe_eager_legacy (build_csr ~n:b.bn ~m ~e_u ~e_v ~e_cap)
+    build_csr ~n:b.bn ~m ~e_u ~e_v ~e_cap
 end
 
 (* Flat memory footprint of the Bigarray storage for a graph with

@@ -7,15 +7,12 @@
     code on undirected edges. Graphs are simple (no self-loops or
     parallel edges).
 
-    The authoritative storage is a set of [Bigarray.Array1] columns
-    (per-edge endpoints/capacities and the packed CSR adjacency): flat,
-    outside the OCaml heap, never scanned by the GC, shared across
-    domains without copying. Element kinds are [int] and [float64] —
-    the two kinds the compiler reads back unboxed. The pre-Bigarray
-    plain-array layout remains available through the same accessors
-    ({!adj_start} etc.): for small graphs it is built eagerly at
-    construction (bit-identical to the old representation), for large
-    graphs lazily on first use. *)
+    The only storage is a set of [Bigarray.Array1] columns (per-edge
+    endpoints/capacities and the packed CSR adjacency): flat, outside
+    the OCaml heap, never scanned by the GC, shared across domains
+    without copying. Element kinds are [int] and [float64] — the two
+    kinds the compiler reads back unboxed. Edge records are built on
+    demand from the columns. *)
 
 type edge = { u : int; v : int; cap : float }
 type t
@@ -37,7 +34,12 @@ val num_edges : t -> int
 (** [num_arcs g = 2 * num_edges g]. *)
 val num_arcs : t -> int
 
+(** [edges g] builds a fresh array of [num_edges g] records per call —
+    convenience form, like {!succ}; hot loops index {!ba_edge_u},
+    {!ba_edge_v} and {!ba_edge_cap} instead. *)
 val edges : t -> edge array
+
+(** Edge [e] as a fresh record. *)
 val edge : t -> int -> edge
 val arc_cap : t -> int -> float
 
@@ -76,26 +78,6 @@ val ba_edge_u : t -> ints
 val ba_edge_v : t -> ints
 val ba_edge_cap : t -> floats
 
-(** {2 Legacy plain-array CSR access}
-
-    Same contents as the Bigarray columns, as ordinary OCaml arrays.
-    For small graphs (≤ 2^21 arcs) these exist from construction; for
-    larger graphs the first call materializes and caches them (safe
-    under domains, but O(m) in time and heap — large-graph hot paths
-    should use the [ba_*] accessors). Treat as read-only. *)
-
-val adj_start : t -> int array
-
-val adj_node : t -> int array
-val adj_arc : t -> int array
-
-(** Per-arc capacities, length [num_arcs]; [arc_caps g .(a) = arc_cap g a]. *)
-val arc_caps : t -> float array
-
-(** Per-arc source nodes, length [num_arcs]; [arc_srcs g .(a) = arc_src g a].
-    Lets shortest-path-tree walks stay inside flat int arrays. *)
-val arc_srcs : t -> int array
-
 (** [succ g u] lists [(neighbor, outgoing_arc_id)] pairs. Allocates a
     fresh array per call — convenience form, not for hot loops. *)
 val succ : t -> int -> (int * int) array
@@ -112,14 +94,17 @@ val degree_sequence : t -> int array
 val total_capacity : t -> float
 
 (** Build from an undirected edge list. Raises [Invalid_argument] on
-    self-loops, out-of-range nodes, non-positive capacities, or parallel
-    edges. *)
+    self-loops, out-of-range nodes, non-positive or non-finite
+    capacities, or parallel edges. *)
 val of_edges : n:int -> (int * int * float) list -> t
 
 (** [of_edges] with every capacity 1. *)
 val of_unit_edges : n:int -> (int * int) list -> t
 
 val has_edge : t -> int -> int -> bool
+
+(** [iter_edges] and [fold_edges] visit edges in id order, building one
+    record per edge. *)
 val iter_edges : (int -> edge -> unit) -> t -> unit
 val fold_edges : ('a -> int -> edge -> 'a) -> 'a -> t -> 'a
 
@@ -147,7 +132,7 @@ module Builder : sig
 
   (** [add b u v cap] appends one undirected edge. Raises
       [Invalid_argument] on self-loops, out-of-range nodes, or
-      non-positive capacities. *)
+      non-positive or non-finite capacities. *)
   val add : b -> int -> int -> float -> unit
 
   (** [add b u v 1.0]. *)

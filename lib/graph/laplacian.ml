@@ -1,6 +1,7 @@
 (* Normalized Laplacian operator L = I - D^{-1/2} A D^{-1/2}, exposed as a
    matrix-vector product so the spectral cut heuristics never materialize
-   an n x n matrix. Capacities act as edge weights. *)
+   an n x n matrix. Capacities act as edge weights. Both loops index the
+   graph's edge columns in edge-id order, allocating nothing per edge. *)
 
 type t = {
   graph : Graph.t;
@@ -12,11 +13,13 @@ type t = {
 let create g =
   let n = Graph.num_nodes g in
   let wdeg = Array.make n 0.0 in
-  Graph.iter_edges
-    (fun _ e ->
-      wdeg.(e.Graph.u) <- wdeg.(e.Graph.u) +. e.Graph.cap;
-      wdeg.(e.Graph.v) <- wdeg.(e.Graph.v) +. e.Graph.cap)
-    g;
+  let eu = Graph.ba_edge_u g and ev = Graph.ba_edge_v g in
+  let ecap = Graph.ba_edge_cap g in
+  for e = 0 to Graph.num_edges g - 1 do
+    let u = eu.{e} and v = ev.{e} and c = ecap.{e} in
+    wdeg.(u) <- wdeg.(u) +. c;
+    wdeg.(v) <- wdeg.(v) +. c
+  done;
   let inv_sqrt_deg =
     Array.map (fun d -> if d > 0.0 then 1.0 /. sqrt d else 0.0) wdeg
   in
@@ -30,13 +33,15 @@ let apply t x y =
   if Array.length x <> n || Array.length y <> n then
     invalid_arg "Laplacian.apply";
   Array.blit x 0 y 0 n;
-  Graph.iter_edges
-    (fun _ e ->
-      let u = e.Graph.u and v = e.Graph.v in
-      let w = e.Graph.cap *. t.inv_sqrt_deg.(u) *. t.inv_sqrt_deg.(v) in
-      y.(u) <- y.(u) -. (w *. x.(v));
-      y.(v) <- y.(v) -. (w *. x.(u)))
-    t.graph
+  let g = t.graph in
+  let eu = Graph.ba_edge_u g and ev = Graph.ba_edge_v g in
+  let ecap = Graph.ba_edge_cap g in
+  for e = 0 to Graph.num_edges g - 1 do
+    let u = eu.{e} and v = ev.{e} in
+    let w = ecap.{e} *. t.inv_sqrt_deg.(u) *. t.inv_sqrt_deg.(v) in
+    y.(u) <- y.(u) -. (w *. x.(v));
+    y.(v) <- y.(v) -. (w *. x.(u))
+  done
 
 (* The eigenvector of eigenvalue 0: D^{1/2} * 1, normalized. *)
 let kernel_vector t =

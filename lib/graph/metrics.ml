@@ -20,7 +20,7 @@ type summary = {
 (* Global clustering coefficient: 3 * triangles / open triads. *)
 let global_clustering g =
   let n = Graph.num_nodes g in
-  let adj_start = Graph.adj_start g and adj_node = Graph.adj_node g in
+  let adj_start = Graph.ba_adj_start g and adj_node = Graph.ba_adj_node g in
   let neighbor_sets =
     Array.init n (fun u ->
         let s = Hashtbl.create 8 in
@@ -31,10 +31,10 @@ let global_clustering g =
   for u = 0 to n - 1 do
     let d = Graph.degree g u in
     triads := !triads + (d * (d - 1) / 2);
-    for i = adj_start.(u) to adj_start.(u + 1) - 1 do
-      let v = adj_node.(i) in
-      for j = adj_start.(u) to adj_start.(u + 1) - 1 do
-        let w = adj_node.(j) in
+    for i = adj_start.{u} to adj_start.{u + 1} - 1 do
+      let v = adj_node.{i} in
+      for j = adj_start.{u} to adj_start.{u + 1} - 1 do
+        let w = adj_node.{j} in
         if v < w && Hashtbl.mem neighbor_sets.(v) w then incr triangles
       done
     done

@@ -2,8 +2,8 @@
    hop-count all-pairs shortest paths (the input graphs all have unit-hop
    topology structure; capacities only matter to flow code). BFS walks
    the graph's CSR Bigarrays directly — it backs APSP, which the TM
-   generators call per node, and reachability checks on graphs too large
-   to afford the legacy plain-array view. *)
+   generators call per node, and reachability checks on 100k-node
+   graphs. *)
 
 module A1 = Bigarray.Array1
 

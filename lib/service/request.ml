@@ -201,7 +201,15 @@ let of_json doc =
       | None -> Error (Printf.sprintf "request: %S must be a number" name))
   in
   let* eps = float_field "eps" default_policy.Tb_harness.Solve.eps in
+  let* () =
+    if eps > 0.0 && eps < 1.0 then Ok ()
+    else Error "request: \"eps\" must lie in (0, 1)"
+  in
   let* tol = float_field "tol" default_policy.Tb_harness.Solve.tol in
+  let* () =
+    if Float.is_finite tol && tol > 0.0 then Ok ()
+    else Error "request: \"tol\" must be positive and finite"
+  in
   let* budget_ms = float_field "budget_ms" infinity in
   let* seed =
     match Json.member "seed" doc with

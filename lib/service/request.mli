@@ -89,7 +89,8 @@ val topo_key : t -> string
 
 (** JSON round-trip; [of_json] fills absent optional fields with the
     {!make} defaults and canonicalizes names, so a defaulted and an
-    explicit rendering of the same request hash identically. *)
+    explicit rendering of the same request hash identically. It returns
+    [Error] unless [0 < eps < 1] and [tol] is positive and finite. *)
 val to_json : t -> Tb_obs.Json.t
 
 val of_json : Tb_obs.Json.t -> (t, string) result

@@ -30,9 +30,11 @@ let parse_lines ~file lines =
       | [ u; v; w ] -> (
         match (int_of_string_opt u, int_of_string_opt v, float_of_string_opt w)
         with
-        | Some u, Some v, Some w when u >= 0 && v >= 0 && w >= 0.0 ->
+        | Some u, Some v, Some w
+          when u >= 0 && v >= 0 && Float.is_finite w && w >= 0.0 ->
           flows := (u, v, w) :: !flows
-        | _ -> fail line "bad flow line (want nonnegative: src dst weight)")
+        | _ ->
+          fail line "bad flow line (want nonnegative: src dst weight, finite)")
       | _ -> fail line "expected: src dst weight")
     lines;
   Tm.make ~label:"file" (Array.of_list (List.rev !flows))

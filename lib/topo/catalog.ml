@@ -181,9 +181,9 @@ let spec_to_string sp =
 
    Closed-form switch/edge counts, and the flat Bigarray footprint a
    built graph will occupy (see {!Tb_graph.Graph.bigarray_bytes}); the
-   OCaml-heap overhead on top is O(1) for graphs past the lazy-legacy
-   threshold. [None] for families whose instance shape is search- or
-   randomness-dependent beyond these formulas (HyperX). *)
+   OCaml-heap overhead on top is O(1). [None] for families whose
+   instance shape is search- or randomness-dependent beyond these
+   formulas (HyperX). *)
 type estimate = { nodes : int; edges : int; flat_bytes : int }
 
 let estimate sp =

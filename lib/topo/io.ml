@@ -73,7 +73,7 @@ let parse_lines ~file lines =
             match rest with
             | [ _; _; c ] -> (
               match float_of_string_opt c with
-              | Some c when c > 0.0 -> c
+              | Some c when Float.is_finite c && c > 0.0 -> c
               | _ -> fail line "bad capacity")
             | _ -> 1.0
           in

@@ -139,6 +139,18 @@ let test_fleischer_no_commodities () =
     (Invalid_argument "Fleischer.solve: no non-trivial commodities") (fun () ->
       ignore (Fleischer.solve ring4 [||]))
 
+(* An eps outside (0, 1) leaves a length stale right after its refresh,
+   so the first phase would never end: the MWU state refuses it. *)
+let test_fleischer_rejects_bad_eps () =
+  List.iter
+    (fun eps ->
+      Alcotest.check_raises
+        (Printf.sprintf "eps %g" eps)
+        (Invalid_argument "Mwu.create: eps must lie in (0, 1)") (fun () ->
+          ignore
+            (Fleischer.solve ~eps ring4 [| cm ~src:0 ~dst:2 ~demand:1.0 |])))
+    [ -0.5; 0.0; 1.0; Float.nan ]
+
 let test_fleischer_unreachable () =
   let g = Graph.of_unit_edges ~n:4 [ (0, 1); (2, 3) ] in
   Alcotest.(check bool) "raises unreachable" true
@@ -410,6 +422,8 @@ let () =
           Qseed.to_alcotest prop_fptas_flow_feasible;
           Alcotest.test_case "no commodities" `Quick test_fleischer_no_commodities;
           Alcotest.test_case "unreachable" `Quick test_fleischer_unreachable;
+          Alcotest.test_case "rejects bad eps" `Quick
+            test_fleischer_rejects_bad_eps;
         ] );
       ( "fleischer-extra",
         [

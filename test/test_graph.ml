@@ -79,6 +79,21 @@ let test_graph_rejects_out_of_range () =
     (Invalid_argument "Graph.of_edges: node out of range") (fun () ->
       ignore (Graph.of_unit_edges ~n:2 [ (0, 5) ]))
 
+(* [c <= 0.0] is false for NaN, so non-finite capacities need their own
+   test; an infinite one would leave the FPTAS rung's gap at infinity. *)
+let test_graph_rejects_non_finite () =
+  List.iter
+    (fun c ->
+      Alcotest.check_raises
+        (Printf.sprintf "of_edges cap %h" c)
+        (Invalid_argument "Graph.of_edges: non-finite capacity") (fun () ->
+          ignore (Graph.of_edges ~n:3 [ (0, 1, 1.0); (1, 2, c) ]));
+      Alcotest.check_raises
+        (Printf.sprintf "Builder.add cap %h" c)
+        (Invalid_argument "Graph.Builder.add: non-finite capacity") (fun () ->
+          Graph.Builder.add (Graph.Builder.create ~n:3 ()) 0 1 c))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* ---- Traversal ---- *)
 
 let test_bfs_path_graph () =
@@ -134,18 +149,19 @@ let test_union_find () =
 
 (* ---- CSR layout ----
 
-   The CSR arrays are the ground truth the traversal and flow hot loops
+   The CSR Bigarrays are the ground truth the traversal and flow hot loops
    walk; check them against a naive reconstruction from the edge list on
    every topology family the catalog knows. *)
 
 let check_csr_agrees name g =
   let n = Graph.num_nodes g in
-  let adj_start = Graph.adj_start g in
-  let adj_node = Graph.adj_node g in
-  let adj_arc = Graph.adj_arc g in
+  let adj_start = Graph.ba_adj_start g in
+  let adj_node = Graph.ba_adj_node g in
+  let adj_arc = Graph.ba_adj_arc g in
+  let arc_caps = Graph.ba_arc_caps g in
   Alcotest.(check int)
     (name ^ ": row pointers cover all arcs")
-    (Graph.num_arcs g) adj_start.(n);
+    (Graph.num_arcs g) adj_start.{n};
   (* Reference adjacency from the edge records. *)
   let ref_neighbors = Array.make n [] in
   Graph.iter_edges
@@ -154,28 +170,24 @@ let check_csr_agrees name g =
       ref_neighbors.(e.Graph.v) <- e.Graph.u :: ref_neighbors.(e.Graph.v))
     g;
   for u = 0 to n - 1 do
-    let lo = adj_start.(u) and hi = adj_start.(u + 1) in
+    let lo = adj_start.{u} and hi = adj_start.{u + 1} in
     Alcotest.(check int)
       (Printf.sprintf "%s: degree of %d" name u)
       (List.length ref_neighbors.(u))
       (hi - lo);
-    let csr_row = List.init (hi - lo) (fun i -> adj_node.(lo + i)) in
+    let csr_row = List.init (hi - lo) (fun i -> adj_node.{lo + i}) in
     Alcotest.(check (list int))
       (Printf.sprintf "%s: neighbor set of %d" name u)
       (List.sort compare ref_neighbors.(u))
       (List.sort compare csr_row);
     for i = lo to hi - 1 do
-      let v = adj_node.(i) and a = adj_arc.(i) in
+      let v = adj_node.{i} and a = adj_arc.{i} in
       Alcotest.(check int) (name ^ ": arc src") u (Graph.arc_src g a);
       Alcotest.(check int) (name ^ ": arc dst") v (Graph.arc_dst g a);
       Alcotest.(check (float 0.0))
         (name ^ ": arc cap matches edge")
         (Graph.edge g (a / 2)).Graph.cap
-        (Graph.arc_caps g).(a);
-      Alcotest.(check int)
-        (name ^ ": packed arc src")
-        (Graph.arc_src g a)
-        (Graph.arc_srcs g).(a)
+        arc_caps.{a}
     done
   done
 
@@ -583,6 +595,8 @@ let () =
           Alcotest.test_case "arc conventions" `Quick test_graph_arc_conventions;
           Alcotest.test_case "rejects self loop" `Quick test_graph_rejects_self_loop;
           Alcotest.test_case "rejects parallel" `Quick test_graph_rejects_parallel;
+          Alcotest.test_case "rejects non-finite capacity" `Quick
+            test_graph_rejects_non_finite;
           Alcotest.test_case "rejects out of range" `Quick
             test_graph_rejects_out_of_range;
         ] );

@@ -71,7 +71,16 @@ let test_topo_errors () =
   (* parallel *)
   expect_parse_error "nodes 2\nfrobnicate 1\n";
   (* unknown directive *)
-  expect_parse_error "nodes 2\nedge 0 1 -3\n" (* bad capacity *)
+  expect_parse_error "nodes 2\nedge 0 1 -3\n";
+  (* bad capacity *)
+  List.iter
+    (fun cap ->
+      let text = Printf.sprintf "nodes 4\nedge 0 1\nedge 1 2 %s\n" cap in
+      match Topo_io.of_string text with
+      | _ -> Alcotest.failf "accepted capacity %s" cap
+      | exception Topo_io.Parse_error { line; _ } ->
+        Alcotest.(check int) ("capacity " ^ cap ^ " line") 3 line)
+    [ "inf"; "nan"; "1e999" ]
 
 let test_topo_file_roundtrip () =
   let t = Tb_topo.Hypercube.make ~dim:3 () in
@@ -109,7 +118,14 @@ let test_tm_errors () =
     (try
        ignore (Tm_io.of_string "0 1 -2\n");
        false
-     with Tm_io.Parse_error _ -> true)
+     with Tm_io.Parse_error _ -> true);
+  List.iter
+    (fun w ->
+      match Tm_io.of_string (Printf.sprintf "0 1 1\n1 2 %s\n" w) with
+      | _ -> Alcotest.failf "accepted weight %s" w
+      | exception Tm_io.Parse_error { line; _ } ->
+        Alcotest.(check int) ("weight " ^ w ^ " line") 2 line)
+    [ "inf"; "nan"; "1e999" ]
 
 (* ---- Typed parse errors: file/line context and result interface ---- *)
 

@@ -73,6 +73,25 @@ let test_hash_defaulted_vs_explicit_json () =
   Alcotest.(check string) "defaulted and explicit renderings hash equal"
     (Request.hash explicit) (Request.hash defaulted)
 
+(* An eps outside (0, 1) would keep Fleischer's first phase refreshing
+   forever (its deadline is read between phases), so the parser turns it
+   away, and a non-positive or non-finite tol with it. *)
+let test_request_rejects_bad_eps_tol () =
+  let line extra =
+    {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"a2a"},"solver":"fptas",|}
+    ^ extra ^ {|,"budget_ms":1000}|}
+  in
+  List.iter
+    (fun extra ->
+      match Request.of_line (line extra) with
+      | Ok _ -> Alcotest.failf "accepted %s" extra
+      | Error _ -> ())
+    [ {|"eps":-0.5|}; {|"eps":0|}; {|"eps":1|}; {|"eps":1e999|};
+      {|"tol":0|}; {|"tol":-1|}; {|"tol":1e999|} ];
+  match Request.of_line (line {|"eps":0.3,"tol":0.1|}) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
 (* Pinned golden: the canonical hash of a datacenter-scale request must
    never drift across refactors of the spec parser / renderer, or every
    cached result for big instances silently invalidates. Recompute only
@@ -680,6 +699,8 @@ let () =
             test_hash_defaulted_vs_explicit_json;
           Alcotest.test_case "scale-spec hash golden" `Quick
             test_hash_stability_scale_spec;
+          Alcotest.test_case "rejects bad eps and tol" `Quick
+            test_request_rejects_bad_eps_tol;
           Alcotest.test_case "json roundtrip" `Quick test_request_json_roundtrip;
           Alcotest.test_case "inline seed independent" `Quick
             test_inline_seed_independent;

@@ -301,7 +301,10 @@ let test_fleischer_delta_trajectory () =
    0 for the heap trees; 26,000 for the Fleischer solve; 5,300 for the
    370-phase Restricted solve), and one boxed float per relaxation
    overshoots it 20x or more (per routed path, 4x or more, for
-   Restricted). Scratch
+   Restricted). The cut-bound edge sums ([Cut.capacity],
+   [Laplacian.apply]) get a flat 1,000-word ceiling for 100 calls on
+   fattree:8: they measure 200 and 0 words, against 27,400 and 1,200
+   when they built a record and boxed the running sum per edge. Scratch
    buffers grow on the first runs, so every measurement follows a
    warm-up pass; domains are pinned to 1 so the count does not depend on
    the machine. *)
@@ -376,6 +379,32 @@ let test_alloc_restricted () =
     minor_words_after_warmup (fun () -> ignore (Tb_flow.Restricted.solve g ~paths cs))
   in
   check_ceiling "Restricted.solve on fattree:8 LM, k = 4" ~ceiling:21_000.0 words
+
+let test_alloc_cut_capacity () =
+  let g = (build "fattree:8").Topology.graph in
+  let n = Graph.num_nodes g in
+  let cut = Array.init n (fun v -> 2 * v < n) in
+  let words =
+    minor_words_after_warmup (fun () ->
+        for _ = 1 to 100 do
+          ignore (Sys.opaque_identity (Tb_cuts.Cut.capacity g cut))
+        done)
+  in
+  check_ceiling "100 Cut.capacity calls on fattree:8" ~ceiling:1_000.0 words
+
+let test_alloc_laplacian_apply () =
+  let g = (build "fattree:8").Topology.graph in
+  let n = Graph.num_nodes g in
+  let lap = Tb_graph.Laplacian.create g in
+  let x = Array.init n (fun v -> float_of_int (v mod 7) -. 3.0) in
+  let y = Array.make n 0.0 in
+  let words =
+    minor_words_after_warmup (fun () ->
+        for _ = 1 to 100 do
+          Tb_graph.Laplacian.apply lap x y
+        done)
+  in
+  check_ceiling "100 Laplacian.apply calls on fattree:8" ~ceiling:1_000.0 words
 
 (* ---- Graph.Builder equivalence. ---- *)
 
@@ -534,6 +563,8 @@ let () =
           Alcotest.test_case "heap Dijkstra trees" `Quick test_alloc_dijkstra;
           Alcotest.test_case "Fleischer solve" `Quick test_alloc_fleischer;
           Alcotest.test_case "Restricted solve" `Quick test_alloc_restricted;
+          Alcotest.test_case "cut capacity" `Quick test_alloc_cut_capacity;
+          Alcotest.test_case "Laplacian apply" `Quick test_alloc_laplacian_apply;
         ] );
       ( "builder",
         [
