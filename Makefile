@@ -1,4 +1,4 @@
-.PHONY: all build test check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke examples clean
+.PHONY: all build test test-times check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke examples clean
 
 all: build
 
@@ -7,6 +7,12 @@ build:
 
 test:
 	dune runtest
+
+# Every suite once (dune runtest --force), then each alcotest suite's
+# wall time, slowest first (scripts/test_times.sh); exits with dune's
+# status.
+test-times:
+	sh scripts/test_times.sh
 
 # Full gate: everything compiles and every suite passes.
 check:

@@ -39,11 +39,6 @@ let make ~num_vars ~objective ~rows =
 
 let row ~coeffs ~op ~rhs = { coeffs; op; rhs }
 
-let densify_row ~num_vars coeffs =
-  let a = Array.make num_vars 0.0 in
-  List.iter (fun (v, c) -> a.(v) <- a.(v) +. c) coeffs;
-  a
-
 (* Check a candidate assignment against all constraints within [tol];
    used by the property tests. *)
 let feasible ?(tol = 1e-6) p x =

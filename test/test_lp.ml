@@ -1,6 +1,9 @@
 module Lp = Tb_lp.Lp
 module Simplex = Tb_lp.Simplex
 module Rng = Tb_prelude.Rng
+module Metrics = Tb_obs.Metrics
+module Graph = Tb_graph.Graph
+module Commodity = Tb_flow.Commodity
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -108,6 +111,153 @@ let test_zero_objective () =
   in
   check_float "value" 0.0 (solve_opt p).Lp.value
 
+(* ---- Pinned bits ----
+
+   Each optimum below is pinned to the bit: the value as a hex float, an
+   MD5 digest of the IEEE bits of every assignment entry and of every
+   dual, and the pivot counts. A change to the pivot arithmetic that
+   moves one bit or one pivot fails here. *)
+
+let bits_digest a =
+  let b = Buffer.create (8 * Array.length a) in
+  Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) a;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pivot_counters =
+  List.map Metrics.counter
+    [ "simplex.pivots"; "simplex.phase1_pivots"; "simplex.phase2_pivots" ]
+
+let check_pinned name p ~value ~assignment ~duals ~pivots ~phase1_pivots
+    ~phase2_pivots =
+  let before = List.map Metrics.count pivot_counters in
+  let s = solve_opt p in
+  let check what = Alcotest.(check string) (name ^ ": " ^ what) in
+  check "value" value (Printf.sprintf "%h" s.Lp.value);
+  check "assignment bits" assignment (bits_digest s.Lp.assignment);
+  check "dual bits" duals (bits_digest s.Lp.duals);
+  Alcotest.(check (list int))
+    (name ^ ": pivots, phase-1 and phase-2 pivots")
+    [ pivots; phase1_pivots; phase2_pivots ]
+    (List.map2 (fun c b -> Metrics.count c - b) pivot_counters before)
+
+(* The exact rung's edge LP, row for row as [Tb_flow.Exact.solve] builds
+   it: variable 0 is the throughput, then one flow variable per
+   commodity and arc; capacity rows, then one balance row per commodity
+   and non-sink node. [Exact.solve] returns only the value and arc
+   flows, so the LP is rebuilt here and its value checked against
+   [Exact.solve]'s. *)
+let edge_lp g commodities =
+  let cs = Commodity.normalize commodities in
+  let k = Array.length cs in
+  let num_arcs = Graph.num_arcs g in
+  let f_var j a = 1 + (j * num_arcs) + a in
+  let capacity =
+    List.init num_arcs (fun a ->
+        Lp.row
+          ~coeffs:(List.init k (fun j -> (f_var j a, 1.0)))
+          ~op:Lp.Le ~rhs:(Graph.arc_cap g a))
+  in
+  let balance j (c : Commodity.t) v =
+    let coeffs = ref [] in
+    Graph.iter_succ
+      (fun _ arc ->
+        coeffs := (f_var j arc, 1.0) :: !coeffs;
+        coeffs := (f_var j (Graph.arc_rev arc), -1.0) :: !coeffs)
+      g v;
+    if v = c.Commodity.src then
+      coeffs := (0, -.c.Commodity.demand) :: !coeffs;
+    Lp.row ~coeffs:!coeffs ~op:Lp.Eq ~rhs:0.0
+  in
+  let balances =
+    List.concat
+      (List.init k (fun j ->
+           List.filter_map
+             (fun v ->
+               if v = cs.(j).Commodity.dst then None
+               else Some (balance j cs.(j) v))
+             (List.init (Graph.num_nodes g) Fun.id)))
+  in
+  Lp.make ~num_vars:((k * num_arcs) + 1) ~objective:[ (0, 1.0) ]
+    ~rows:(capacity @ balances)
+
+(* A service-zipf pool request: 513 variables and 216 rows, highly
+   degenerate (every balance row has rhs 0), so the solve reaches the
+   Bland switch. *)
+let test_pinned_edge_lp () =
+  let req =
+    match
+      Tb_service.Request.of_line
+        {|{"topo":{"spec":"fattree:4"},"tm":{"named":"rm1"},"seed":9,"solver":"auto"}|}
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let topo, tm = Tb_service.Request.build req in
+  let g = topo.Tb_topo.Topology.graph in
+  let cs = Tb_tm.Tm.commodities tm in
+  let p = edge_lp g cs in
+  Alcotest.(check int) "variables" 513 p.Lp.num_vars;
+  Alcotest.(check string)
+    "same LP as the exact rung" "0x1.0000000000003p+0"
+    (Printf.sprintf "%h" (fst (Tb_flow.Exact.solve g cs)));
+  check_pinned "fattree:4 rm1 seed 9" p ~value:"0x1.0000000000003p+0"
+    ~assignment:"a8785c580767622dd47fbbb43440b399"
+    ~duals:"61bd88ce580efabb43697084add2ad57" ~pivots:907 ~phase1_pivots:152
+    ~phase2_pivots:755
+
+(* Eq and Ge rows with negative rhs flip sign (the Ge row becomes Le);
+   phase 1 ends with an artificial basic at level 0, which the one
+   pivot outside both phases drives out. *)
+let test_pinned_flipped_rows () =
+  let p =
+    Lp.make ~num_vars:5
+      ~objective:[ (0, -2.0); (1, -1.0); (3, -1.0) ]
+      ~rows:
+        [
+          Lp.row
+            ~coeffs:[ (0, 1.0); (1, -1.0); (2, 2.0); (3, -1.0); (4, 1.0) ]
+            ~op:Lp.Eq ~rhs:(-1.0);
+          Lp.row ~coeffs:[ (0, -1.0); (2, 1.0); (3, -1.0) ] ~op:Lp.Ge ~rhs:3.0;
+          Lp.row
+            ~coeffs:[ (0, -2.0); (1, 1.0); (2, -1.0) ]
+            ~op:Lp.Ge ~rhs:(-3.0);
+          Lp.row
+            ~coeffs:[ (0, 1.0); (1, 1.0); (2, 1.0); (3, 1.0); (4, 1.0) ]
+            ~op:Lp.Le ~rhs:10.0;
+        ]
+  in
+  check_pinned "flipped rows" p ~value:"-0x1.cp+2"
+    ~assignment:"2ad28e4ba221f7f5ea5490deb40502f6"
+    ~duals:"0c91cb1cd6a9cff6874f6d6857b28a1e" ~pivots:5 ~phase1_pivots:2
+    ~phase2_pivots:2
+
+(* Beale's LP, which cycles under Dantzig's rule: the degenerate streak
+   passes its cap and Bland's rule finishes the solve. *)
+let test_pinned_bland () =
+  let p =
+    Lp.make ~num_vars:4
+      ~objective:[ (0, 0.75); (1, -20.0); (2, 0.5); (3, -6.0) ]
+      ~rows:
+        [
+          Lp.row
+            ~coeffs:[ (0, 0.25); (1, -8.0); (2, -1.0); (3, 9.0) ]
+            ~op:Lp.Le ~rhs:0.0;
+          Lp.row
+            ~coeffs:[ (0, 0.5); (1, -12.0); (2, -0.5); (3, 3.0) ]
+            ~op:Lp.Le ~rhs:0.0;
+          Lp.row ~coeffs:[ (2, 1.0) ] ~op:Lp.Le ~rhs:1.0;
+        ]
+  in
+  check_pinned "Beale" p ~value:"0x1.4p+0"
+    ~assignment:"fbddf2a8cd3b7715c7607d873040f0de"
+    ~duals:"32a8e2a34e500984fc44ca303d4b0041" ~pivots:24 ~phase1_pivots:0
+    ~phase2_pivots:24
+
+let test_pinned_bits () =
+  test_pinned_edge_lp ();
+  test_pinned_flipped_rows ();
+  test_pinned_bland ()
+
 (* ---- Properties on random bounded LPs ---- *)
 
 (* Random LP with box-like structure: 0 <= x, sum coefficients positive,
@@ -200,6 +350,7 @@ let () =
           Alcotest.test_case "degenerate" `Quick test_degenerate;
           Alcotest.test_case "redundant eq" `Quick test_redundant_eq;
           Alcotest.test_case "zero objective" `Quick test_zero_objective;
+          Alcotest.test_case "pinned bits" `Quick test_pinned_bits;
         ] );
       ( "properties",
         [
