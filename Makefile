@@ -1,4 +1,4 @@
-.PHONY: all build test test-times check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke examples clean
+.PHONY: all build test test-times check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke failures-smoke examples clean
 
 all: build
 
@@ -150,6 +150,25 @@ serve-smoke:
 	       cat serve_smoke_out.ndjson; rm -f serve_smoke_out.ndjson; exit 1; }
 	@rm -f serve_smoke_out.ndjson
 	@echo "serve-smoke: OK (3 requests, 1 cache hit)"
+
+# End-to-end smoke of `topobench failures`: a checkpointed sweep re-run
+# on its own checkpoint must print byte-identical output, and with every
+# solver attempt timing out, every trial must land on the cut rung (c).
+FAILURES_SMOKE = dune exec bin/topobench_cli.exe -- failures -t fattree -n 4 \
+	  --rates 0,0.1 --trials 2
+failures-smoke:
+	dune build bin/topobench_cli.exe
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(FAILURES_SMOKE) --checkpoint "$$tmp/ck.json" > "$$tmp/first.txt" && \
+	$(FAILURES_SMOKE) --checkpoint "$$tmp/ck.json" > "$$tmp/resumed.txt" && \
+	{ cmp "$$tmp/first.txt" "$$tmp/resumed.txt" \
+	  || { echo "failures-smoke: resumed output differs"; exit 1; }; } && \
+	$(FAILURES_SMOKE) --inject-timeout 1 > "$$tmp/faults.txt" && \
+	awk '$$1 == "FatTree(k=4)" { n++; if ($$NF !~ /^c+$$/) bad++ } \
+	     END { exit !(n == 2 && bad == 0) }' "$$tmp/faults.txt" \
+	  || { echo "failures-smoke: expected only cut rungs"; \
+	       cat "$$tmp/faults.txt"; exit 1; }
+	@echo "failures-smoke: OK (resume identical, injected timeouts on cuts)"
 
 examples:
 	dune exec examples/quickstart.exe

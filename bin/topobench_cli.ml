@@ -14,9 +14,10 @@
      loadgen      seeded service load benchmark (BENCH_service.json)
      info         print a topology's vital statistics
 
-   All solving subcommands construct a Tb_service.Request and go
+   The other solving subcommands construct a Tb_service.Request and go
    through the service front door, sharing its content-addressed
-   result cache. *)
+   result cache; `relative` and `failures` solve through Tb_harness
+   directly (Topobench.Relative, Tb_experiments.Failure_sweep). *)
 
 module Topology = Tb_topo.Topology
 module Catalog = Tb_topo.Catalog
@@ -24,8 +25,8 @@ module Synthetic = Tb_tm.Synthetic
 module Tm = Tb_tm.Tm
 module Mcf = Tb_flow.Mcf
 module Rng = Tb_prelude.Rng
-module Stats = Tb_prelude.Stats
 module Json = Tb_obs.Json
+module Failure_sweep = Tb_experiments.Failure_sweep
 open Cmdliner
 
 (* Bad input (unparsable topology/TM files, infeasible parameters) is a
@@ -436,86 +437,22 @@ let failures_cmd =
       Option.map (fun path -> Tb_harness.Checkpoint.load ~path) checkpoint
     in
     Tb_harness.Sweep.install_graceful_stop ();
-    (* Every cell solves through the service front door: intact-baseline
-       trials (rate 0) all hash identically, so the cache collapses them
-       to one solve; fault-injected cells bypass the cache. *)
-    let svc = Tb_service.Service.create ~capacity:64 () in
-    (* Warm chaining: all cells of this sweep share one cache key (the
-       intact topology label). The cache rides in the checkpoint's
-       [extra] slot, saved atomically with each cell record, so a
-       killed-and-resumed warm sweep stays bit-identical to an
-       uninterrupted one. *)
-    let warm_cache = if warm then Some (Tb_harness.Warm.create ()) else None in
-    (match (warm_cache, checkpoint) with
-    | Some c, Some cp ->
-      Option.iter
-        (fun j -> ignore (Tb_harness.Warm.restore c j))
-        (Tb_harness.Checkpoint.extra cp)
-    | _ -> ());
-    let warm_arg =
-      Option.map (fun c -> (c, Topology.label topo)) warm_cache
+    let cfg =
+      { Tb_experiments.Common.default with Tb_experiments.Common.seed = spec.seed }
     in
-    let extra =
-      Option.map (fun c () -> Tb_harness.Warm.to_json c) warm_cache
+    let warm = if warm then Some (Tb_harness.Warm.create ()) else None in
+    let fault =
+      if timeout_p = 0.0 && nan_p = 0.0 && exc_p = 0.0 then None
+      else
+        Some
+          (fun seed -> Tb_harness.Fault.make ~timeout_p ~nan_p ~exc_p ~seed ())
     in
-    (* Per-cell salts keyed on (rate, trial): resuming from a checkpoint
-       replays completed cells and recomputes the rest with exactly the
-       seeds an uninterrupted run would have used. *)
-    let salt ~rate ~trial = (trial * 131) + int_of_float (rate *. 1e4) in
-    let cell ~rate ~trial =
-      let key =
-        Printf.sprintf "%s|rate=%.3f|trial=%d" (Topology.label topo) rate
-          trial
-      in
-      let run () =
-        let s = salt ~rate ~trial in
-        let fault =
-          if timeout_p = 0.0 && nan_p = 0.0 && exc_p = 0.0 then
-            Tb_harness.Fault.none
-          else
-            or_usage_error @@ fun () ->
-            Tb_harness.Fault.make ~timeout_p ~nan_p ~exc_p
-              ~seed:(spec.seed + s) ()
-        in
-        let failed =
-          if rate = 0.0 then Some topo
-          else
-            or_usage_error @@ fun () ->
-            Tb_topo.Failures.fail_links_connected
-              ~rng:(Rng.split (Rng.make spec.seed) (7000 + s))
-              ~rate topo
-        in
-        match failed with
-        | None ->
-          Json.Obj
-            [
-              ("value", Json.Float 0.0);
-              ("rung", Json.String "disconnected");
-            ]
-        | Some failed ->
-          let req =
-            Tb_service.Request.of_instance ~budget_ms failed tm
-          in
-          let resp =
-            Tb_service.Service.handle ~fault ~prebuilt:(failed, tm)
-              ?warm:warm_arg svc req
-          in
-          Tb_service.Result.to_json resp.Tb_service.Service.result
-      in
-      { Tb_harness.Sweep.key; run }
-    in
-    let cells =
-      List.concat_map
-        (fun rate -> List.init trials (fun trial -> cell ~rate ~trial))
-        rates
-    in
-    Printf.printf "%s under %s — %d rate(s) x %d trial(s)\n%!"
-      (Topology.label topo) (Tm.label tm) (List.length rates) trials;
-    let results =
+    let rows =
       try
-        Tb_harness.Sweep.run ?checkpoint ?extra
+        or_usage_error @@ fun () ->
+        Failure_sweep.sweep ?checkpoint ?warm ~budget_ms ?fault
           ~on_cell:(fun key _ -> Printf.printf "  done %s\n%!" key)
-          cells
+          cfg topo tm ~rates ~trials
       with Tb_harness.Sweep.Interrupted key ->
         Printf.eprintf
           "topobench: interrupted before cell %s%s\n%!" key
@@ -526,49 +463,18 @@ let failures_cmd =
           | None -> " (no --checkpoint: progress lost)");
         exit 130
     in
-    let baseline = ref nan in
-    List.iter
-      (fun rate ->
-        let mine =
-          List.filter_map
-            (fun (k, j) ->
-              let prefix =
-                Printf.sprintf "%s|rate=%.3f|" (Topology.label topo) rate
-              in
-              if String.starts_with ~prefix k then Some j else None)
-            results
-        in
-        let values =
-          List.map
-            (fun j ->
-              match Option.bind (Json.member "value" j) Json.to_float with
-              | Some v -> v
-              | None -> nan)
-            mine
-        in
-        let rungs =
-          String.concat ","
-            (List.map
-               (fun j ->
-                 match Option.bind (Json.member "rung" j) Json.to_str with
-                 | Some r -> r
-                 | None -> "?")
-               mine)
-        in
-        let s = Stats.summarize (Array.of_list values) in
-        if rate = 0.0 then baseline := s.Stats.mean;
-        Printf.printf "rate %.3f: throughput %.4f ±%.4f%s  [%s]\n" rate
-          s.Stats.mean s.Stats.ci95
-          (if Float.is_finite !baseline && !baseline > 0.0 then
-             Printf.sprintf "  (%.3f of intact)" (s.Stats.mean /. !baseline)
-           else "")
-          rungs)
-      rates;
+    Failure_sweep.print
+      ~title:
+        (Printf.sprintf "Failure sweep: %s under %s" (Topology.label topo)
+           (Tm.label tm))
+      [ (topo, rows) ];
+    (* On stderr: the counters cover this process's lookups only, so a
+       resumed run's would differ from an uninterrupted one's. *)
     Option.iter
       (fun c ->
-        Printf.printf "warm cache: %d hit(s), %d miss(es)\n"
+        Printf.eprintf "warm cache: %d hit(s), %d miss(es)\n"
           (Tb_harness.Warm.hits c) (Tb_harness.Warm.misses c))
-      warm_cache
+      warm
   in
   let rates =
     Arg.(

@@ -190,7 +190,4 @@ let stats_to_json s =
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
 
-let fmt_estimate (e : Mcf.estimate) =
-  Printf.sprintf "%.4f [%.4f,%.4f]" e.Mcf.value e.Mcf.lower e.Mcf.upper
-
 let cell = Table.cell_f

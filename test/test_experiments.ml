@@ -85,6 +85,116 @@ let test_clustered_random_structure () =
   Alcotest.(check bool) "thin waist" true
     (Tb_cuts.Cut.capacity g cut <= 14.0)
 
+(* ---- The failures sweep (Failure_sweep.sweep). ---- *)
+
+module Failure_sweep = Tb_experiments.Failure_sweep
+module Json = Tb_obs.Json
+
+let counter name =
+  match Tb_obs.Metrics.find_counter name with
+  | Some c -> Tb_obs.Metrics.count c
+  | None -> 0
+
+let sweep_on_cube ?checkpoint ?fault ~rates ~trials () =
+  let topo = Tb_topo.Hypercube.make ~dim:3 () in
+  Failure_sweep.sweep ?checkpoint ?fault tiny topo
+    (Tb_tm.Synthetic.all_to_all topo) ~rates ~trials
+
+(* Bad input is rejected before any cell solves. *)
+let check_rejected name ~rates ~trials =
+  let solves = counter "harness.solves" in
+  (match sweep_on_cube ~rates ~trials () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      (name ^ ": sweep's own message") true
+      (String.starts_with ~prefix:"failure sweep:" msg));
+  Alcotest.(check int) (name ^ ": no solve") solves (counter "harness.solves")
+
+let test_sweep_rejects_key_collision () =
+  (* 0.1 and 0.1004 both key as rate=0.100: one would replay the
+     other's cells from a checkpoint. *)
+  check_rejected "0.1,0.1004" ~rates:[ 0.1; 0.1004 ] ~trials:2;
+  check_rejected "0,0.0004" ~rates:[ 0.0; 0.0004 ] ~trials:1
+
+let test_sweep_rejects_bad_trials_and_rates () =
+  check_rejected "trials 0" ~rates:[ 0.0; 0.1 ] ~trials:0;
+  check_rejected "rate 1" ~rates:[ 0.0; 1.0 ] ~trials:1;
+  check_rejected "negative rate" ~rates:[ -0.1 ] ~trials:1;
+  check_rejected "nan rate" ~rates:[ Float.nan ] ~trials:1
+
+(* 0.1011 and 0.1019 key as rate=0.101 and rate=0.102: distinct cells
+   must not replay one failure sample. *)
+let test_sweep_distinct_keys_distinct_samples () =
+  let topo =
+    Tb_topo.Jellyfish.make ~rng:(Common.rng tiny 9100) ~n:16 ~degree:6 ()
+  in
+  match
+    Failure_sweep.sweep tiny topo
+      (Tb_tm.Synthetic.all_to_all topo)
+      ~rates:[ 0.1011; 0.1019 ] ~trials:3
+  with
+  | [ a; b ] ->
+    Alcotest.(check bool) "different samples" false
+      (List.map snd a.Failure_sweep.cells = List.map snd b.Failure_sweep.cells)
+  | _ -> Alcotest.fail "one row per rate"
+
+(* Every attempt times out, so every connected cell degrades to the cut
+   rung (which cannot fail), and each failed attempt on the way is one
+   injected fault recorded in the cell. *)
+let test_sweep_fault_injection () =
+  let faults = counter "harness.faults_injected" in
+  let rows =
+    sweep_on_cube
+      ~fault:(fun seed -> Tb_harness.Fault.make ~timeout_p:1.0 ~seed ())
+      ~rates:[ 0.0; 0.2 ] ~trials:2 ()
+  in
+  let attempts =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (fun (key, j) ->
+            match Option.bind (Json.member "rung" j) Json.to_str with
+            | Some "cuts" -> (
+              match Json.member "attempts" j with
+              | Some (Json.List (_ :: _ as l)) -> l
+              | _ -> Alcotest.failf "%s: no failed attempt recorded" key)
+            | Some "disconnected" -> []
+            | _ -> Alcotest.failf "%s: not on the cuts rung" key)
+          r.Failure_sweep.cells)
+      rows
+  in
+  Alcotest.(check (list string)) "rungs" [ "cc"; "cc" ]
+    (List.map (fun r -> r.Failure_sweep.rungs) rows);
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) "attempt above the cut rung" true
+        (Option.bind (Json.member "rung" a) Json.to_str <> Some "cuts"))
+    attempts;
+  Alcotest.(check int) "one recorded attempt per injected fault"
+    (counter "harness.faults_injected" - faults)
+    (List.length attempts)
+
+(* A finished sweep re-run on its checkpoint replays every cell: no
+   solve runs and the rows are identical. *)
+let test_sweep_checkpoint_replay () =
+  let path = Filename.temp_file "tb_failure_sweep" ".json" in
+  Sys.remove path;
+  let run () =
+    sweep_on_cube
+      ~checkpoint:(Tb_harness.Checkpoint.load ~path)
+      ~rates:[ 0.0; 0.2 ] ~trials:2 ()
+  in
+  let solves = counter "harness.solves" in
+  let first = run () in
+  Alcotest.(check int) "first run solves every cell" 4
+    (counter "harness.solves" - solves);
+  let solves = counter "harness.solves" in
+  let again = run () in
+  Sys.remove path;
+  Alcotest.(check int) "replay solves nothing" solves (counter "harness.solves");
+  Alcotest.(check bool) "identical rows" true (first = again)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -103,5 +213,18 @@ let () =
             test_subdivided_expander_size;
           Alcotest.test_case "clustered random" `Quick
             test_clustered_random_structure;
+        ] );
+      ( "failure sweep",
+        [
+          Alcotest.test_case "rejects key collision" `Quick
+            test_sweep_rejects_key_collision;
+          Alcotest.test_case "rejects bad trials and rates" `Quick
+            test_sweep_rejects_bad_trials_and_rates;
+          Alcotest.test_case "distinct keys, distinct samples" `Quick
+            test_sweep_distinct_keys_distinct_samples;
+          Alcotest.test_case "fault injection lands on cuts" `Quick
+            test_sweep_fault_injection;
+          Alcotest.test_case "checkpoint replay solves nothing" `Quick
+            test_sweep_checkpoint_replay;
         ] );
     ]
