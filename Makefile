@@ -1,4 +1,4 @@
-.PHONY: all build test test-times check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate perf-baseline bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke failures-smoke examples clean
+.PHONY: all build test test-times check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke failures-smoke examples clean
 
 all: build
 
@@ -55,9 +55,9 @@ bench-quick:
 micro:
 	dune exec bench/main.exe -- micro
 
-# Tracked perf trajectory: warmup + median-of-N trials over the
-# Fleischer-dominated workload set, written to BENCH_perf.json (with
-# speedups against BENCH_perf_baseline.json when present).
+# Perf record: warmup + median-of-N trials over the Fleischer-dominated
+# workload set, written to BENCH_perf.json; exits non-zero on a red
+# certificate. Compare two commits' speed with `make bench-pairs`.
 perf:
 	dune exec bench/main.exe -- perf
 
@@ -106,16 +106,8 @@ golden-bits:
 	  echo "usage: make golden-bits WORKLOAD=<workload>" >&2; exit 2; fi
 	sh scripts/golden_bits.sh $(WORKLOAD)
 
-# Re-pin the committed perf baseline after an intentional perf change.
-# Run on an idle machine; review the diff before committing.
-perf-baseline:
-	dune exec bench/main.exe -- perf --quick
-	cp BENCH_perf.json BENCH_perf_baseline.json
-	@echo "BENCH_perf_baseline.json updated; review and commit it"
-
 # Service-tier benchmark: seeded Zipf-skewed request mix replayed
-# against an in-process service, written to BENCH_service.json (with a
-# comparison against BENCH_service_baseline.json when present).
+# against an in-process service, written to BENCH_service.json.
 loadgen:
 	dune exec -- topobench loadgen --seed 42
 
@@ -133,7 +125,7 @@ chaos-quick:
 	dune exec -- topobench loadgen --pool --seed 42 --requests 150 \
 	  --workers 4 --max-queue 12 --wall-ms 5000 \
 	  --chaos-kill 0.05 --chaos-stall 0.02 --chaos-truncate 0.03 \
-	  --chaos-seed 11 --out BENCH_service.json --baseline ""
+	  --chaos-seed 11 --out BENCH_service.json
 	@sh scripts/check_chaos.sh BENCH_service.json
 
 # End-to-end smoke of the ndjson service: three requests, two of them

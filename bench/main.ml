@@ -8,7 +8,7 @@
      bench/main.exe -v             show solver Logs (phase caps etc.)
      bench/main.exe fig4 table2    run a subset
      bench/main.exe micro          only the Bechamel kernels
-     bench/main.exe perf           tracked perf baseline (BENCH_perf.json)
+     bench/main.exe perf           perf record (BENCH_perf.json)
 
    Experiment runs also write BENCH_metrics.json (per-experiment
    seconds plus solver-work counter deltas: Fleischer phases, Dijkstra

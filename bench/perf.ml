@@ -1,7 +1,8 @@
-(* Tracked performance baseline: Fleischer-dominated workload sets timed
-   with a warmup run plus median-of-N trials, written to a JSON file in
-   a stable schema so the perf trajectory is comparable commit to
-   commit.
+(* Performance record: Fleischer-dominated workload sets timed with a
+   warmup run plus median-of-N trials, written to a JSON file in a
+   stable schema. Speed comparisons between two commits are made by
+   `make bench-pairs`, which runs both in alternating pairs on one
+   machine; the medians here are absolute readings of one run.
 
    Usage (via bench/main.exe):
      bench/main.exe perf                full trial counts
@@ -11,15 +12,7 @@
 
    quick/full write BENCH_perf.json; the scale modes write
    BENCH_perf_scale.json (single-trial runs whose success metric is the
-   certificate verdicts, not a median). If BENCH_perf_baseline.json
-   exists in the working directory (the committed pre-optimization
-   record, same schema), each workload and the aggregate report a
-   speedup factor against it.
-
-   To regenerate the committed baseline after an intentional perf
-   change:  make perf-quick && cp BENCH_perf.json BENCH_perf_baseline.json
-   (run on an otherwise idle machine; the baseline records medians, so
-   one-off noise spikes do not stick).
+   certificate verdicts, not a median).
 
    Scale modes enforce a wall-clock budget (TOPOBENCH_SCALE_BUDGET_S,
    default 2400 s for --scale and 600 s for --scale-smoke) shared by
@@ -32,6 +25,7 @@ module Clock = Tb_obs.Clock
 module Metrics = Tb_obs.Metrics
 module Deadline = Tb_obs.Deadline
 module Rng = Tb_prelude.Rng
+module Stats = Tb_prelude.Stats
 module Graph = Tb_graph.Graph
 module Commodity = Tb_flow.Commodity
 module Cert = Tb_cert.Cert
@@ -48,7 +42,6 @@ let mode_name = function
 let is_scale_mode = function Scale | Scale_smoke -> true | _ -> false
 let perf_file = "BENCH_perf.json"
 let scale_file = "BENCH_perf_scale.json"
-let baseline_file = "BENCH_perf_baseline.json"
 
 type workload = {
   name : string;
@@ -211,10 +204,10 @@ let verify_bracket g cs (r : Tb_flow.Fleischer.result) =
   in
   (fields, ok)
 
-(* [deadline] (if any) is shared by every scale workload of the run:
-   it is the whole run's wall budget, not a per-workload one. *)
-let bracket_workload ?deadline ?trials_override ?(warmup = true) ~name
-    ~spec_str ~pairs ~tol () =
+(* A scale-mode workload: one certified solve, no warmup. [deadline] is
+   shared by every scale workload of the run: it is the whole run's
+   wall budget, not a per-workload one. *)
+let bracket_workload ~deadline ~name ~spec_str ~pairs ~tol =
   (match Catalog.spec_of_string spec_str with
   | Error e -> failwith e
   | Ok sp ->
@@ -239,7 +232,7 @@ let bracket_workload ?deadline ?trials_override ?(warmup = true) ~name
       Printf.sprintf "Fleischer tol=%.2f on %s, %d sparse commodities" tol
         spec_str pairs;
     run =
-      (fun () -> last := Some (Tb_flow.Fleischer.solve ?deadline ~tol g cs));
+      (fun () -> last := Some (Tb_flow.Fleischer.solve ~deadline ~tol g cs));
     post =
       Some
         (fun () ->
@@ -248,15 +241,9 @@ let bracket_workload ?deadline ?trials_override ?(warmup = true) ~name
           | Some r ->
             let fields, ok = verify_bracket g cs r in
             (("setup_s", Json.Float setup_s) :: fields, ok));
-    trials_override;
-    warmup;
+    trials_override = Some 1;
+    warmup = false;
   }
-
-let median xs =
-  let a = Array.copy xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
 
 (* ---- Warm-started failure-sweep solving vs cold (tentpole metric). ----
 
@@ -399,7 +386,7 @@ let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
       List.fold_left (fun s (r : Restricted.result) -> s + r.Restricted.phases)
         0 rs
     in
-    let warm_ms = median (Array.of_list !warm_trials_ms) in
+    let warm_ms = Stats.median (Array.of_list !warm_trials_ms) in
     let speedup = cold_ms /. warm_ms in
     let ok = identical && certified && agree && speedup >= min_speedup in
     ( [
@@ -445,11 +432,6 @@ let workloads mode =
       lm_workload ~name:"fleischer-rr64-lm" ~n:64 ~degree:6 ~tol:0.08;
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
-      (* Smallest member of the scale family: fattree:32 has 32,768
-         arcs, exactly the delta-stepping threshold, so quick/full runs
-         exercise (and track) the big-instance code path. *)
-      bracket_workload ~name:"fleischer-fattree32-scale" ~spec_str:"fattree:32"
-        ~pairs:16 ~tol:0.15 ();
       warm_sweep_workload ~name:"warm-failures-rr96" ~n:96 ~degree:6 ~k:8
         ~eps:0.3 ~tol:0.2 ~variants:3 ~min_speedup:2.0 ~trials:3;
     ]
@@ -461,8 +443,6 @@ let workloads mode =
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       lm_workload ~name:"fleischer-rr256-lm" ~n:256 ~degree:10 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
-      bracket_workload ~name:"fleischer-fattree32-scale" ~spec_str:"fattree:32"
-        ~pairs:16 ~tol:0.15 ();
       warm_sweep_workload ~name:"warm-failures-rr256" ~n:256 ~degree:6 ~k:8
         ~eps:0.3 ~tol:0.2 ~variants:4 ~min_speedup:5.0 ~trials:3;
     ]
@@ -470,16 +450,15 @@ let workloads mode =
     let budget = getenv_float "TOPOBENCH_SCALE_BUDGET_S" 600.0 in
     let deadline = Deadline.start ~budget_ms:(budget *. 1000.0) in
     [
-      bracket_workload ~deadline ~trials_override:1 ~warmup:false
-        ~name:"fattree-10k-smoke" ~spec_str:"fattree:88" ~pairs:8 ~tol:0.3 ();
+      bracket_workload ~deadline ~name:"fattree-10k-smoke"
+        ~spec_str:"fattree:88" ~pairs:8 ~tol:0.3;
     ]
   | Scale ->
     let budget = getenv_float "TOPOBENCH_SCALE_BUDGET_S" 2400.0 in
     let deadline = Deadline.start ~budget_ms:(budget *. 1000.0) in
     List.map
       (fun (name, spec_str) ->
-        bracket_workload ~deadline ~trials_override:1 ~warmup:false ~name
-          ~spec_str ~pairs:8 ~tol:0.3 ())
+        bracket_workload ~deadline ~name ~spec_str ~pairs:8 ~tol:0.3)
       Catalog.scale_specs
 
 let counter_deltas before after =
@@ -492,48 +471,28 @@ let counter_deltas before after =
       if d <> 0 then Some (name, d) else None)
     tracked_counters
 
+(* Bytes allocated so far: minor words plus words allocated directly in
+   the major heap (major minus promoted). [Gc.allocated_bytes] is not
+   used: on OCaml 5 it counts minor words only as of the last minor
+   collection, so a trial that fits in the minor heap reads near 0. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  float_of_int (Sys.word_size / 8) *. (Gc.minor_words () +. major -. promoted)
+
 let time_trial run =
   let before = Metrics.counter_snapshot () in
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_bytes () in
   let t0 = Clock.now_ns () in
   run ();
   let ms = Clock.ns_to_ms (Clock.elapsed_ns t0) in
-  let alloc = Gc.allocated_bytes () -. a0 in
+  let alloc = allocated_bytes () -. a0 in
   let after = Metrics.counter_snapshot () in
   (ms, counter_deltas before after, alloc)
-
-(* Baseline medians keyed by workload name, if a baseline file exists. *)
-let load_baseline () =
-  if not (Sys.file_exists baseline_file) then None
-  else begin
-    let ic = open_in baseline_file in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    match Json.of_string s with
-    | Error e ->
-      Printf.eprintf "perf: ignoring unreadable %s: %s\n" baseline_file e;
-      None
-    | Ok doc ->
-      let medians =
-        match Json.member "workloads" doc with
-        | Some (Json.Obj fields) ->
-          List.filter_map
-            (fun (name, w) ->
-              match Option.bind (Json.member "median_ms" w) Json.to_float with
-              | Some m -> Some (name, m)
-              | None -> None)
-            fields
-        | _ -> []
-      in
-      if medians = [] then None else Some medians
-  end
 
 let run_mode mode =
   let trials = match mode with Quick -> 5 | Full -> 9 | _ -> 1 in
   let scale = is_scale_mode mode in
   let ws = workloads mode in
-  let baseline = if scale then None else load_baseline () in
   if scale then
     Printf.printf "==== perf bench (%s: single certified trial, no warmup) ====\n%!"
       (mode_name mode)
@@ -557,10 +516,10 @@ let run_mode mode =
           let msg = Printexc.to_string e in
           Printf.printf "%-26s TIMED OUT: %s\n%!" w.name msg;
           failed := (w.name, "budget exceeded: " ^ msg) :: !failed;
-          (w, 0.0, [||], [], 0.0, None, [ ("timed_out", Json.Bool true) ])
+          (w, 0.0, [||], [], [ ("timed_out", Json.Bool true) ])
         | Ok samples ->
           let ms = Array.map (fun (m, _, _) -> m) samples in
-          let med = median ms in
+          let med = Stats.median ms in
           (* Counter deltas are deterministic per trial; report the
              last, likewise the allocation volume. *)
           let _, counters, alloc = samples.(trials - 1) in
@@ -571,17 +530,9 @@ let run_mode mode =
           in
           if not certs_ok then
             failed := (w.name, "certificate check failed") :: !failed;
-          let speedup =
-            Option.bind baseline (fun b ->
-                Option.map (fun m -> m /. med) (List.assoc_opt w.name b))
-          in
           let rss = peak_rss_mb () in
-          Printf.printf "%-26s median %8.1f ms%s  alloc %7.1f MB  rss %6.0f MB%s\n%!"
-            w.name med
-            (match speedup with
-            | Some s -> Printf.sprintf "  %5.2fx vs baseline" s
-            | None -> "")
-            (alloc /. 1048576.0) rss
+          Printf.printf "%-26s median %8.1f ms  alloc %7.1f MB  rss %6.0f MB%s\n%!"
+            w.name med (alloc /. 1048576.0) rss
             (if w.post = None then ""
              else if certs_ok then "  certs ok"
              else "  CERTS RED");
@@ -592,28 +543,13 @@ let run_mode mode =
                 ("peak_rss_mb", Json.Float rss);
               ]
           in
-          (w, med, ms, counters, alloc, speedup, extras))
+          (w, med, ms, counters, extras))
       ws
   in
   let total_med =
-    List.fold_left (fun acc (_, med, _, _, _, _, _) -> acc +. med) 0.0 results
+    List.fold_left (fun acc (_, med, _, _, _) -> acc +. med) 0.0 results
   in
-  let baseline_total =
-    Option.map
-      (fun b ->
-        List.fold_left
-          (fun acc ((w : workload), _, _, _, _, _, _) ->
-            acc
-            +. (match List.assoc_opt w.name b with Some m -> m | None -> 0.0))
-          0.0 results)
-      baseline
-  in
-  (match baseline_total with
-  | Some bt when bt > 0.0 ->
-    Printf.printf "%-26s        %8.1f ms  %5.2fx vs baseline\n%!"
-      "total(median-sum)" total_med (bt /. total_med)
-  | _ ->
-    Printf.printf "%-26s        %8.1f ms\n%!" "total(median-sum)" total_med);
+  Printf.printf "%-26s        %8.1f ms\n%!" "total(median-sum)" total_med;
   let doc =
     Json.Obj
       [
@@ -622,8 +558,7 @@ let run_mode mode =
         ( "workloads",
           Json.Obj
             (List.map
-               (fun ((w : workload), med, ms, counters, _alloc, speedup, extras)
-                    ->
+               (fun ((w : workload), med, ms, counters, extras) ->
                  ( w.name,
                    Json.Obj
                      ([
@@ -639,26 +574,14 @@ let run_mode mode =
                                (fun (n, d) -> (n, Json.Int d))
                                counters) );
                       ]
-                     @ extras
-                     @
-                     match speedup with
-                     | Some s -> [ ("speedup_vs_baseline", Json.Float s) ]
-                     | None -> []) ))
+                     @ extras) ))
                results) );
         ( "totals",
           Json.Obj
-            ([
-               ("median_sum_ms", Json.Float total_med);
-               ("peak_rss_mb", Json.Float (peak_rss_mb ()));
-             ]
-            @
-            match baseline_total with
-            | Some bt when bt > 0.0 ->
-              [
-                ("baseline_median_sum_ms", Json.Float bt);
-                ("speedup_vs_baseline", Json.Float (bt /. total_med));
-              ]
-            | _ -> []) );
+            [
+              ("median_sum_ms", Json.Float total_med);
+              ("peak_rss_mb", Json.Float (peak_rss_mb ()));
+            ] );
       ]
   in
   let file = if scale then scale_file else perf_file in

@@ -1049,8 +1049,8 @@ let stats_cmd =
 (* ---- Load generator. ---- *)
 
 let loadgen_cmd =
-  let run obs requests seed batch cache_size zipf out baseline access_log
-      use_pool workers max_queue wall_ms store_dir chaos =
+  let run obs requests seed batch cache_size zipf out access_log use_pool
+      workers max_queue wall_ms store_dir chaos =
     with_obs obs @@ fun () ->
     or_usage_error @@ fun () ->
     let cfg =
@@ -1093,27 +1093,7 @@ let loadgen_cmd =
     Printf.printf "  latency ms: p50 %.3f  p90 %.3f  p99 %.3f  max %.3f\n"
       o.p50_ms o.p90_ms o.p99_ms o.max_ms;
     Json.write out doc;
-    Printf.printf "wrote %s\n" out;
-    (match baseline with
-    | Some path when Sys.file_exists path -> (
-      match Json.of_string (read_whole_file path) with
-      | Error e -> Printf.eprintf "topobench: %s: %s\n%!" path e
-      | Ok doc -> (
-        match baseline_rows o doc with
-        | Error e -> Printf.eprintf "topobench: %s: %s\n%!" path e
-        | Ok rows ->
-          Printf.printf "vs %s:\n" path;
-          List.iter
-            (fun (name, cur, base) ->
-              Printf.printf "  %-10s %10.3f  baseline %10.3f%s\n" name cur
-                base
-                (if Float.is_finite base && base > 0.0 then
-                   Printf.sprintf "  (%.2fx)" (cur /. base)
-                 else ""))
-            rows))
-    | Some path ->
-      Printf.printf "(no baseline %s: skipping comparison)\n" path
-    | None -> ())
+    Printf.printf "wrote %s\n" out
   in
   let requests =
     Arg.(
@@ -1149,15 +1129,6 @@ let loadgen_cmd =
       value & opt string "BENCH_service.json"
       & info [ "out" ] ~docv:"FILE" ~doc:"Benchmark summary output path.")
   in
-  let baseline =
-    Arg.(
-      value
-      & opt (some string) (Some "BENCH_service_baseline.json")
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Committed baseline to compare against (skipped when \
-             absent).")
-  in
   let use_pool =
     Arg.(
       value & flag
@@ -1179,8 +1150,8 @@ let loadgen_cmd =
           latency, requests/sec, hit rate)")
     Term.(
       const run $ obs_term $ requests $ seed $ batch $ cache_size_term $ zipf
-      $ out $ baseline $ access_log_term $ use_pool $ workers_term
-      $ max_queue_term $ wall_ms_term $ store_dir_term $ chaos_term)
+      $ out $ access_log_term $ use_pool $ workers_term $ max_queue_term
+      $ wall_ms_term $ store_dir_term $ chaos_term)
 
 let info_cmd =
   let run obs spec =

@@ -363,20 +363,3 @@ let pool_outcome_json cfg pool_cfg po =
               ] );
         ])
   | other -> other
-
-let baseline_rows o doc =
-  match Json.member "schema" doc with
-  | Some (Json.String "topobench-service-bench-v1") ->
-    let get name =
-      match Option.bind (Json.member name doc) Json.to_float with
-      | Some v -> v
-      | None -> nan
-    in
-    Ok
-      [
-        ("p50_ms", o.p50_ms, get "p50_ms");
-        ("p99_ms", o.p99_ms, get "p99_ms");
-        ("rps", o.rps, get "rps");
-        ("hit_rate", o.hit_rate, get "hit_rate");
-      ]
-  | _ -> Error "not a topobench-service-bench-v1 document"

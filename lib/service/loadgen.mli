@@ -91,8 +91,3 @@ val run_pool : ?pool_cfg:pool_config -> config -> pool_outcome
     rejections, mismatches, lost, chaos counter totals). Base-schema
     readers are unaffected. *)
 val pool_outcome_json : config -> pool_config -> pool_outcome -> Tb_obs.Json.t
-
-(** [(metric, current, baseline)] rows against a previously written
-    {!outcome_json} document — [Error] if the file is not one. *)
-val baseline_rows :
-  outcome -> Tb_obs.Json.t -> ((string * float * float) list, string) result

@@ -566,16 +566,19 @@ let test_loadgen_run_small () =
   Alcotest.(check bool) "latency quantiles ordered" true
     (o.Loadgen.p50_ms <= o.Loadgen.p99_ms
     && o.Loadgen.p99_ms <= o.Loadgen.max_ms +. 1e-9);
-  (* The written document round-trips with the schema the baseline
-     comparison expects. *)
-  match Loadgen.baseline_rows o (Loadgen.outcome_json cfg o) with
-  | Ok rows ->
-    List.iter
-      (fun (name, current, baseline) ->
-        Alcotest.(check (float 1e-9)) (name ^ " self-compares") current
-          baseline)
-      rows
+  (* The document as written to BENCH_service.json, read back: it names
+     its schema and carries the hit rate as a number (CI gates on that
+     field). *)
+  let text = Json.to_string ~indent:true (Loadgen.outcome_json cfg o) in
+  match Json.of_string text with
   | Error e -> Alcotest.fail e
+  | Ok doc ->
+    Alcotest.(check (option string))
+      "schema" (Some "topobench-service-bench-v1")
+      (Option.bind (Json.member "schema" doc) Json.to_str);
+    Alcotest.(check (option (float 1e-9))) "numeric hit_rate"
+      (Some o.Loadgen.hit_rate)
+      (Option.bind (Json.member "hit_rate" doc) Json.to_float)
 
 (* ---- The serve loop (ndjson in, ndjson out). ---- *)
 
