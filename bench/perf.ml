@@ -63,9 +63,10 @@ let plain ~name ~descr run =
   { name; descr; run; post = None; trials_override = None; warmup = true }
 
 (* The counters whose per-trial deltas are recorded alongside seconds:
-   they explain *why* a wall-clock number moved. ("dijkstra.runs"
-   counts SSSP tree builds regardless of workhorse — heap Dijkstra and
-   delta-stepping both bump it.) *)
+   they explain *why* a wall-clock number moved. ("dijkstra.runs" is
+   bumped by the solvers, not by [Sssp]: it counts Fleischer's trees,
+   on either workhorse, and Colgen's pricing runs. Workloads that call
+   [Sssp] directly, the dijkstra-rr* rows, record no counters.) *)
 let tracked_counters =
   [ "dijkstra.runs"; "fleischer.phases"; "fleischer.solves" ]
 

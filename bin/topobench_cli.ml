@@ -913,8 +913,7 @@ let render_snapshot doc =
         | _ -> None)
       entries
   in
-  (* Quiet subsystems don't pad the tables (same policy as
-     Metrics.dump). *)
+  (* Quiet subsystems (no samples) don't pad the tables. *)
   let dists = List.filter (fun (_, n, _, _, _, _) -> n > 0) dists in
   if dists <> [] then quantile_table ~title:"latency distributions" dists;
   let timers =

@@ -28,8 +28,6 @@ type result = {
   columns : int;
 }
 
-let max_iterations = 200
-
 module Metrics = Tb_obs.Metrics
 module Trace = Tb_obs.Trace
 
@@ -43,8 +41,8 @@ let t_master = Metrics.timer "colgen.master"
 
 module Convergence = Tb_obs.Convergence
 
-let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen")
-    ?(warm_paths = []) g commodities =
+let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen") g
+    commodities =
   let on_check = Tb_obs.Deadline.guard deadline on_check in
   let cs = Commodity.normalize commodities in
   let k = Array.length cs in
@@ -76,36 +74,6 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen")
       match Sssp.path_arcs g st dst with
       | Some p -> ignore (add_path j p)
       | None -> invalid_arg "Colgen.solve: unreachable commodity")
-    cs;
-  (* Seed caller-provided warm columns, matched to normalized
-     commodities by endpoints (arc ids are not stable across graph
-     rebuilds, endpoints are). A path is used only if it is a valid
-     src->dst arc walk in THIS graph; anything else is dropped. Extra
-     columns never change the optimum — pricing terminates at the same
-     master value — they can only cut iterations. *)
-  let valid_walk ~src ~dst arcs =
-    arcs <> []
-    &&
-    let ok = ref true and at = ref src in
-    List.iter
-      (fun a ->
-        if !ok then
-          if a >= 0 && a < num_arcs && Graph.arc_src g a = !at then
-            at := Graph.arc_dst g a
-          else ok := false)
-      arcs;
-    !ok && !at = dst
-  in
-  Array.iteri
-    (fun j c ->
-      let src = c.Commodity.src and dst = c.Commodity.dst in
-      List.iter
-        (fun ((s, d), ps) ->
-          if s = src && d = dst then
-            List.iter
-              (fun p -> if valid_walk ~src ~dst p then ignore (add_path j p))
-              ps)
-        warm_paths)
     cs;
   (* Build and solve the master over current columns. Variable 0 is
      lambda; then one variable per (commodity, path) in a flat order. *)
@@ -185,21 +153,24 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen")
       used_arcs;
     let improved = ref false in
     Metrics.incr m_iterations;
-    if iter < max_iterations then
-      Metrics.time t_pricing (fun () ->
-          Trace.span "colgen.pricing" (fun () ->
-              Array.iteri
-                (fun j c ->
-                  let alpha = s.Lp.duals.(j) in
-                  Metrics.incr m_dijkstra;
-                  Sssp.dijkstra g ~len:y ~src:c.Commodity.src st;
-                  let dist = Sssp.distance st c.Commodity.dst in
-                  if dist < -.alpha -. tol then begin
-                    match Sssp.path_arcs g st c.Commodity.dst with
-                    | Some p -> if add_path j p then improved := true
-                    | None -> ()
-                  end)
-                cs));
+    (* Pricing runs until no column prices in: every iteration but the
+       last adds a column not yet in the pool, and simple paths are
+       finitely many, so the loop ends; [?deadline] bounds its wall
+       time. *)
+    Metrics.time t_pricing (fun () ->
+        Trace.span "colgen.pricing" (fun () ->
+            Array.iteri
+              (fun j c ->
+                let alpha = s.Lp.duals.(j) in
+                Metrics.incr m_dijkstra;
+                Sssp.dijkstra g ~len:y ~src:c.Commodity.src st;
+                let dist = Sssp.distance st c.Commodity.dst in
+                if dist < -.alpha -. tol then begin
+                  match Sssp.path_arcs g st c.Commodity.dst with
+                  | Some p -> if add_path j p then improved := true
+                  | None -> ()
+                end)
+              cs));
     if !improved then iterate (iter + 1)
     else begin
       let paths =

@@ -25,19 +25,12 @@ type result = {
     with the master optimum as the certified lower bound (upper is
     [infinity] until termination); may raise to abort.
     Defaults to forwarding samples to the trace buffer.
-    @param warm_paths seed columns from a neighboring solve, keyed by
-    commodity endpoints [(src, dst)] (arc ids are not stable across
-    graph rebuilds, endpoints are). Each path is seeded only if it is a
-    valid src->dst arc walk in [g]; invalid entries are dropped
-    silently. Seeding never changes the returned optimum — pricing
-    terminates at the same master value — it can only cut iterations.
     @raise Invalid_argument on an empty commodity set or an unreachable
     commodity. *)
 val solve :
   ?deadline:Tb_obs.Deadline.t ->
   ?tol:float ->
   ?on_check:Tb_obs.Convergence.sink ->
-  ?warm_paths:((int * int) * int list list) list ->
   Graph.t ->
   Commodity.t array ->
   result

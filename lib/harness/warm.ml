@@ -3,19 +3,17 @@ module Json = Tb_obs.Json
 
 (* Warm-start state carried between neighboring solves of a sweep.
 
-   An entry is the reusable part of a finished solve: the dual length
-   function (per arc) and optionally a path pool (per commodity). Both
-   are keyed by NODE identity — arc lengths by (src, dst) endpoints,
-   paths as node sequences — because arc ids are renumbered whenever a
-   failed topology is rebuilt, while node ids are stable across link
-   failures. Transport back onto a concrete graph ({!lengths_for},
-   {!paths_for}) re-resolves against that graph's arcs; anything that
-   no longer maps (an arc of a deleted edge, a path through one) is
-   dropped or back-filled, which is exactly the invalidation the
-   warm-start contract needs: the consumers ({!Tb_flow.Fleischer},
-   {!Tb_flow.Colgen}, {!Tb_flow.Restricted}) treat warm input as a hint
-   that may only change convergence speed, and the harness re-certifies
-   every warm-started bracket, so a stale entry can cost time, never
+   An entry is the reusable part of a finished solve: its dual length
+   function, one length per arc, keyed by the arc's (src, dst)
+   endpoints — arc ids are renumbered whenever a failed topology is
+   rebuilt, while node ids are stable across link failures. Transport
+   back onto a concrete graph ({!lengths_for}) re-resolves against that
+   graph's arcs; an arc that no longer maps is dropped and a new one is
+   back-filled, which is exactly the invalidation the warm-start
+   contract needs: the consumers ({!Tb_flow.Fleischer},
+   {!Tb_flow.Restricted}) treat warm lengths as a hint that may only
+   change convergence speed, and the harness re-certifies every
+   warm-started bracket, so a stale entry can cost time, never
    correctness.
 
    The cache is a small bounded FIFO keyed by caller-chosen strings
@@ -29,7 +27,6 @@ module Json = Tb_obs.Json
 type entry = {
   nodes : int;  (* node count of the graph the entry came from *)
   lengths : ((int * int) * float) list;
-  paths : ((int * int) * int list list) list;
 }
 
 type t = {
@@ -79,7 +76,7 @@ let store t key entry =
 
 (* ---- building entries ---------------------------------------------- *)
 
-let entry_of_lengths ?(paths = []) g lengths =
+let entry_of_lengths g lengths =
   let num_arcs = Graph.num_arcs g in
   if Array.length lengths <> num_arcs then
     invalid_arg "Warm.entry_of_lengths: length array does not match graph";
@@ -87,11 +84,7 @@ let entry_of_lengths ?(paths = []) g lengths =
   for a = num_arcs - 1 downto 0 do
     acc := (Graph.arc_endpoints g a, lengths.(a)) :: !acc
   done;
-  { nodes = Graph.num_nodes g; lengths = !acc; paths }
-
-let nodes_of_arc_path g ~src arcs =
-  List.rev
-    (List.fold_left (fun acc a -> Graph.arc_dst g a :: acc) [ src ] arcs)
+  { nodes = Graph.num_nodes g; lengths = !acc }
 
 (* ---- transport onto a concrete graph ------------------------------- *)
 
@@ -125,39 +118,6 @@ let lengths_for e g =
     end
   end
 
-let arc_between g u v =
-  let found = ref (-1) in
-  Graph.iter_succ (fun w arc -> if w = v && !found = -1 then found := arc) g u;
-  if !found = -1 then None else Some !found
-
-let arcs_of_node_path g nodes =
-  let n = Graph.num_nodes g in
-  match nodes with
-  | [] | [ _ ] -> None
-  | n0 :: rest ->
-    if n0 < 0 || n0 >= n then None
-    else
-      let rec go u acc = function
-        | [] -> Some (List.rev acc)
-        | v :: tl ->
-          if v < 0 || v >= n then None
-          else (
-            match arc_between g u v with
-            | Some a -> go v (a :: acc) tl
-            | None -> None)
-      in
-      go n0 [] rest
-
-let paths_for e g =
-  if Graph.num_nodes g <> e.nodes then []
-  else
-    List.filter_map
-      (fun ((s, d), ps) ->
-        match List.filter_map (arcs_of_node_path g) ps with
-        | [] -> None
-        | arcs -> Some ((s, d), arcs))
-      e.paths
-
 (* ---- JSON round-trip ----------------------------------------------- *)
 
 let entry_to_json e =
@@ -170,23 +130,10 @@ let entry_to_json e =
              (fun ((u, v), l) ->
                Json.List [ Json.Int u; Json.Int v; Json.Float l ])
              e.lengths) );
-      ( "paths",
-        Json.List
-          (List.map
-             (fun ((s, d), ps) ->
-               Json.List
-                 [
-                   Json.Int s;
-                   Json.Int d;
-                   Json.List
-                     (List.map
-                        (fun p ->
-                          Json.List (List.map (fun n -> Json.Int n) p))
-                        ps);
-                 ])
-             e.paths) );
     ]
 
+(* Members other than "nodes" and "lengths" are ignored, so a
+   checkpoint whose entries also carry a "paths" pool still resumes. *)
 let entry_of_json j =
   let ( let* ) = Option.bind in
   let* nodes = Option.bind (Json.member "nodes" j) Json.to_int in
@@ -204,39 +151,7 @@ let entry_of_json j =
         | _ -> None)
       (Some []) raw_lengths
   in
-  let node_list p =
-    let* ns = Json.to_list p in
-    List.fold_left
-      (fun acc n ->
-        let* acc = acc in
-        let* n = Json.to_int n in
-        Some (n :: acc))
-      (Some []) ns
-    |> Option.map List.rev
-  in
-  let* raw_paths = Option.bind (Json.member "paths" j) Json.to_list in
-  let* paths =
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        match Json.to_list item with
-        | Some [ s; d; ps ] ->
-          let* s = Json.to_int s in
-          let* d = Json.to_int d in
-          let* ps = Json.to_list ps in
-          let* ps =
-            List.fold_left
-              (fun acc p ->
-                let* acc = acc in
-                let* p = node_list p in
-                Some (p :: acc))
-              (Some []) ps
-          in
-          Some (((s, d), List.rev ps) :: acc)
-        | _ -> None)
-      (Some []) raw_paths
-  in
-  Some { nodes; lengths = List.rev lengths; paths = List.rev paths }
+  Some { nodes; lengths = List.rev lengths }
 
 let to_json t =
   Json.Obj

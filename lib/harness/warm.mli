@@ -1,16 +1,14 @@
 (** Warm-start state carried between neighboring solves of a sweep.
 
-    An {!entry} is the reusable part of a finished solve — the dual
-    length function and optionally a path pool — keyed by node identity
-    ((src, dst) endpoints for arc lengths, node sequences for paths),
-    which is stable across the graph rebuilds that renumber arc ids.
-    Transport onto a concrete graph re-resolves against that graph and
-    drops or back-fills whatever no longer maps, so entries from a
-    neighboring cell (one arc deleted, one demand scaled) remain
-    usable. Warm state is strictly a convergence hint: consumers accept
-    any positive lengths / valid paths, and the harness re-certifies
-    every warm-started bracket, so a stale entry can cost time, never
-    correctness.
+    An {!entry} is the reusable part of a finished solve — its dual
+    length function — keyed by arc endpoints (src, dst), which are
+    stable across the graph rebuilds that renumber arc ids. Transport
+    onto a concrete graph re-resolves against that graph and drops or
+    back-fills whatever no longer maps, so entries from a neighboring
+    cell (one arc deleted, one demand scaled) remain usable. Warm state
+    is strictly a convergence hint: consumers accept any positive
+    lengths, and the harness re-certifies every warm-started bracket,
+    so a stale entry can cost time, never correctness.
 
     The cache itself is a bounded FIFO keyed by caller-chosen strings
     (e.g. the intact topology label) and round-trips through JSON so a
@@ -23,9 +21,6 @@ type entry = {
   nodes : int;  (** node count of the source graph (sanity gate) *)
   lengths : ((int * int) * float) list;
       (** per-arc dual lengths, keyed by (src, dst) endpoints *)
-  paths : ((int * int) * int list list) list;
-      (** per-commodity path pools as node sequences, keyed by
-          (src, dst) commodity endpoints *)
 }
 
 type t
@@ -45,17 +40,9 @@ val find : t -> string -> entry option
 val store : t -> string -> entry -> unit
 
 (** Build an entry from a solve's dual length array (indexed by arc id
-    of [g]); [paths] are node sequences as stored in the entry.
+    of [g]).
     @raise Invalid_argument if the array does not match [g]'s arcs. *)
-val entry_of_lengths :
-  ?paths:((int * int) * int list list) list ->
-  Graph.t ->
-  float array ->
-  entry
-
-(** Node sequence of an arc path of [g] starting at [src] — the
-    transport-stable form for {!entry} path pools. *)
-val nodes_of_arc_path : Graph.t -> src:int -> int list -> int list
+val entry_of_lengths : Graph.t -> float array -> entry
 
 (** Transport an entry's lengths onto [g]: per-arc array with unknown
     arcs back-filled by the most expensive known length. [None] when
@@ -63,12 +50,6 @@ val nodes_of_arc_path : Graph.t -> src:int -> int list -> int list
     lengths, or a majority of [g]'s arcs unknown — in which case the
     caller should solve cold. *)
 val lengths_for : entry -> Graph.t -> float array option
-
-(** Transport an entry's path pools onto [g] as arc paths (Colgen's
-    [warm_paths] shape). Paths through deleted arcs — any consecutive
-    node pair with no arc in [g] — are dropped; commodities left with
-    no valid path are omitted. *)
-val paths_for : entry -> Graph.t -> ((int * int) * int list list) list
 
 (** Bit-exact JSON round-trip of the whole cache (entries in insertion
     order; counters are not persisted). *)

@@ -3,11 +3,11 @@
    The iterative solvers expose periodic hooks ([?on_check] on
    Fleischer/Restricted/Colgen, pivot events on the simplex); a
    deadline is a start timestamp plus a budget in milliseconds, and
-   {!check} raises once the budget is spent. Threading {!sink} /
-   {!hook} through those existing hooks turns any solve into a bounded
-   one without touching the solver inner loops: the solver unwinds at
-   its next check point, which is at most 10 phases (or a few hundred
-   pivots) late. *)
+   {!check} raises once the budget is spent. Threading {!sink} (or a
+   {!check} thunk) through those existing hooks turns any solve into a
+   bounded one without touching the solver inner loops: the solver
+   unwinds at its next check point, which is at most 10 phases (or a
+   few hundred pivots) late. *)
 
 exception Timed_out of { elapsed_ms : float; budget_ms : float }
 
@@ -27,9 +27,8 @@ let check t =
   if expired t then
     raise (Timed_out { elapsed_ms = elapsed_ms t; budget_ms = t.budget_ms })
 
-(* Adapters for the two hook shapes in the solver layer. *)
+(* Adapter for the solvers' convergence-sink hooks. *)
 let sink t : Convergence.sink = fun _ -> check t
-let hook t () = check t
 
 let guard deadline on_check =
   match deadline with None -> on_check | Some d -> Convergence.combine (sink d) on_check

@@ -34,8 +34,5 @@ val sink : t -> Convergence.sink
     before [on_check]: how a solver honours its [?deadline]. *)
 val guard : t option -> Convergence.sink -> Convergence.sink
 
-(** {!check} as a thunk, for pivot-style hooks. *)
-val hook : t -> unit -> unit
-
 (** One-line rendering of {!Timed_out}; [None] on other exceptions. *)
 val describe : exn -> string option

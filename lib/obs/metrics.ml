@@ -10,8 +10,8 @@
      contention; the registry trades that slack for zero hot-path cost —
      counts are diagnostics, not accounting. Registration itself is
      guarded by a mutex since it is rare.
-   - export: one [to_json] for machines, one [dump] aligned table for
-     humans, [reset] for tests and per-section deltas. *)
+   - export: one [to_json] for machines (plus its Prometheus text
+     rendering), [reset] for tests and per-section deltas. *)
 
 type counter = { c_name : string; mutable count : int }
 type gauge = { g_name : string; mutable value : float; mutable g_set : bool }
@@ -119,8 +119,6 @@ let count c = c.count
 let set g v =
   g.value <- v;
   g.g_set <- true
-
-let gauge_value g = g.value
 
 let record_ns t ns =
   t.total_ns <- Int64.add t.total_ns ns;
@@ -289,46 +287,6 @@ let json_of_metric m =
 let to_json () = Json.Obj (List.map json_of_metric (sorted_metrics ()))
 
 let write path = Json.write path (to_json ())
-
-(* Aligned two-column table for terminal output; only metrics that have
-   recorded something, so quiet subsystems don't pad the dump. *)
-let dump () =
-  let live = function
-    | Counter c -> c.count <> 0
-    | Gauge g -> g.g_set
-    | Timer t -> t.t_count <> 0
-    | Histogram h -> h.h_count <> 0
-    | Hdr_hist h -> Hdr.count (Hdr.merged h.shards) <> 0
-  in
-  let describe = function
-    | Counter c -> string_of_int c.count
-    | Gauge g -> Printf.sprintf "%.6g" g.value
-    | Timer t ->
-      Printf.sprintf "%d x, %.1f ms total" t.t_count
-        (Clock.ns_to_ms t.total_ns)
-    | Histogram h ->
-      Printf.sprintf "n=%d mean=%.1f p99<=%.0f" h.h_count (histogram_mean h)
-        (histogram_quantile h 0.99)
-    | Hdr_hist h ->
-      let m = Hdr.merged h.shards in
-      Printf.sprintf "n=%d p50=%.3g p99=%.3g max=%.3g" (Hdr.count m)
-        (Hdr.quantile m 0.5) (Hdr.quantile m 0.99) (Hdr.max_value m)
-  in
-  let rows =
-    List.filter_map
-      (fun m -> if live m then Some (metric_name m, describe m) else None)
-      (sorted_metrics ())
-  in
-  let w =
-    List.fold_left (fun acc (n, _) -> max acc (String.length n)) 0 rows
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (n, d) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-*s  %s\n" w n d))
-    rows;
-  Buffer.contents buf
 
 (* ---- Prometheus text exposition (format version 0.0.4). ----
 

@@ -33,7 +33,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val count : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** Accumulate an interval measured by the caller. *)
 val record_ns : timer -> int64 -> unit
@@ -84,9 +83,6 @@ val to_json : unit -> Json.t
 
 (** [to_json] pretty-printed to a file. *)
 val write : string -> unit
-
-(** Aligned name/value table of every metric that recorded anything. *)
-val dump : unit -> string
 
 (** The whole registry in Prometheus text exposition format 0.0.4:
     dots become underscores, counters/gauges map directly, timers and

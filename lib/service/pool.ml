@@ -933,10 +933,16 @@ let completion_json (c : completion) =
 (* Serve stdin/stdout over the pool: requests are admitted into the
    bounded queue (typed `overloaded` rejection when full) and response
    lines are written in completion order, tagged by hash. [stop]
-   flips under SIGTERM: stop intake, drain, exit. *)
+   flips under SIGTERM: stop intake, drain, exit. A request line longer
+   than {!Service.max_line_bytes} is rejected as {!Service.serve}
+   rejects it: once the partial line passes the cap it is dropped, a
+   typed [bad_request] goes out, and input is skipped up to the next
+   newline, so [ibuf] never holds more than the cap. *)
 let serve ?(ic = Unix.stdin) ?(oc = stdout) ?(stop = ref false) t =
   let ibuf = Buffer.create 4096 in
+  let chunk = Bytes.create 65536 in
   let eof = ref false in
+  let skipping = ref false in
   let emit doc =
     output_string oc (Json.to_string doc);
     output_char oc '\n';
@@ -955,11 +961,6 @@ let serve ?(ic = Unix.stdin) ?(oc = stdout) ?(stop = ref false) t =
   let handle_line line =
     let trimmed = String.trim line in
     if trimmed = "" || trimmed.[0] = '#' then ()
-    else if String.length trimmed > Service.max_line_bytes then
-      emit
-        (Service.error_json
-           (Printf.sprintf "request line exceeds %d bytes"
-              Service.max_line_bytes))
     else
       match Request.of_line trimmed with
       | Error e -> emit (Service.error_json e)
@@ -973,24 +974,38 @@ let serve ?(ic = Unix.stdin) ?(oc = stdout) ?(stop = ref false) t =
         | Error Draining ->
           emit (Service.error_json ~code:"overloaded" "pool is draining"))
   in
+  (* Append [chunk.[pos, pos+len)], a piece of the current line, to
+     [ibuf]; past the cap, drop the line and start skipping. *)
+  let add_piece pos len =
+    if !skipping then ()
+    else if Buffer.length ibuf + len > Service.max_line_bytes then begin
+      Buffer.reset ibuf;
+      skipping := true;
+      emit
+        (Service.error_json
+           (Printf.sprintf "request line exceeds %d bytes"
+              Service.max_line_bytes))
+    end
+    else Buffer.add_subbytes ibuf chunk pos len
+  in
   let read_stdin () =
-    let chunk = Bytes.create 65536 in
     match Unix.read ic chunk 0 (Bytes.length chunk) with
     | 0 -> eof := true
     | n ->
-      Buffer.add_subbytes ibuf chunk 0 n;
-      let rec lines () =
-        let s = Buffer.contents ibuf in
-        match String.index_opt s '\n' with
-        | None -> ()
-        | Some i ->
-          let line = String.sub s 0 i in
-          Buffer.clear ibuf;
-          Buffer.add_substring ibuf s (i + 1) (String.length s - i - 1);
-          handle_line line;
-          lines ()
-      in
-      lines ()
+      let start = ref 0 in
+      for i = 0 to n - 1 do
+        if Bytes.get chunk i = '\n' then begin
+          add_piece !start (i - !start);
+          if !skipping then skipping := false
+          else begin
+            let line = Buffer.contents ibuf in
+            Buffer.clear ibuf;
+            handle_line line
+          end;
+          start := i + 1
+        end
+      done;
+      add_piece !start (n - !start)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
   while (not !eof) && not !stop do

@@ -6,6 +6,7 @@ module Fleischer = Tb_flow.Fleischer
 module Exact = Tb_flow.Exact
 module Restricted = Tb_flow.Restricted
 module Mcf = Tb_flow.Mcf
+module Colgen = Tb_flow.Colgen
 module Kshortest = Tb_graph.Kshortest
 
 let check_float = Alcotest.(check (float 1e-6))
@@ -397,6 +398,23 @@ let test_mcf_forced_approx () =
   Alcotest.(check bool) "contains 2.0" true
     (est.Mcf.lower <= 2.0 && est.Mcf.upper >= 2.0 -. 0.1)
 
+(* ---- Colgen ---- *)
+
+(* 201 disjoint unit-capacity two-hop paths from 0 to 1: the optimum
+   needs all 201 columns, one priced in per iteration, so a solver that
+   stopped pricing after a fixed number of iterations would return a
+   smaller master value as if it were exact. *)
+let test_colgen_many_paths () =
+  let width = 201 in
+  let edges =
+    List.concat
+      (List.init width (fun i -> [ (0, 2 + i, 1.0); (2 + i, 1, 1.0) ]))
+  in
+  let g = Graph.of_edges ~n:(2 + width) edges in
+  let r = Colgen.solve g [| cm ~src:0 ~dst:1 ~demand:1.0 |] in
+  check_float "all paths carry flow" (float_of_int width) r.Colgen.value;
+  Alcotest.(check int) "one column per path" width r.Colgen.columns
+
 let () =
   Alcotest.run "flow"
     [
@@ -456,5 +474,10 @@ let () =
         [
           Alcotest.test_case "auto exact" `Quick test_mcf_auto_small_exact;
           Alcotest.test_case "forced approx" `Quick test_mcf_forced_approx;
+        ] );
+      ( "colgen",
+        [
+          Alcotest.test_case "201 disjoint paths" `Quick
+            test_colgen_many_paths;
         ] );
     ]

@@ -282,6 +282,49 @@ let test_warm_sweep_resume_identical () =
     (resumed = reference);
   Sys.remove path
 
+(* A warm cache written when entries also kept per-commodity path
+   pools: every entry carries a "paths" member next to its lengths.
+   Such a checkpoint must still resume, with the same lengths
+   transported. *)
+let pooled_warm_doc =
+  {|{"version": 1, "entries": {"ring": {"nodes": 4,
+     "lengths": [[0, 1, 1.5], [1, 0, 0.25], [1, 2, 2.0], [2, 1, 0.125],
+                 [2, 3, 3.5], [3, 2, 0.75], [3, 0, 1.0], [0, 3, 4.0]],
+     "paths": [[0, 2, [[0, 1, 2], [0, 3, 2]]], [1, 3, [[1, 2, 3]]]]}}}|}
+
+let test_warm_restores_pooled_cache () =
+  let g = Graph.of_unit_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
+  let known =
+    [ ((0, 1), 1.5); ((1, 0), 0.25); ((1, 2), 2.0); ((2, 1), 0.125);
+      ((2, 3), 3.5); ((3, 2), 0.75); ((3, 0), 1.0); ((0, 3), 4.0) ]
+  in
+  let lengths =
+    Array.init (Graph.num_arcs g) (fun a ->
+        List.assoc (Graph.arc_endpoints g a) known)
+  in
+  let expected = Warm.lengths_for (Warm.entry_of_lengths g lengths) g in
+  Alcotest.(check bool) "fresh entry transports" true (expected <> None);
+  let restored_lengths doc =
+    let cache = Warm.create () in
+    Alcotest.(check bool) "document restores" true (Warm.restore cache doc);
+    match Warm.find cache "ring" with
+    | None -> Alcotest.fail "restored cache lost the entry"
+    | Some e -> Warm.lengths_for e g
+  in
+  let doc =
+    match Json.of_string pooled_warm_doc with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (option (array (float 0.0))))
+    "pooled entry gives the same lengths" expected (restored_lengths doc);
+  (* Re-checkpointed in the current format, the entry still agrees. *)
+  let cache = Warm.create () in
+  ignore (Warm.restore cache doc);
+  Alcotest.(check (option (array (float 0.0))))
+    "re-serialized entry gives the same lengths" expected
+    (restored_lengths (Warm.to_json cache))
+
 (* ---- Solver selection ----
 
    The chain each selection maps onto, written out in full, so a change
@@ -503,6 +546,8 @@ let () =
           Alcotest.test_case "graceful interrupt" `Quick test_sweep_interrupt;
           Alcotest.test_case "warm resume bit-identical" `Quick
             test_warm_sweep_resume_identical;
+          Alcotest.test_case "warm restores cache with path pools" `Quick
+            test_warm_restores_pooled_cache;
         ] );
       ( "solve",
         [

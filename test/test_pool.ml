@@ -393,6 +393,77 @@ let test_drain_merges_segments () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* ---- Over-long request lines on the ndjson front. ---- *)
+
+(* A 64 MiB request line, then a valid one, streamed through
+   [Pool.serve] over a pipe. The long line must be rejected with the
+   same typed error [Service.serve] sends, without being buffered: the
+   major heap grows by well under the line's size. The valid request
+   behind it is still answered. *)
+let test_serve_rejects_overlong_line () =
+  let line_bytes = 64 * 1024 * 1024 in
+  let valid = {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"a2a"}}|} in
+  let out_path = Filename.temp_file "tb_pool_serve" ".ndjson" in
+  Fun.protect ~finally:(fun () -> Sys.remove out_path) @@ fun () ->
+  (* The pool forks its workers first, so they do not hold the pipe's
+     write end open and EOF reaches [serve]. *)
+  let pool = Pool.create ~config:quick_config () in
+  let rd, wr = Unix.pipe () in
+  let rec write_all b off len =
+    if len > 0 then begin
+      let k = Unix.write wr b off len in
+      write_all b (off + k) (len - k)
+    end
+  in
+  let writer =
+    match Unix.fork () with
+    | 0 ->
+      Unix.close rd;
+      let block = Bytes.make 65536 'x' in
+      for _ = 1 to line_bytes / Bytes.length block do
+        write_all block 0 (Bytes.length block)
+      done;
+      let tail = Bytes.of_string ("\n" ^ valid ^ "\n") in
+      write_all tail 0 (Bytes.length tail);
+      Unix._exit 0
+    | pid -> pid
+  in
+  Unix.close wr;
+  let top_heap () =
+    (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)
+  in
+  let top0 = top_heap () in
+  let oc = open_out out_path in
+  Pool.serve ~ic:rd ~oc pool;
+  close_out oc;
+  let grown = top_heap () - top0 in
+  Unix.close rd;
+  ignore (Unix.waitpid [] writer);
+  let lines =
+    In_channel.with_open_text out_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun l ->
+           match Json.of_string l with Ok j -> j | Error e -> Alcotest.fail e)
+  in
+  let str k j = Option.bind (Json.member k j) Json.to_str in
+  (match lines with
+  | [ err; ok ] ->
+    Alcotest.(check (option string)) "typed rejection" (Some "bad_request")
+      (str "code" err);
+    let hash =
+      match Request.of_line valid with
+      | Ok r -> Request.hash r
+      | Error e -> Alcotest.fail e
+    in
+    Alcotest.(check (option string)) "valid request answered after it"
+      (Some hash) (str "hash" ok)
+  | _ ->
+    Alcotest.failf "expected 2 response lines, got %d" (List.length lines));
+  if grown > line_bytes / 4 then
+    Alcotest.failf "major heap grew by %d bytes for a %d-byte line" grown
+      line_bytes
+
 let () =
   Alcotest.run "pool"
     [
@@ -421,5 +492,7 @@ let () =
             test_overload_typed_rejection;
           Alcotest.test_case "drain merges segments" `Quick
             test_drain_merges_segments;
+          Alcotest.test_case "over-long line rejected unbuffered" `Quick
+            test_serve_rejects_overlong_line;
         ] );
     ]
