@@ -1,4 +1,4 @@
-.PHONY: all build test test-times check fuzz fuzz-quick warm-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke failures-smoke examples clean
+.PHONY: all build test test-times check fuzz fuzz-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke failures-smoke examples clean
 
 all: build
 
@@ -29,15 +29,6 @@ fuzz:
 fuzz-quick:
 	dune exec -- topobench check --instances 50 --seed 42 --corpus test/corpus
 	dune exec -- topobench check --subject warm_vs_cold --instances 100 --seed 42
-
-# Warm-start gate: the warm-vs-cold differential fuzz subject, then a
-# quick perf run whose warm-failures workload records repair/bracket
-# certificates and the warm-over-cold speedup, asserted by
-# scripts/check_warm.sh (speedup >= 2x, all certificates green).
-warm-quick:
-	dune exec -- topobench check --subject warm_vs_cold --instances 100 --seed 42
-	dune exec bench/main.exe -- perf --quick
-	@sh scripts/check_warm.sh BENCH_perf.json 2.0
 
 # Writes BENCH_metrics.json next to bench_output.txt (per-experiment
 # seconds, Fleischer phases, Dijkstra runs, simplex pivots).

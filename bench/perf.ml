@@ -53,14 +53,9 @@ type workload = {
      the last trial's result). Returns extra JSON fields and whether
      every check came back green. *)
   post : (unit -> (string * Json.t) list * bool) option;
-  (* Single expensive solves override the mode's trial count / skip the
-     warmup. *)
-  trials_override : int option;
-  warmup : bool;
 }
 
-let plain ~name ~descr run =
-  { name; descr; run; post = None; trials_override = None; warmup = true }
+let plain ~name ~descr run = { name; descr; run; post = None }
 
 (* The counters whose per-trial deltas are recorded alongside seconds:
    they explain *why* a wall-clock number moved. ("dijkstra.runs" is
@@ -242,182 +237,6 @@ let bracket_workload ~deadline ~name ~spec_str ~pairs ~tol =
           | Some r ->
             let fields, ok = verify_bracket g cs r in
             (("setup_s", Json.Float setup_s) :: fields, ok));
-    trials_override = Some 1;
-    warmup = false;
-  }
-
-(* ---- Warm-started failure-sweep solving vs cold (tentpole metric). ----
-
-   The marginal cost of a failure-sweep cell under warm-started solving.
-   Each variant is a one-edge failure, modeled by banning the edge's two
-   arcs on the intact graph (arc ids stay stable, which is exactly what
-   makes incremental repair possible). Cold solving re-runs the full
-   canonical Yen enumeration per commodity per variant before the
-   path-restricted solve; warm solving repairs the intact path pools
-   with {!Tb_graph.Kshortest.repair_deleted} — a no-op membership check
-   for every commodity whose pool avoids the failed edge — and seeds
-   the solve with the intact instance's Fleischer duals. The untimed
-   post-pass re-enumerates every variant from scratch and gates on:
-   repaired pools bit-identical to scratch enumeration, every bracket
-   certified within tol, warm/cold bracket agreement per variant, and a
-   minimum warm-over-cold speedup. *)
-
-module Kshortest = Tb_graph.Kshortest
-module Restricted = Tb_flow.Restricted
-
-let warm_sweep_workload ~name ~n ~degree ~k ~eps ~tol ~variants ~min_speedup
-    ~trials =
-  let rng = Rng.make 23 in
-  let g = Tb_graph.Equipment.random_regular rng ~n ~degree in
-  let topo =
-    Tb_topo.Topology.switch_centric ~name:"perf-warm" ~params:""
-      ~hosts_per_switch:2 g
-  in
-  let cs = Tb_tm.Tm.commodities (Tb_tm.Synthetic.longest_matching topo) in
-  let len = Array.init (Graph.num_arcs g) (fun a -> 1.0 /. Graph.arc_cap g a) in
-  let len_fn a = len.(a) in
-  let scratch ?banned src dst =
-    Kshortest.k_shortest ?banned g ~len:len_fn ~src ~dst ~k
-  in
-  let arcs_of ps =
-    Array.of_list (List.map (fun (p : Kshortest.path) -> p.Kshortest.arcs) ps)
-  in
-  (* Failed edges spread over the edge list, kept only when the
-     remaining graph stays connected (so every commodity still has a
-     path pool on both the cold and the warm side). *)
-  let edges = Graph.edges g in
-  let m = Array.length edges in
-  let survives_without i =
-    let keep = ref [] in
-    Array.iteri
-      (fun j (e : Graph.edge) ->
-        if j <> i then keep := (e.Graph.u, e.Graph.v, e.Graph.cap) :: !keep)
-      edges;
-    Tb_graph.Traversal.is_connected (Graph.of_edges ~n:(Graph.num_nodes g) !keep)
-  in
-  let arcs_of_edge (e : Graph.edge) =
-    let fwd = ref (-1) in
-    Graph.iter_succ (fun v arc -> if v = e.Graph.v && !fwd < 0 then fwd := arc) g
-      e.Graph.u;
-    [ !fwd; Graph.arc_rev !fwd ]
-  in
-  let banned_variants =
-    let rec collect acc count i =
-      if count = 0 || i > m then List.rev acc
-      else
-        let e = (i * 7919) mod m in
-        if survives_without e then
-          collect (arcs_of_edge edges.(e) :: acc) (count - 1) (i + 1)
-        else collect acc count (i + 1)
-    in
-    collect [] variants 1
-  in
-  (* The intact pools by flow endpoints: an LM TM's commodities are
-     distinct (src, dst) pairs. *)
-  let intact = Hashtbl.create (Array.length cs) in
-  Array.iter
-    (fun (c : Tb_flow.Commodity.t) ->
-      let src = c.Tb_flow.Commodity.src and dst = c.Tb_flow.Commodity.dst in
-      Hashtbl.replace intact (src, dst) (scratch src dst))
-    cs;
-  let repaired banned src dst =
-    Kshortest.repair_deleted g ~len:len_fn ~banned ~src ~dst ~k
-      (Hashtbl.find intact (src, dst))
-  in
-  let duals = (Tb_flow.Fleischer.solve ~tol:0.1 g cs).Tb_flow.Fleischer.lengths in
-  let warm_results = ref [] in
-  (* Every trial's warm time, so the speedup is taken against their
-     median rather than whichever trial happened to run last. *)
-  let warm_trials_ms = ref [] in
-  let run () =
-    let t0 = Clock.now_ns () in
-    let out =
-      List.map
-        (fun banned ->
-          Restricted.solve ~eps ~tol ~warm_lengths:duals g
-            ~paths:(fun src dst -> arcs_of (repaired banned src dst))
-            cs)
-        banned_variants
-    in
-    warm_trials_ms := Clock.ns_to_ms (Clock.elapsed_ns t0) :: !warm_trials_ms;
-    warm_results := out
-  in
-  let post () =
-    let t0 = Clock.now_ns () in
-    let cold =
-      List.map
-        (fun banned ->
-          Restricted.solve ~eps ~tol g
-            ~paths:(fun src dst -> arcs_of (scratch ~banned src dst))
-            cs)
-        banned_variants
-    in
-    let cold_ms = Clock.ns_to_ms (Clock.elapsed_ns t0) in
-    let identical =
-      List.for_all
-        (fun banned ->
-          Array.for_all
-            (fun (c : Tb_flow.Commodity.t) ->
-              let src = c.Tb_flow.Commodity.src and dst = c.Tb_flow.Commodity.dst in
-              repaired banned src dst = scratch ~banned src dst)
-            cs)
-        banned_variants
-    in
-    let bounded (r : Restricted.result) =
-      r.Restricted.lower > 0.0
-      && r.Restricted.upper >= r.Restricted.lower
-      && r.Restricted.upper /. r.Restricted.lower <= 1.0 +. tol +. 1e-9
-    in
-    let certified =
-      List.for_all bounded !warm_results
-      && List.for_all bounded cold
-    in
-    let agree =
-      List.for_all2
-        (fun (c : Restricted.result) (w : Restricted.result) ->
-          Cert.agreement
-            [
-              ("cold", c.Restricted.lower, c.Restricted.upper);
-              ("warm", w.Restricted.lower, w.Restricted.upper);
-            ]
-          = Ok ())
-        cold !warm_results
-    in
-    let phases rs =
-      List.fold_left (fun s (r : Restricted.result) -> s + r.Restricted.phases)
-        0 rs
-    in
-    let warm_ms = Stats.median (Array.of_list !warm_trials_ms) in
-    let speedup = cold_ms /. warm_ms in
-    let ok = identical && certified && agree && speedup >= min_speedup in
-    ( [
-        ("cold_ms", Json.Float cold_ms);
-        ("warm_ms", Json.Float warm_ms);
-        ("speedup_warm_vs_cold", Json.Float speedup);
-        ("min_speedup", Json.Float min_speedup);
-        ("repair_identical", Json.Bool identical);
-        ("brackets_certified", Json.Bool certified);
-        ("agreement", Json.String (if agree then "ok" else "FAILED"));
-        ("phases_warm", Json.Int (phases !warm_results));
-        ("phases_cold", Json.Int (phases cold));
-        ("variants", Json.Int (List.length banned_variants));
-        ("commodities", Json.Int (Array.length cs));
-      ],
-      ok )
-  in
-  {
-    name;
-    descr =
-      Printf.sprintf
-        "warm vs cold failure sweep: %d single-edge failures of random \
-         regular n=%d d=%d, LM TM, k=%d path pools, restricted solve \
-         eps=%.2f tol=%.2f (gate: pools bit-identical to scratch, brackets \
-         certified+agree, speedup >= %.1fx)"
-        variants n degree k eps tol min_speedup;
-    run;
-    post = Some post;
-    trials_override = Some trials;
-    warmup = false;
   }
 
 let getenv_float name default =
@@ -433,8 +252,6 @@ let workloads mode =
       lm_workload ~name:"fleischer-rr64-lm" ~n:64 ~degree:6 ~tol:0.08;
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
-      warm_sweep_workload ~name:"warm-failures-rr96" ~n:96 ~degree:6 ~k:8
-        ~eps:0.3 ~tol:0.2 ~variants:3 ~min_speedup:2.0 ~trials:3;
     ]
   | Full ->
     [
@@ -444,8 +261,6 @@ let workloads mode =
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       lm_workload ~name:"fleischer-rr256-lm" ~n:256 ~degree:10 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
-      warm_sweep_workload ~name:"warm-failures-rr256" ~n:256 ~degree:6 ~k:8
-        ~eps:0.3 ~tol:0.2 ~variants:4 ~min_speedup:5.0 ~trials:3;
     ]
   | Scale_smoke ->
     let budget = getenv_float "TOPOBENCH_SCALE_BUDGET_S" 600.0 in
@@ -504,12 +319,9 @@ let run_mode mode =
   let results =
     List.map
       (fun w ->
-        let trials =
-          match w.trials_override with Some t -> t | None -> trials
-        in
         match
           try
-            if w.warmup then ignore (time_trial w.run) (* warmup *);
+            if not scale then ignore (time_trial w.run) (* warmup *);
             Ok (Array.init trials (fun _ -> time_trial w.run))
           with Deadline.Timed_out _ as e -> Error e
         with

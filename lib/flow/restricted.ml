@@ -43,7 +43,7 @@ let flatten g (c : Commodity.t) ps =
   Array.map Array.of_list ps
 
 let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
-    ?(on_check = Convergence.tracing "restricted") ?warm_lengths g ~paths cs =
+    ?(on_check = Convergence.tracing "restricted") g ~paths cs =
   let on_check = Tb_obs.Deadline.guard deadline on_check in
   let cs = Commodity.normalize cs in
   if Array.length cs = 0 then invalid_arg "Restricted.solve: no commodities";
@@ -69,7 +69,7 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
         (fun a -> load.{a} <- load.{a} +. c.Commodity.demand)
         paths.(j).(0))
     cs;
-  let t = Mwu.create g ~eps ~load ~warm_lengths cs in
+  let t = Mwu.create g ~eps ~load ~warm_lengths:None cs in
   (* The phase loop below is allocation-free: paths are flattened to arc
      arrays once, every loop is an index loop over local refs, and the
      shortest length is handed back through an unboxed cell rather than

@@ -20,18 +20,13 @@ type result = { lower : float; upper : float; phases : int }
     @param tol certified relative gap at which to stop:
     [upper / lower <= 1 + tol] (dimensionless).
     @param on_check convergence sink (see {!Tb_obs.Convergence});
-    defaults to trace forwarding, a no-op unless tracing is enabled.
-    @param warm_lengths optional initial length function with the same
-    contract as {!Fleischer.solve}: used only if every arc has a
-    strictly positive finite entry, otherwise the cold [1/cap] start is
-    kept; affects convergence speed only, never bracket validity. *)
+    defaults to trace forwarding, a no-op unless tracing is enabled. *)
 val solve :
   ?deadline:Tb_obs.Deadline.t ->
   ?eps:float ->
   ?tol:float ->
   ?max_phases:int ->
   ?on_check:Tb_obs.Convergence.sink ->
-  ?warm_lengths:float array ->
   Graph.t ->
   paths:(int -> int -> int list array) ->
   Commodity.t array ->

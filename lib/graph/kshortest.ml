@@ -1,8 +1,7 @@
 (* Yen's algorithm for the K shortest loopless paths, in one canonical
-   order, plus incremental repair after arc deletions. The warm-started
-   failure-sweep bench and the differential fuzzer's restricted-path
-   subject enumerate with it; LLSKR's Fig. 15 paths are penalty-diverse
-   Dijkstra paths instead ([Llskr.diverse_paths]).
+   order. The differential fuzzer's restricted-path subject enumerates
+   with it; LLSKR's Fig. 15 paths are penalty-diverse Dijkstra paths
+   instead ([Llskr.diverse_paths]).
 
    The closure length function is materialized into a Bigarray ONCE per
    [k_shortest] call and each spur query runs over the same reusable
@@ -35,7 +34,7 @@ let canonical_compare a b =
 
 (* The (length, node-seq)-minimal shortest path from src to dst under
    the current [base] lengths, or None if unreachable. Requires
-   strictly positive finite lengths for non-banned arcs (banned =
+   strictly positive finite lengths for non-banned arcs (spur bans =
    infinity): positivity makes the tight-arc DAG below acyclic.
 
    The SSSP runs WITHOUT [~target]: early exit leaves non-settled
@@ -96,7 +95,7 @@ let canonical_shortest g ~base ~st ~src ~dst =
     end
   end
 
-let k_shortest ?(banned = []) g ~len ~src ~dst ~k =
+let k_shortest g ~len ~src ~dst ~k =
   if k <= 0 then []
   else begin
     let n = Graph.num_nodes g in
@@ -105,11 +104,6 @@ let k_shortest ?(banned = []) g ~len ~src ~dst ~k =
     for a = 0 to num_arcs - 1 do
       A1.set base a (len a)
     done;
-    (* Permanent bans (deleted arcs): applied outside the spur ban log,
-       so [restore] never resurrects them. *)
-    List.iter
-      (fun a -> if a >= 0 && a < num_arcs then A1.set base a infinity)
-      banned;
     let st = Sssp.create_state n in
     let saved = ref [] in
     let ban_arc a =
@@ -173,17 +167,3 @@ let k_shortest ?(banned = []) g ~len ~src ~dst ~k =
       done;
       List.sort canonical_compare !accepted
   end
-
-(* If none of the previously accepted first-k paths uses a banned arc,
-   they are still the first-k of the banned universe: the banned
-   universe is a subset of the original, contains all of [prev], and
-   any path preceding a member of [prev] in the banned universe would
-   also precede it in the original. This holds both when |prev| = k and
-   when |prev| < k (then prev was the whole universe). Otherwise,
-   recompute from scratch under the bans — the canonical total order
-   makes that recomputation bit-identical to what an oracle-equipped
-   incremental repair would produce. *)
-let repair_deleted g ~len ~banned ~src ~dst ~k prev =
-  let uses_banned p = List.exists (fun a -> List.mem a banned) p.arcs in
-  if banned = [] || not (List.exists uses_banned prev) then prev
-  else k_shortest g ~len ~banned ~src ~dst ~k

@@ -10,11 +10,10 @@ module Json = Tb_obs.Json
    back onto a concrete graph ({!lengths_for}) re-resolves against that
    graph's arcs; an arc that no longer maps is dropped and a new one is
    back-filled, which is exactly the invalidation the warm-start
-   contract needs: the consumers ({!Tb_flow.Fleischer},
-   {!Tb_flow.Restricted}) treat warm lengths as a hint that may only
-   change convergence speed, and the harness re-certifies every
-   warm-started bracket, so a stale entry can cost time, never
-   correctness.
+   contract needs: the consumer ({!Tb_flow.Fleischer}) treats warm
+   lengths as a hint that may only change convergence speed, and the
+   harness re-certifies every warm-started bracket, so a stale entry
+   can cost time, never correctness.
 
    The cache is a small bounded FIFO keyed by caller-chosen strings
    (e.g. the intact topology label): a sweep's neighboring cells share

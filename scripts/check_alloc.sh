@@ -7,8 +7,7 @@
 #
 # Allocation volume is fixed by the seed and the workload, not by the
 # machine's speed or load, so unlike a timing gate this one can be hard
-# on a shared runner. Field extraction is plain grep/sed, as in
-# check_warm.sh.
+# on a shared runner. Field extraction is plain grep/sed.
 set -eu
 
 out="${1:-alloc_gate.out}"

@@ -274,75 +274,6 @@ let test_broken_results_caught () =
          ("b", 3.0 *. r.Fleischer.upper, 4.0 *. r.Fleischer.upper);
        ])
 
-(* ---- Incremental k-shortest repair = from-scratch recompute. ----
-
-   The warm-start seam in Tb_graph.Kshortest: after deleting one edge,
-   [repair_deleted] must return the bit-identical path set a cold
-   [k_shortest ~banned] call would — including the no-op case where no
-   previous path used the edge. Exercised over the catalog families and
-   50 generated instances, on both the all-ties hop metric and a
-   non-uniform length function. *)
-
-module Kshortest = Tb_graph.Kshortest
-
-(* Both directed arcs of edge [e] (the ban set of one link failure). *)
-let arcs_of_edge g (e : Graph.edge) =
-  let fwd = ref None in
-  Graph.iter_succ
-    (fun v arc -> if v = e.Graph.v && !fwd = None then fwd := Some arc)
-    g e.Graph.u;
-  match !fwd with None -> [] | Some a -> [ a; Graph.arc_rev a ]
-
-let repair_matches_scratch ?(max_edges = max_int) g ~src ~dst ~k =
-  let edges = Graph.edges g in
-  let m = Array.length edges in
-  let tested = min m max_edges in
-  let lens =
-    [
-      (fun _ -> 1.0);
-      (fun a -> 1.0 +. (float_of_int ((a * 2654435761) land 7) /. 4.0));
-    ]
-  in
-  List.for_all
-    (fun len ->
-      let prev = Kshortest.k_shortest g ~len ~src ~dst ~k in
-      List.for_all
-        (fun j ->
-          let e = edges.((j * 7919) mod m) in
-          match arcs_of_edge g e with
-          | [] -> true
-          | banned ->
-            Kshortest.repair_deleted g ~len ~banned ~src ~dst ~k prev
-            = Kshortest.k_shortest ~banned g ~len ~src ~dst ~k)
-        (List.init tested Fun.id))
-    lens
-
-let test_repair_catalog () =
-  List.iter
-    (fun spec ->
-      let topo =
-        match Catalog.spec_of_string spec with
-        | Ok sp -> Catalog.build_spec sp
-        | Error e -> Alcotest.fail e
-      in
-      let g = topo.Topology.graph in
-      let n = Graph.num_nodes g in
-      Alcotest.(check bool)
-        (spec ^ ": repair = from-scratch") true
-        (repair_matches_scratch g ~src:0 ~dst:(n - 1) ~k:4))
-    [ "hypercube:3"; "fattree:4"; "jellyfish:10,deg=3,seed=7" ]
-
-let prop_repair_identical =
-  QCheck.Test.make
-    ~name:"k-shortest repair bit-identical to recompute (one edge deleted)"
-    ~count:50 Gen.arbitrary (fun inst ->
-      let g = inst.Gen.topo.Topology.graph in
-      let cs = Tm.commodities inst.Gen.tm in
-      QCheck.assume (Array.length cs > 0);
-      let c = cs.(0) in
-      repair_matches_scratch ~max_edges:6 g ~src:c.Tb_flow.Commodity.src
-        ~dst:c.Tb_flow.Commodity.dst ~k:4)
-
 (* ---- The differential property, as a QCheck test. ---- *)
 
 let prop_brackets_agree =
@@ -389,6 +320,26 @@ let test_fuzz_smoke () =
          f.Diff.seed f.Diff.tag f.Diff.detail));
   Alcotest.(check int) "exit code 0" 0 (Fuzz.exit_code rep)
 
+(* ---- The warm_vs_cold subject: Fleischer dual lengths are the one warm
+   seam (Tb_harness.Warm). Solve cold, perturb by one edge deletion or
+   demand rescale, re-solve warm from the cold lengths: every warm
+   certificate must hold. ---- *)
+
+let test_warm_vs_cold () =
+  let cfg =
+    { Fuzz.instances = 10; seed = 4242; corpus = None;
+      subject = Fuzz.Warm_vs_cold }
+  in
+  let rep = Fuzz.run cfg in
+  Alcotest.(check int) "instances run" 10 rep.Fuzz.instances_run;
+  (match Diff.failures rep.Fuzz.tally with
+  | [] -> ()
+  | f :: _ ->
+    Alcotest.fail
+      (Printf.sprintf "warm failure: %s on seed %d (%s): %s" f.Diff.cert
+         f.Diff.seed f.Diff.tag f.Diff.detail));
+  Alcotest.(check int) "exit code 0" 0 (Fuzz.exit_code rep)
+
 let () =
   Alcotest.run "check"
     [
@@ -407,11 +358,10 @@ let () =
         [ Alcotest.test_case "broken results are caught" `Quick
             test_broken_results_caught;
           Qseed.to_alcotest prop_brackets_agree ] );
-      ( "kshortest-repair",
-        [ Alcotest.test_case "catalog families: repair = from-scratch" `Quick
-            test_repair_catalog;
-          Qseed.to_alcotest prop_repair_identical ] );
       ( "fuzz",
         [ Alcotest.test_case "fuzz loop + corpus replay" `Slow
             test_fuzz_smoke ] );
+      ( "warm-dual-length",
+        [ Alcotest.test_case "warm_vs_cold fuzz loop" `Quick
+            test_warm_vs_cold ] );
     ]

@@ -255,7 +255,7 @@ let test_restricted_matches_exact_with_all_paths () =
    tol 0.1); their phase count is read off the solver's phase counter.
    The 1531-phase solve at the default eps/tol runs far past
    Fleischer's 120-phase stall window, where an eps anneal would move
-   its bits. An unusable warm vector must reproduce the cold solve. *)
+   its bits. *)
 
 let pin_bits =
   Alcotest.testable
@@ -300,20 +300,29 @@ let test_restricted_pinned_direct () =
   check_pin "default eps/tol, past the stall window"
     (0x1.f1b24e5818b4cp-2, 0x1.004758ad3e1cp-1, 1531)
     (pin (Restricted.solve g ~paths cs));
-  let cold = (0x1.e9bd37a6f4de9p-2, 0x1.0d39b010e8026p-1, 165) in
-  let solve ?warm_lengths () = pin (Restricted.solve ~eps:0.4 ~tol:0.1 ?warm_lengths g ~paths cs) in
-  check_pin "cold" cold (solve ());
-  let lengths =
-    (Fleischer.solve ~eps:0.4 ~tol:0.1 g cs).Fleischer.lengths
+  check_pin "eps 0.4, tol 0.1"
+    (0x1.e9bd37a6f4de9p-2, 0x1.0d39b010e8026p-1, 165)
+    (pin (Restricted.solve ~eps:0.4 ~tol:0.1 g ~paths cs))
+
+(* Mwu keeps the cold [1/cap] start unless the warm vector has one
+   strictly positive finite length per arc: an unusable vector must
+   reproduce the cold solve's bits. *)
+let test_fleischer_unusable_warm_is_cold () =
+  let jf = pin_jellyfish () in
+  let g = jf.Tb_topo.Topology.graph in
+  let cs = Tb_tm.Tm.commodities (Tb_tm.Synthetic.longest_matching jf) in
+  let solve ?warm_lengths () = Fleischer.solve ~eps:0.4 ~tol:0.1 ?warm_lengths g cs in
+  let pin (r : Fleischer.result) =
+    (r.Fleischer.lower, r.Fleischer.upper, r.Fleischer.phases)
   in
-  check_pin "warm from Fleischer lengths"
-    (0x1.e198a0883582cp-2, 0x1.08c750b997b6ep-1, 594)
-    (solve ~warm_lengths:lengths ());
-  check_pin "warm vector too short is cold" cold
-    (solve ~warm_lengths:(Array.sub lengths 1 (Array.length lengths - 1)) ());
+  let cold = solve () in
+  let lengths = cold.Fleischer.lengths in
+  check_pin "warm vector too short is cold" (pin cold)
+    (pin (solve ~warm_lengths:(Array.sub lengths 1 (Array.length lengths - 1)) ()));
   let zeroed = Array.copy lengths in
   zeroed.(0) <- 0.0;
-  check_pin "warm vector with a zero is cold" cold (solve ~warm_lengths:zeroed ())
+  check_pin "warm vector with a zero is cold" (pin cold)
+    (pin (solve ~warm_lengths:zeroed ()))
 
 let test_fleischer_weighted_capacities () =
   (* Non-unit capacities: a fat direct link should carry proportionally
@@ -451,6 +460,8 @@ let () =
             test_fleischer_demand_scale_invariance;
           Alcotest.test_case "domain-count determinism" `Quick
             test_fleischer_domain_determinism;
+          Alcotest.test_case "unusable warm vector is cold" `Quick
+            test_fleischer_unusable_warm_is_cold;
         ] );
       ( "exact",
         [
@@ -467,7 +478,7 @@ let () =
           Alcotest.test_case "all paths ~ exact" `Quick
             test_restricted_matches_exact_with_all_paths;
           Alcotest.test_case "pinned ksp routing" `Quick test_restricted_pinned_ksp;
-          Alcotest.test_case "pinned direct and warm" `Quick
+          Alcotest.test_case "pinned direct" `Quick
             test_restricted_pinned_direct;
         ] );
       ( "mcf",
