@@ -1,8 +1,9 @@
-(* Performance record: Fleischer-dominated workload sets timed with a
-   warmup run plus median-of-N trials, written to a JSON file in a
-   stable schema. Speed comparisons between two commits are made by
-   `make bench-pairs`, which runs both in alternating pairs on one
-   machine; the medians here are absolute readings of one run.
+(* Performance record: Fleischer-dominated workload sets and the cut
+   estimator suite, timed with a warmup run plus median-of-N trials,
+   written to a JSON file in a stable schema. Speed comparisons between
+   two commits are made by `make bench-pairs`, which runs both in
+   alternating pairs on one machine; the medians here are absolute
+   readings of one run.
 
    Usage (via bench/main.exe):
      bench/main.exe perf                full trial counts
@@ -142,6 +143,38 @@ let dijkstra_workload ~name ~n ~degree ~reps =
         Tb_graph.Sssp.dijkstra g ~len ~src:(i mod n) st
       done)
 
+(* The Appendix C sparse-cut estimator suite on an A2A TM, with its
+   witness re-derived by the naive cut oracle, so a kernel that
+   misreports a cut turns the record red. *)
+let cuts_workload ~name ~spec =
+  let topo = topo_of_spec spec in
+  let g = topo.Tb_topo.Topology.graph in
+  let flows = Tb_tm.Tm.flows (Tb_tm.Synthetic.all_to_all topo) in
+  let last = ref None in
+  {
+    name;
+    descr = Printf.sprintf "cut estimator suite on %s, A2A TM" spec;
+    run = (fun () -> last := Some (Tb_cuts.Estimator.run g flows));
+    post =
+      Some
+        (fun () ->
+          match !last with
+          | Some { Tb_cuts.Estimator.sparsity; best_cut = Some cut; _ } ->
+            let check = Cert.cut_bound_valid g flows ~cut ~claimed:sparsity in
+            ( [
+                ("sparsity", Json.Float sparsity);
+                ( "certs",
+                  Json.Obj
+                    [
+                      ( "cut_bound_valid",
+                        Json.String
+                          (match check with Ok () -> "ok" | Error m -> m) );
+                    ] );
+              ],
+              check = Ok () )
+          | _ -> ([], false));
+  }
+
 (* ---- Scale workloads: certified brackets on datacenter sizes. ---- *)
 
 (* A sparse seeded demand set: [pairs] distinct src->dst commodities of
@@ -252,6 +285,7 @@ let workloads mode =
       lm_workload ~name:"fleischer-rr64-lm" ~n:64 ~degree:6 ~tol:0.08;
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
+      cuts_workload ~name:"cuts-hypercube6-a2a" ~spec:"hypercube:6";
     ]
   | Full ->
     [
@@ -261,6 +295,7 @@ let workloads mode =
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       lm_workload ~name:"fleischer-rr256-lm" ~n:256 ~degree:10 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
+      cuts_workload ~name:"cuts-hypercube6-a2a" ~spec:"hypercube:6";
     ]
   | Scale_smoke ->
     let budget = getenv_float "TOPOBENCH_SCALE_BUDGET_S" 600.0 in

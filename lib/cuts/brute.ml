@@ -9,37 +9,36 @@ module Graph = Tb_graph.Graph
 let default_cap = 10_000
 
 (* Iterate cuts as bitmasks over nodes [0, n-1) — node n-1 stays outside,
-   covering each complementary pair once. Calls [f cut] until the cap is
-   reached. *)
+   covering each complementary pair once: node v is inside for mask m iff
+   bit v of m is set, for m = 1, 2, ... until the cap is reached. Calls
+   [f cut] per mask. *)
 let iter ?(max_cuts = default_cap) g f =
   let n = Graph.num_nodes g in
   if n < 2 then invalid_arg "Brute.iter";
   (* For networks beyond 62 nodes the full space cannot be indexed in an
-     int, but the capped prefix still can (masks up to [max_cuts] touch
-     only the low bits) — that is precisely the paper's "limited brute
-     force on all networks". *)
+     int, but the capped prefix still can: masks up to [max_cuts] set
+     only their low bits, so the cuts are subsets of the low-numbered
+     nodes — precisely the paper's "limited brute force on all
+     networks". *)
   let count =
     if n - 1 >= 62 then max_cuts else min ((1 lsl (n - 1)) - 1) max_cuts
   in
   let cut = Array.make n false in
-  for mask = 1 to count do
-    for v = 0 to n - 2 do
-      cut.(v) <- mask land (1 lsl v) <> 0
+  for _ = 1 to count do
+    (* Step the mask to mask + 1 in place: clear its trailing ones and
+       set the zero above them. The mask stays below 2^(n-1), so node
+       n-1 is never reached. *)
+    let v = ref 0 in
+    while cut.(!v) do
+      cut.(!v) <- false;
+      incr v
     done;
+    cut.(!v) <- true;
     f cut
   done
 
 (* Best (minimum) sparsity among enumerated cuts. *)
-let sparsest ?max_cuts g flows =
-  let best = ref infinity in
-  let best_cut = ref None in
-  iter ?max_cuts g (fun cut ->
-      let s = Cut.sparsity g flows cut in
-      if s < !best then begin
-        best := s;
-        best_cut := Some (Array.copy cut)
-      end);
-  (!best, !best_cut)
+let sparsest ?max_cuts p = Cut.sparsest p (iter ?max_cuts (Cut.graph p))
 
 (* Whether the instance is small enough for the cap to mean exhaustive
    enumeration. *)

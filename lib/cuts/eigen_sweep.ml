@@ -19,12 +19,4 @@ let iter g f =
     done
   end
 
-let sparsest g flows =
-  let best = ref infinity and best_cut = ref None in
-  iter g (fun cut ->
-      let s = Cut.sparsity g flows cut in
-      if s < !best then begin
-        best := s;
-        best_cut := Some (Array.copy cut)
-      end);
-  (!best, !best_cut)
+let sparsest p = Cut.sparsest p (iter (Cut.graph p))

@@ -5,4 +5,4 @@
 module Graph = Tb_graph.Graph
 
 val iter : Graph.t -> (Cut.t -> unit) -> unit
-val sparsest : Graph.t -> (int * int * float) array -> float * Cut.t option
+val sparsest : Cut.prepared -> float * Cut.t option

@@ -24,18 +24,17 @@ type report = {
 }
 
 let run ?(max_brute_cuts = Brute.default_cap) g flows =
+  let p = Cut.prepare g flows in
   let results =
     List.map
       (fun est ->
         let v, cut =
           match est with
-          | Brute_force -> Brute.sparsest ~max_cuts:max_brute_cuts g flows
-          | One_node -> Small_cuts.sparsest_one_node g flows
-          | Two_node ->
-            if Graph.num_nodes g >= 3 then Small_cuts.sparsest_two_node g flows
-            else (infinity, None)
-          | Expanding -> Expanding.sparsest g flows
-          | Eigenvector -> Eigen_sweep.sparsest g flows
+          | Brute_force -> Brute.sparsest ~max_cuts:max_brute_cuts p
+          | One_node -> Small_cuts.sparsest_one_node p
+          | Two_node -> Small_cuts.sparsest_two_node p
+          | Expanding -> Expanding.sparsest p
+          | Eigenvector -> Eigen_sweep.sparsest p
         in
         (est, v, cut))
       all

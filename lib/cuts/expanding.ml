@@ -9,23 +9,25 @@ module Traversal = Tb_graph.Traversal
 let iter g f =
   let n = Graph.num_nodes g in
   let cut = Array.make n false in
+  let dist = Array.make n (-1) and order = Array.make n 0 in
   for origin = 0 to n - 1 do
-    let dist = Traversal.bfs_dist g origin in
-    let ecc = Array.fold_left max 0 dist in
+    (* [order] lists the reached nodes by non-decreasing distance, so
+       each ball is a prefix of it and the last reached node sits at the
+       origin's eccentricity. A ball of radius below that excludes the
+       farthest node and includes the origin: it is always proper. *)
+    let reached = Traversal.bfs_into g origin ~dist ~queue:order in
+    let ecc = dist.(order.(reached - 1)) in
+    let k = ref 0 in
     for radius = 0 to ecc - 1 do
-      for v = 0 to n - 1 do
-        cut.(v) <- dist.(v) >= 0 && dist.(v) <= radius
+      while dist.(order.(!k)) <= radius do
+        cut.(order.(!k)) <- true;
+        incr k
       done;
-      if Cut.is_proper cut then f cut
+      f cut
+    done;
+    for i = 0 to !k - 1 do
+      cut.(order.(i)) <- false
     done
   done
 
-let sparsest g flows =
-  let best = ref infinity and best_cut = ref None in
-  iter g (fun cut ->
-      let s = Cut.sparsity g flows cut in
-      if s < !best then begin
-        best := s;
-        best_cut := Some (Array.copy cut)
-      end);
-  (!best, !best_cut)
+let sparsest p = Cut.sparsest p (iter (Cut.graph p))

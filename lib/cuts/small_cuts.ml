@@ -26,17 +26,11 @@ let iter_two_node g f =
     cut.(u) <- false
   done
 
-let best iter_fn g flows =
-  let best = ref infinity and best_cut = ref None in
-  iter_fn g (fun cut ->
-      if Cut.is_proper cut then begin
-        let s = Cut.sparsity g flows cut in
-        if s < !best then begin
-          best := s;
-          best_cut := Some (Array.copy cut)
-        end
-      end);
-  (!best, !best_cut)
+(* A k-node cut is proper iff the graph has more than k nodes. *)
+let best ~size iter_fn p =
+  let g = Cut.graph p in
+  if Graph.num_nodes g > size then Cut.sparsest p (iter_fn g)
+  else (infinity, None)
 
-let sparsest_one_node g flows = best iter_one_node g flows
-let sparsest_two_node g flows = best iter_two_node g flows
+let sparsest_one_node p = best ~size:1 iter_one_node p
+let sparsest_two_node p = best ~size:2 iter_two_node p

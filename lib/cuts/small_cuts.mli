@@ -6,8 +6,9 @@ module Graph = Tb_graph.Graph
 val iter_one_node : Graph.t -> (Cut.t -> unit) -> unit
 val iter_two_node : Graph.t -> (Cut.t -> unit) -> unit
 
-val sparsest_one_node :
-  Graph.t -> (int * int * float) array -> float * Cut.t option
+(** Best (minimum) sparsity among one-node cuts, with a witness;
+    [(infinity, None)] on graphs with fewer than two nodes. *)
+val sparsest_one_node : Cut.prepared -> float * Cut.t option
 
-val sparsest_two_node :
-  Graph.t -> (int * int * float) array -> float * Cut.t option
+(** The same over two-node cuts, on graphs with at least three nodes. *)
+val sparsest_two_node : Cut.prepared -> float * Cut.t option

@@ -10,11 +10,12 @@ module A1 = Bigarray.Array1
 (* Flat-array BFS ring instead of a Queue.t: no per-node block
    allocation, which matters when the flow solvers reachability-check a
    100k-node graph per distinct source. *)
-let bfs_dist g src =
+let bfs_into g src ~dist ~queue =
   let n = Graph.num_nodes g in
+  if Array.length dist <> n || Array.length queue <> n then
+    invalid_arg "Traversal.bfs_into";
   let row = Graph.ba_adj_start g and nbr = Graph.ba_adj_node g in
-  let dist = Array.make n (-1) in
-  let queue = Array.make (max 1 n) 0 in
+  Array.fill dist 0 n (-1);
   dist.(src) <- 0;
   queue.(0) <- src;
   let head = ref 0 and tail = ref 1 in
@@ -32,6 +33,12 @@ let bfs_dist g src =
       end
     done
   done;
+  !tail
+
+let bfs_dist g src =
+  let n = Graph.num_nodes g in
+  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  ignore (bfs_into g src ~dist ~queue);
   dist
 
 let is_connected g =

@@ -3,6 +3,12 @@
 (** Hop distances from [src]; unreachable nodes get [-1]. *)
 val bfs_dist : Graph.t -> int -> int array
 
+(** [bfs_into g src ~dist ~queue] is {!bfs_dist} into caller-owned
+    arrays of length [num_nodes g], allocating nothing: it overwrites
+    [dist] and lists the reached nodes in [queue] in BFS order, i.e. by
+    non-decreasing distance. Returns how many nodes were reached. *)
+val bfs_into : Graph.t -> int -> dist:int array -> queue:int array -> int
+
 val is_connected : Graph.t -> bool
 
 (** All-pairs hop distances, [apsp g].(u).(v). O(n*m). *)

@@ -392,6 +392,20 @@ let test_alloc_cut_capacity () =
   in
   check_ceiling "100 Cut.capacity calls on fattree:8" ~ceiling:1_000.0 words
 
+(* The whole estimator suite evaluates ~12,500 cuts of 4,032 flows each
+   through one prepared kernel: it measures about 32,000 minor words
+   (nearly all of them the eigenvector solve), against 168 M when every
+   cut folded its flows with a tuple accumulator. One boxed float per
+   cut would add 37,000 words; one per flow, 100 M. *)
+let test_alloc_cut_estimators () =
+  let topo = build "hypercube:6" in
+  let flows = Tb_tm.Tm.flows (Tb_tm.Synthetic.all_to_all topo) in
+  let words =
+    minor_words_after_warmup (fun () ->
+        ignore (Tb_cuts.Estimator.run topo.Topology.graph flows))
+  in
+  check_ceiling "Estimator.run on hypercube:6 A2A" ~ceiling:250_000.0 words
+
 let test_alloc_laplacian_apply () =
   let g = (build "fattree:8").Topology.graph in
   let n = Graph.num_nodes g in
@@ -564,6 +578,8 @@ let () =
           Alcotest.test_case "Fleischer solve" `Quick test_alloc_fleischer;
           Alcotest.test_case "Restricted solve" `Quick test_alloc_restricted;
           Alcotest.test_case "cut capacity" `Quick test_alloc_cut_capacity;
+          Alcotest.test_case "cut estimator suite" `Quick
+            test_alloc_cut_estimators;
           Alcotest.test_case "Laplacian apply" `Quick test_alloc_laplacian_apply;
         ] );
       ( "builder",
