@@ -119,20 +119,14 @@ chaos-quick:
 	  --chaos-seed 11 --out BENCH_service.json
 	@sh scripts/check_chaos.sh BENCH_service.json
 
-# End-to-end smoke of the ndjson service: three requests, two of them
-# identical — exactly one response must be a cache hit.
+# End-to-end smoke of the three ndjson fronts: one input with three
+# requests (two identical), a blank, a comment and a malformed line
+# through `serve`, `batch` and `pool --workers 2`; each must answer the
+# same request hashes with exactly one typed bad_request, and `serve`
+# exactly one request from its cache (scripts/serve_smoke.sh).
 serve-smoke:
 	dune build bin/topobench_cli.exe
-	printf '%s\n%s\n%s\n' \
-	  '{"topo":{"spec":"hypercube:2"},"tm":{"named":"rm1"}}' \
-	  '{"topo":{"spec":"hypercube:2"},"tm":{"named":"lm"}}' \
-	  '{"topo":{"spec":"hypercube:2"},"tm":{"named":"rm"}}' \
-	  | dune exec bin/topobench_cli.exe -- serve > serve_smoke_out.ndjson
-	@test "$$(grep -c '"cached":true' serve_smoke_out.ndjson)" = 1 \
-	  || { echo "serve-smoke: expected exactly one cache hit"; \
-	       cat serve_smoke_out.ndjson; rm -f serve_smoke_out.ndjson; exit 1; }
-	@rm -f serve_smoke_out.ndjson
-	@echo "serve-smoke: OK (3 requests, 1 cache hit)"
+	sh scripts/serve_smoke.sh _build/default/bin/topobench_cli.exe
 
 # End-to-end smoke of `topobench failures`: a checkpointed sweep re-run
 # on its own checkpoint must print byte-identical output, and with every

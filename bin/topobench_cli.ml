@@ -592,21 +592,18 @@ let serve_cmd =
 let batch_cmd =
   let run obs store capacity access_log file =
     with_obs obs @@ fun () ->
-    let lines =
+    let frames =
       or_usage_error @@ fun () ->
-      let ic = open_in file in
-      let rec collect acc =
-        match input_line ic with
-        | line -> collect (line :: acc)
-        | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      in
-      collect []
+      let module S = Tb_service.Service in
+      In_channel.with_open_bin file @@ fun ic ->
+      let frames = ref [] in
+      S.Framer.input_all (S.Framer.create ~max:S.max_line_bytes) ic (fun f ->
+          frames := f :: !frames);
+      List.rev !frames
     in
     let svc = make_service ?access_log store capacity in
     Fun.protect ~finally:(fun () -> close_access_log svc) @@ fun () ->
-    let out = Tb_service.Service.batch_lines svc lines in
+    let out = Tb_service.Service.batch_lines svc frames in
     List.iter
       (fun j ->
         print_string (Json.to_string j);

@@ -31,11 +31,16 @@ let second_eigenvector ?(iterations = 400) ?(tol = 1e-9) g =
     done;
     deflate y;
     Tb_prelude.Vec.normalize_in_place y;
-    let delta =
-      min (Tb_prelude.Vec.linf_dist x y)
-        (* Eigenvectors are sign-ambiguous; also compare against -y. *)
-        (Tb_prelude.Vec.linf_dist x (Array.map (fun v -> -.v) y))
-    in
+    (* Eigenvectors are sign-ambiguous: the distance from x is the
+       nearer of y and -y, both max-norms taken in one pass. *)
+    let d_pos = ref 0.0 and d_neg = ref 0.0 in
+    for i = 0 to n - 1 do
+      let a = abs_float (x.(i) -. y.(i)) in
+      if a > !d_pos then d_pos := a;
+      let b = abs_float (x.(i) -. (-.y.(i))) in
+      if b > !d_neg then d_neg := b
+    done;
+    let delta = min !d_pos !d_neg in
     Array.blit y 0 x 0 n;
     if delta < tol then converged := true
   done;

@@ -222,7 +222,7 @@ type worker = {
   breaker : Breaker.t;
   mutable pid : int; (* -1 = no process *)
   mutable fd : Unix.file_descr; (* supervisor side of the socketpair *)
-  mutable rbuf : Buffer.t; (* partial response line *)
+  framer : Service.Framer.t; (* reply lines, capped like requests *)
   mutable inflight : pending option;
   mutable dispatched_ms : float; (* when inflight was written *)
   mutable restart_at : float; (* abs ms; nan = no restart scheduled *)
@@ -235,6 +235,7 @@ type t = {
   cfg : config;
   rng : Rng.t; (* backoff jitter *)
   workers : worker array;
+  chunk : Bytes.t; (* the one read buffer, for replies and requests *)
   completions : (int, completion) Hashtbl.t;
   mutable next_id : int;
   mutable draining : bool;
@@ -328,7 +329,7 @@ let spawn_worker t (w : worker) =
     Unix.close wfd;
     w.pid <- pid;
     w.fd <- sup_fd;
-    Buffer.clear w.rbuf;
+    Service.Framer.reset w.framer;
     w.inflight <- None;
     w.restart_at <- nan;
     w.stopped <- false;
@@ -357,7 +358,7 @@ let create ?(config = default_config) () =
                   ~cooldown_ms:config.breaker_cooldown_ms ();
               pid = -1;
               fd = Unix.stdin (* placeholder until spawn *);
-              rbuf = Buffer.create 256;
+              framer = Service.Framer.create ~max:Service.max_line_bytes;
               inflight = None;
               dispatched_ms = 0.0;
               restart_at = nan;
@@ -365,6 +366,7 @@ let create ?(config = default_config) () =
               restarts = 0;
               stopped = false;
             });
+      chunk = Bytes.create 65536;
       completions = Hashtbl.create 64;
       next_id = 0;
       draining = false;
@@ -456,7 +458,7 @@ let fail_worker t (w : worker) ~reason =
   end;
   w.pid <- -1;
   w.stopped <- false;
-  Buffer.clear w.rbuf;
+  Service.Framer.reset w.framer;
   Breaker.record_failure w.breaker ~now_ms:now;
   w.restart_streak <- w.restart_streak + 1;
   let delay =
@@ -650,28 +652,22 @@ let handle_response t (w : worker) line =
     fail_worker t w ~reason:(Printf.sprintf "protocol: unparsable response (%s)" e)
   | None, _ -> fail_worker t w ~reason:"protocol: unsolicited response"
 
+(* Responses are one line each. Once a reply fails the worker, the
+   rest of its bytes are dropped: the restart resets the framer. *)
 let on_readable t (w : worker) =
-  let chunk = Bytes.create 65536 in
-  match Unix.read w.fd chunk 0 (Bytes.length chunk) with
+  match Unix.read w.fd t.chunk 0 (Bytes.length t.chunk) with
   | 0 ->
     (* EOF with the process possibly still technically alive (exiting):
        treat as death; reap will collect the corpse. *)
     fail_worker t w ~reason:"connection closed"
   | n ->
-    Buffer.add_subbytes w.rbuf chunk 0 n;
-    (* Extract complete lines; responses are one line each. *)
-    let rec drain () =
-      let s = Buffer.contents w.rbuf in
-      match String.index_opt s '\n' with
-      | None -> ()
-      | Some i ->
-        let line = String.sub s 0 i in
-        Buffer.clear w.rbuf;
-        Buffer.add_substring w.rbuf s (i + 1) (String.length s - i - 1);
-        if String.trim line <> "" then handle_response t w line;
-        if w.pid > 0 then drain ()
-    in
-    drain ()
+    Service.Framer.feed w.framer t.chunk 0 n (fun frame ->
+        if w.pid > 0 then
+          match frame with
+          | Service.Framer.Line line ->
+            if String.trim line <> "" then handle_response t w line
+          | Service.Framer.Oversized ->
+            fail_worker t w ~reason:"protocol: oversized response")
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) ->
     fail_worker t w ~reason:"connection reset"
@@ -933,16 +929,14 @@ let completion_json (c : completion) =
 (* Serve stdin/stdout over the pool: requests are admitted into the
    bounded queue (typed `overloaded` rejection when full) and response
    lines are written in completion order, tagged by hash. [stop]
-   flips under SIGTERM: stop intake, drain, exit. A request line longer
-   than {!Service.max_line_bytes} is rejected as {!Service.serve}
-   rejects it: once the partial line passes the cap it is dropped, a
-   typed [bad_request] goes out, and input is skipped up to the next
-   newline, so [ibuf] never holds more than the cap. *)
+   flips under SIGTERM: stop intake, drain, exit. Request lines go
+   through {!Service.Framer} and {!Service.intake}, so a line over
+   {!Service.max_line_bytes} gets the typed [bad_request] that
+   {!Service.serve} sends, as soon as it passes the cap, and is never
+   buffered whole. *)
 let serve ?(ic = Unix.stdin) ?(oc = stdout) ?(stop = ref false) t =
-  let ibuf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
+  let framer = Service.Framer.create ~max:Service.max_line_bytes in
   let eof = ref false in
-  let skipping = ref false in
   let emit doc =
     output_string oc (Json.to_string doc);
     output_char oc '\n';
@@ -958,54 +952,24 @@ let serve ?(ic = Unix.stdin) ?(oc = stdout) ?(stop = ref false) t =
     in
     go ()
   in
-  let handle_line line =
-    let trimmed = String.trim line in
-    if trimmed = "" || trimmed.[0] = '#' then ()
-    else
-      match Request.of_line trimmed with
-      | Error e -> emit (Service.error_json e)
-      | Ok req -> (
-        match submit t req with
-        | Ok _ -> ()
-        | Error Overloaded ->
-          emit
-            (Service.error_json ~code:"overloaded"
-               (Printf.sprintf "intake queue full (%d)" t.cfg.max_queue))
-        | Error Draining ->
-          emit (Service.error_json ~code:"overloaded" "pool is draining"))
-  in
-  (* Append [chunk.[pos, pos+len)], a piece of the current line, to
-     [ibuf]; past the cap, drop the line and start skipping. *)
-  let add_piece pos len =
-    if !skipping then ()
-    else if Buffer.length ibuf + len > Service.max_line_bytes then begin
-      Buffer.reset ibuf;
-      skipping := true;
-      emit
-        (Service.error_json
-           (Printf.sprintf "request line exceeds %d bytes"
-              Service.max_line_bytes))
-    end
-    else Buffer.add_subbytes ibuf chunk pos len
+  let admit frame =
+    match Service.intake frame with
+    | None -> ()
+    | Some (Error doc) -> emit doc
+    | Some (Ok req) -> (
+      match submit t req with
+      | Ok _ -> ()
+      | Error Overloaded ->
+        emit
+          (Service.error_json ~code:"overloaded"
+             (Printf.sprintf "intake queue full (%d)" t.cfg.max_queue))
+      | Error Draining ->
+        emit (Service.error_json ~code:"overloaded" "pool is draining"))
   in
   let read_stdin () =
-    match Unix.read ic chunk 0 (Bytes.length chunk) with
+    match Unix.read ic t.chunk 0 (Bytes.length t.chunk) with
     | 0 -> eof := true
-    | n ->
-      let start = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.get chunk i = '\n' then begin
-          add_piece !start (i - !start);
-          if !skipping then skipping := false
-          else begin
-            let line = Buffer.contents ibuf in
-            Buffer.clear ibuf;
-            handle_line line
-          end;
-          start := i + 1
-        end
-      done;
-      add_piece !start (n - !start)
+    | n -> Service.Framer.feed framer t.chunk 0 n admit
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
   while (not !eof) && not !stop do
@@ -1023,8 +987,7 @@ let serve ?(ic = Unix.stdin) ?(oc = stdout) ?(stop = ref false) t =
   done;
   (* EOF or SIGTERM: graceful drain — no new intake, finish what was
      accepted, flush the answers, fold the store segments. *)
-  let leftover = Buffer.contents ibuf in
-  if (not !stop) && String.trim leftover <> "" then handle_line leftover;
+  if not !stop then Service.Framer.finish framer admit;
   t.draining <- true;
   while pending_count t > 0 do
     step t;

@@ -13,7 +13,8 @@
     - {b detects failure}: worker death via SIGCHLD + EOF on the
       socketpair, wedged workers via a per-request wall deadline
       ([wall_ms], set above the request's own [budget_ms]), and
-      protocol corruption (unparsable or mismatched response lines);
+      protocol corruption (unparsable or mismatched response lines, or
+      one over {!Service.max_line_bytes}, cut by a {!Service.Framer});
     - {b restarts} failed workers with exponential backoff plus seeded
       jitter, gated per worker by a circuit breaker (open after
       [breaker_threshold] consecutive failures, half-open single probe
@@ -171,8 +172,9 @@ val drain : ?grace_ms:float -> t -> unit
 val shutdown : t -> unit
 
 (** ndjson front for the [topobench pool] subcommand: request lines in
-    on [ic], completion lines out on [oc] ({!completion_json}, in
-    completion order), typed {!Service.error_json} lines for malformed
+    on [ic] (through {!Service.Framer} and {!Service.intake}),
+    completion lines out on [oc] ({!completion_json}, in completion
+    order), typed {!Service.error_json} lines for malformed or oversized
     input ([bad_request]) and admission rejections ([overloaded]).
     Returns after EOF or once [!stop] is true (the SIGTERM flag),
     having drained gracefully. *)

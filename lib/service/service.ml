@@ -321,34 +321,69 @@ let error_json ?(code = "bad_request") msg =
    real inline topology/TM payload. *)
 let max_line_bytes = 4 * 1024 * 1024
 
-type line = Line of string | Oversized | Eof
+module Framer = struct
+  type frame = Line of string | Oversized
+  type t = { max : int; buf : Buffer.t; mutable overlong : bool }
 
-(* [input_line] with a byte cap. Mirrors [input_line]'s EOF behavior:
-   a final unterminated line still comes back as [Line]. *)
-let input_line_capped ic ~max =
-  let buf = Buffer.create 256 in
-  let rec drain () =
-    match input_char ic with
-    | exception End_of_file -> ()
-    | '\n' -> ()
-    | _ -> drain ()
-  in
-  let rec go () =
-    match input_char ic with
-    | exception End_of_file ->
-      if Buffer.length buf = 0 then Eof else Line (Buffer.contents buf)
-    | '\n' -> Line (Buffer.contents buf)
-    | c ->
-      if Buffer.length buf >= max then begin
-        drain ();
-        Oversized
-      end
+  let create ~max = { max; buf = Buffer.create 256; overlong = false }
+
+  let reset fr =
+    Buffer.reset fr.buf;
+    fr.overlong <- false
+
+  let rec feed fr b off len emit =
+    let stop = off + len in
+    let nl = ref off in
+    while !nl < stop && Bytes.get b !nl <> '\n' do
+      incr nl
+    done;
+    let piece = !nl - off in
+    if fr.overlong then ()
+    else if Buffer.length fr.buf + piece > fr.max then begin
+      reset fr;
+      fr.overlong <- true;
+      emit Oversized
+    end
+    else Buffer.add_subbytes fr.buf b off piece;
+    if !nl < stop then begin
+      if fr.overlong then fr.overlong <- false
       else begin
-        Buffer.add_char buf c;
+        let line = Buffer.contents fr.buf in
+        Buffer.clear fr.buf;
+        emit (Line line)
+      end;
+      feed fr b (!nl + 1) (stop - !nl - 1) emit
+    end
+
+  (* EOF: like [input_line], a final unterminated line still counts. *)
+  let finish fr emit =
+    let line = if fr.overlong then "" else Buffer.contents fr.buf in
+    reset fr;
+    if line <> "" then emit (Line line)
+
+  let input_all fr ic emit =
+    let chunk = Bytes.create 65536 in
+    let rec go () =
+      match Stdlib.input ic chunk 0 (Bytes.length chunk) with
+      | 0 -> finish fr emit
+      | n ->
+        feed fr chunk 0 n emit;
         go ()
-      end
-  in
-  go ()
+    in
+    go ()
+end
+
+let intake = function
+  | Framer.Oversized ->
+    let msg = Printf.sprintf "request line exceeds %d bytes" max_line_bytes in
+    Some (Error (error_json msg))
+  | Framer.Line line ->
+    let line = String.trim line in
+    if line = "" || line.[0] = '#' then None
+    else
+      Trace.span "service.intake" (fun () -> Request.of_line line)
+      |> Stdlib.Result.map_error error_json
+      |> Option.some
 
 let serve ?(ic = stdin) ?(oc = stdout) t =
   let respond doc args =
@@ -357,57 +392,24 @@ let serve ?(ic = stdin) ?(oc = stdout) t =
         output_char oc '\n';
         flush oc)
   in
-  let rec loop () =
-    match input_line_capped ic ~max:max_line_bytes with
-    | Eof -> ()
-    | Oversized ->
-      Metrics.incr m_errors;
-      respond
-        (error_json
-           (Printf.sprintf "request line exceeds %d bytes" max_line_bytes))
-        [];
-      loop ()
-    | Line line ->
-      let trimmed = String.trim line in
-      if trimmed = "" || trimmed.[0] = '#' then loop ()
-      else begin
-        let parsed =
-          Trace.span "service.intake" (fun () -> Request.of_line trimmed)
-        in
-        let doc, args =
-          match parsed with
-          | Error e ->
-            Metrics.incr m_errors;
-            (error_json e, [])
-          | Ok req ->
-            let resp = handle t req in
-            (response_json resp, targs resp.hash)
-        in
-        respond doc args;
-        loop ()
-      end
-  in
-  loop ()
+  Framer.input_all (Framer.create ~max:max_line_bytes) ic (fun frame ->
+      match intake frame with
+      | None -> ()
+      | Some (Error doc) ->
+        Metrics.incr m_errors;
+        respond doc []
+      | Some (Ok req) ->
+        let resp = handle t req in
+        respond (response_json resp) (targs resp.hash))
 
-let batch_lines t lines =
-  let lines =
-    List.filter
-      (fun l ->
-        let l = String.trim l in
-        l <> "" && l.[0] <> '#')
-      lines
-  in
-  let parsed = List.map (fun l -> Request.of_line (String.trim l)) lines in
-  let reqs = List.filter_map (function Ok r -> Some r | Error _ -> None) parsed in
-  let responses = ref (handle_batch t reqs) in
-  List.map
-    (fun p ->
-      match p with
-      | Error e -> error_json e
-      | Ok _ -> (
-        match !responses with
-        | r :: rest ->
-          responses := rest;
-          response_json r
-        | [] -> assert false))
-    parsed
+let batch_lines t frames =
+  let parsed = List.filter_map intake frames in
+  let reqs = List.filter_map Stdlib.Result.to_option parsed in
+  snd
+    (List.fold_left_map
+       (fun responses p ->
+         match (p, responses) with
+         | Error doc, _ -> (responses, doc)
+         | Ok _, r :: rest -> (rest, response_json r)
+         | Ok _, [] -> assert false)
+       (handle_batch t reqs) parsed)

@@ -21,7 +21,7 @@
 
     When tracing is enabled ({!Tb_obs.Trace}), each request emits
     lifecycle spans — [service.request], [service.cache_lookup],
-    [service.build], [service.solve] (and [service.intake] /
+    [service.build], [service.solve] (and [service.intake] in {!intake},
     [service.render] in the {!serve} loop, [service.batch] around a
     batch) — all carrying the request hash as a span argument, so a
     Chrome trace of the daemon can be filtered to one request's path.
@@ -102,16 +102,41 @@ val error_json : ?code:string -> string -> Tb_obs.Json.t
     ["bad_request"] error instead of being buffered without bound. *)
 val max_line_bytes : int
 
+(** The one ndjson line framer, fed whatever chunks {!serve},
+    [Pool.serve], [topobench batch] and the pool's reader of worker
+    replies read; any chunking yields the same frames. A line of up to
+    [max] bytes before its ['\n'] (['\r'] included) is a [Line]; a
+    longer one is one [Oversized], emitted as the cap is passed, and is
+    never buffered. [emit] may [reset] the framer; [finish] yields a
+    final unterminated line; [input_all] feeds a channel to EOF. *)
+module Framer : sig
+  type frame = Line of string | Oversized
+  type t
+
+  val create : max:int -> t
+  val feed : t -> Bytes.t -> int -> int -> (frame -> unit) -> unit
+  val finish : t -> (frame -> unit) -> unit
+  val reset : t -> unit
+  val input_all : t -> in_channel -> (frame -> unit) -> unit
+end
+
+(** What every front does with a frame: [None] for a blank or [#]
+    line, else the trimmed line through {!Request.of_line}. A parse
+    failure or an [Oversized] frame ("request line exceeds N bytes")
+    becomes the typed ["bad_request"] {!error_json}. Never raises. *)
+val intake : Framer.frame -> (Request.t, Tb_obs.Json.t) result option
+
 (** Newline-delimited JSON loop: one {!Request} per input line, one
-    {!response_json} line out (flushed per line). Unparsable lines
-    produce one typed {!error_json} line each, and a line over
-    {!max_line_bytes} is drained and rejected the same way — a bad
-    request never takes the daemon down. Returns at EOF (also how a
-    pool worker learns its supervisor is gone: the socketpair closes,
-    the loop returns, the worker exits cleanly). *)
+    {!response_json} line out (flushed per line), read through a
+    {!Framer} and {!intake}. Unparsable lines produce one typed
+    {!error_json} line each, and a line over {!max_line_bytes} is
+    rejected the same way, unbuffered — a bad request never takes the
+    daemon down. Returns at EOF (also how a pool worker learns its
+    supervisor is gone: the socketpair closes, the loop returns, the
+    worker exits cleanly). *)
 val serve : ?ic:in_channel -> ?oc:out_channel -> t -> unit
 
-(** Run input lines as one {!handle_batch} (blank and [#] lines
-    skipped), returning one JSON line-document per remaining line in
-    order — parse failures become [{"error": msg}] entries. *)
-val batch_lines : t -> string list -> Tb_obs.Json.t list
+(** Run frames (a request file's) as one {!handle_batch}: one JSON
+    document per {!intake} result, in order, so a malformed or
+    oversized line's typed error keeps its position. *)
+val batch_lines : t -> Framer.frame list -> Tb_obs.Json.t list

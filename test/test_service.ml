@@ -593,7 +593,9 @@ let test_batch_lines_protocol () =
       {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"rm1"}}|};
     ]
   in
-  match Service.batch_lines svc lines with
+  match
+    Service.batch_lines svc (List.map (fun l -> Service.Framer.Line l) lines)
+  with
   | [ ok1; err; ok2 ] ->
     Alcotest.(check bool) "parse error reported inline" true
       (Json.member "error" err <> None);
@@ -659,6 +661,216 @@ let test_serve_survives_bad_lines () =
       (Json.member "result" (parsed ok2) <> None)
   | other ->
     Alcotest.failf "expected 4 response lines, got %d" (List.length other)
+
+(* The CLI's `topobench batch`: the file goes through the framer, so a
+   line over the cap is rejected in its position, and the lines around
+   it are answered. *)
+let test_batch_overcap_line () =
+  let path = temp_path ".ndjson" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"a2a"}}|};
+      output_char oc '\n';
+      output_string oc (String.make (Service.max_line_bytes + 1) 'x');
+      output_string oc
+        "\n{\"topo\":{\"spec\":\"hypercube:2\"},\"tm\":{\"named\":\"lm\"}}\n");
+  let frames = ref [] in
+  In_channel.with_open_bin path (fun ic ->
+      Service.Framer.input_all
+        (Service.Framer.create ~max:Service.max_line_bytes)
+        ic
+        (fun f -> frames := f :: !frames));
+  let svc = Service.create ~capacity:8 () in
+  match Service.batch_lines svc (List.rev !frames) with
+  | [ ok1; err; ok2 ] ->
+    Alcotest.(check bool) "line before answered" true
+      (Json.member "result" ok1 <> None);
+    Alcotest.(check (option string)) "over-cap line typed in place"
+      (Some "bad_request")
+      (Option.bind (Json.member "code" err) Json.to_str);
+    Alcotest.(check bool) "line after answered" true
+      (Json.member "result" ok2 <> None)
+  | other ->
+    Alcotest.failf "expected 3 output documents, got %d" (List.length other)
+
+(* ---- The wire front end: one framer, one intake. ---- *)
+
+module Framer = Service.Framer
+
+let frames_of_chunks ~max chunks =
+  let fr = Framer.create ~max in
+  let out = ref [] in
+  let emit f = out := f :: !out in
+  List.iter
+    (fun c ->
+      (* Feed from the middle of a larger buffer, so [off] is exercised. *)
+      let b = Bytes.of_string ("<<" ^ c ^ ">>") in
+      Framer.feed fr b 2 (String.length c) emit)
+    chunks;
+  Framer.finish fr emit;
+  List.rev !out
+
+(* The reference: split on '\n'; the piece after the last '\n' is an
+   unterminated final line, kept when non-empty. *)
+let frames_reference ~max stream =
+  let pieces = String.split_on_char '\n' stream in
+  let n = List.length pieces in
+  List.concat
+    (List.mapi
+       (fun i p ->
+         if i = n - 1 && p = "" then []
+         else if String.length p > max then [ Framer.Oversized ]
+         else [ Framer.Line p ])
+       pieces)
+
+let pp_frame = function
+  | Framer.Line s -> Printf.sprintf "Line %S" s
+  | Framer.Oversized -> "Oversized"
+
+let frames_t =
+  Alcotest.testable
+    (fun ppf f -> Format.pp_print_string ppf (pp_frame f))
+    ( = )
+
+let test_framer_edges () =
+  let max = 4 in
+  let check name chunks expected =
+    Alcotest.(check (list frames_t))
+      name expected (frames_of_chunks ~max chunks)
+  in
+  check "empty input" [] [];
+  check "empty chunks" [ ""; "" ] [];
+  check "exactly max accepted, max+1 rejected" [ "abcd\nabcde\nok\n" ]
+    [ Framer.Line "abcd"; Framer.Oversized; Framer.Line "ok" ];
+  check "\\r counts toward the cap" [ "abc\r\nabcd\r\n" ]
+    [ Framer.Line "abc\r"; Framer.Oversized ];
+  check "split inside a line" [ "a"; "b"; "c\nd"; "e\n" ]
+    [ Framer.Line "abc"; Framer.Line "de" ];
+  check "cap crossed mid-chunk" [ "ab"; "cdefg\nxy"; "z\n" ]
+    [ Framer.Oversized; Framer.Line "xyz" ];
+  check "unterminated last line" [ "a\nbc" ]
+    [ Framer.Line "a"; Framer.Line "bc" ];
+  check "unterminated oversized last line" [ "a\nbcdefgh" ]
+    [ Framer.Line "a"; Framer.Oversized ];
+  check "blank lines are frames" [ "\n\n" ] [ Framer.Line ""; Framer.Line "" ];
+  (* [Oversized] fires as the cap is crossed, before the line ends. *)
+  let fr = Framer.create ~max in
+  let seen = ref [] in
+  Framer.feed fr (Bytes.of_string "abcde") 0 5 (fun f -> seen := f :: !seen);
+  Alcotest.(check (list frames_t)) "fires at the cap" [ Framer.Oversized ] !seen
+
+(* Every chunking of a stream of short lines (some over the cap, with
+   '\n' and '\r\n' endings, maybe unterminated at the end) yields the
+   frames of a naive split on '\n'. *)
+let test_framer_chunking =
+  let max = 6 in
+  let gen =
+    QCheck.Gen.(
+      let line =
+        string_size
+          ~gen:(oneofl [ 'a'; 'b'; ' '; '#'; '\r' ])
+          (int_range 0 (max + 3))
+      in
+      let ending = oneofl [ "\n"; "\r\n" ] in
+      let* lines = list_size (int_range 0 8) (pair line ending) in
+      let* last = oneof [ return ""; line ] in
+      let stream =
+        String.concat "" (List.map (fun (l, e) -> l ^ e) lines) ^ last
+      in
+      let n = String.length stream in
+      let* cuts = list_size (int_range 0 12) (int_range 0 n) in
+      let cuts = List.sort_uniq compare (0 :: n :: cuts) in
+      let rec chunks = function
+        | a :: (b :: _ as rest) -> String.sub stream a (b - a) :: chunks rest
+        | _ -> []
+      in
+      return (stream, chunks cuts))
+  in
+  QCheck.Test.make ~name:"framer chunking" ~count:500
+    (QCheck.make ~print:(fun (s, cs) ->
+         Printf.sprintf "%S cut as [%s]" s
+           (String.concat "; " (List.map (Printf.sprintf "%S") cs)))
+       gen)
+    (fun (stream, chunks) ->
+      frames_of_chunks ~max chunks = frames_reference ~max stream)
+
+(* [intake] returns [None], a request, or a typed [bad_request] — never
+   an exception — on mutations of real request lines. *)
+let test_intake_never_raises =
+  let seeds =
+    [
+      {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"rm1"}}|};
+      {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"lm"}}|};
+      {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"rm"}}|};
+      {|{"topo":{"spec":"hypercube:3,deg=6,hosts=1,seed=42"},|}
+      ^ {|"tm":{"named":"rm1"},"solver":"auto","eps":0.4,"tol":0.04,|}
+      ^ {|"budget_ms":1e999,"seed":42}|};
+      {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"a2a"},"solver":"fptas",|}
+      ^ {|"eps":0.3,"tol":0.1,"budget_ms":1000}|};
+      Json.to_string
+        (Request.to_json
+           (let topo = Tb_topo.Hypercube.make ~dim:2 () in
+            Request.of_instance topo (Tb_tm.Synthetic.all_to_all topo)));
+      "# comment";
+      "";
+    ]
+  in
+  let deep = String.make 10_000 '[' in
+  let mutate =
+    QCheck.Gen.(
+      let insert s piece =
+        let+ i = int_range 0 (String.length s) in
+        String.sub s 0 i ^ piece ^ String.sub s i (String.length s - i)
+      in
+      let one s =
+        frequency
+          [
+            ( 3,
+              if s = "" then return s
+              else
+                let* i = int_range 0 (String.length s - 1) in
+                let+ c = char in
+                String.mapi (fun j d -> if j = i then c else d) s );
+            (2, map (fun i -> String.sub s 0 (min i (String.length s))) nat);
+            (2, oneofl [ "inf"; "nan"; "1e999"; "-1e999"; "NaN" ] >>= insert s);
+            ( 1,
+              (* A duplicate key: repeat a member right after the '{'. *)
+              let+ dup =
+                oneofl
+                  [ {|"tm":{"named":"a2a"},|}; {|"topo":{"spec":"x"},|};
+                    {|"eps":0.5,|}; {|"seed":1,|} ]
+              in
+              if String.length s > 0 && s.[0] = '{' then
+                "{" ^ dup ^ String.sub s 1 (String.length s - 1)
+              else s );
+            (1, oneofl [ deep; deep ^ String.make 10_000 ']' ] >>= insert s);
+          ]
+      in
+      let* s = oneofl seeds in
+      let* k = int_range 1 3 in
+      let rec go k s = if k = 0 then return s else one s >>= go (k - 1) in
+      go k s)
+  in
+  QCheck.Test.make ~name:"intake never raises" ~count:400
+    (QCheck.make ~print:(fun s -> Printf.sprintf "%S" s) mutate)
+    (fun line ->
+      match Service.intake (Framer.Line line) with
+      | None | Some (Ok _) -> true
+      | Some (Error j) ->
+        Option.bind (Json.member "code" j) Json.to_str = Some "bad_request")
+
+let test_intake_oversized () =
+  match Service.intake Framer.Oversized with
+  | Some (Error j) ->
+    Alcotest.(check (option string)) "typed" (Some "bad_request")
+      (Option.bind (Json.member "code" j) Json.to_str);
+    let msg =
+      Printf.sprintf "request line exceeds %d bytes" Service.max_line_bytes
+    in
+    Alcotest.(check (option string)) "message" (Some msg)
+      (Option.bind (Json.member "error" j) Json.to_str)
+  | _ -> Alcotest.fail "an oversized frame must be a typed error"
 
 (* ---- Normalized solver optional arguments. ---- *)
 
@@ -741,6 +953,16 @@ let () =
           Alcotest.test_case "ndjson protocol" `Quick test_batch_lines_protocol;
           Alcotest.test_case "serve survives bad lines" `Quick
             test_serve_survives_bad_lines;
+          Alcotest.test_case "over-cap line typed in place" `Quick
+            test_batch_overcap_line;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "framer edge cases" `Quick test_framer_edges;
+          Qseed.to_alcotest test_framer_chunking;
+          Alcotest.test_case "intake oversized frame" `Quick
+            test_intake_oversized;
+          Qseed.to_alcotest test_intake_never_raises;
         ] );
       ( "observability",
         [

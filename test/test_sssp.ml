@@ -406,6 +406,17 @@ let test_alloc_cut_estimators () =
   in
   check_ceiling "Estimator.run on hypercube:6 A2A" ~ceiling:250_000.0 words
 
+(* The eigenvector estimator's power iteration: about 2,000 minor words
+   (boxed floats of the cross-module [Vec] calls), against 29,600 when
+   each iteration negated y into a fresh array. *)
+let test_alloc_second_eigenvector () =
+  let g = (build "hypercube:6").Topology.graph in
+  let words =
+    minor_words_after_warmup (fun () ->
+        ignore (Sys.opaque_identity (Tb_graph.Spectral.second_eigenvector g)))
+  in
+  check_ceiling "second_eigenvector on hypercube:6" ~ceiling:5_000.0 words
+
 let test_alloc_laplacian_apply () =
   let g = (build "fattree:8").Topology.graph in
   let n = Graph.num_nodes g in
@@ -581,6 +592,8 @@ let () =
           Alcotest.test_case "cut estimator suite" `Quick
             test_alloc_cut_estimators;
           Alcotest.test_case "Laplacian apply" `Quick test_alloc_laplacian_apply;
+          Alcotest.test_case "second eigenvector" `Quick
+            test_alloc_second_eigenvector;
         ] );
       ( "builder",
         [
