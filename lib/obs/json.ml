@@ -18,36 +18,63 @@ type t =
 
 (* ---- Printing. ---- *)
 
+(* The C primitive every Printf float conversion ends in: calling it
+   with the format Printf would build gives the same bytes without
+   interpreting a format at run time. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let hex_digits = "0123456789abcdef"
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Strings with nothing to escape (every key, hash and label the
+   service renders) are copied whole after one scan. *)
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n && not (needs_escape (String.unsafe_get s !i)) do
+    incr i
+  done;
+  if !i = n then Buffer.add_string buf s
+  else begin
+    Buffer.add_substring buf s 0 !i;
+    for j = !i to n - 1 do
+      match String.unsafe_get s j with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
       | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+        Buffer.add_char buf hex_digits.[Char.code c land 15]
+      | c -> Buffer.add_char buf c
+    done
+  end;
   Buffer.add_char buf '"'
 
 let float_to_string x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
+  if Float.is_integer x && Float.abs x < 1e15 then format_float "%.1f" x
   else if Float.is_nan x then "null" (* JSON has no NaN *)
   else if x = infinity then "1e999"
   else if x = neg_infinity then "-1e999"
   else
     (* Shortest representation that round-trips. *)
-    let s = Printf.sprintf "%.15g" x in
-    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    let s = format_float "%.15g" x in
+    if float_of_string s = x then s else format_float "%.17g" x
+
+(* With [indent], a line break and [2 * level] spaces; nothing without. *)
+let break buf ~indent level =
+  if indent then begin
+    Buffer.add_char buf '\n';
+    for _ = 1 to 2 * level do
+      Buffer.add_char buf ' '
+    done
+  end
 
 let rec print_to buf ~indent ~level v =
-  let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
-  let nl () = if indent then Buffer.add_char buf '\n' in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -57,37 +84,33 @@ let rec print_to buf ~indent ~level v =
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_char buf '[';
-    nl ();
-    List.iteri
-      (fun i item ->
-        if i > 0 then begin
-          Buffer.add_char buf ',';
-          nl ()
-        end;
-        pad (level + 1);
-        print_to buf ~indent ~level:(level + 1) item)
-      items;
-    nl ();
-    pad level;
+    print_items buf ~indent ~level ~first:true items;
+    break buf ~indent level;
     Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
   | Obj fields ->
     Buffer.add_char buf '{';
-    nl ();
-    List.iteri
-      (fun i (k, item) ->
-        if i > 0 then begin
-          Buffer.add_char buf ',';
-          nl ()
-        end;
-        pad (level + 1);
-        escape_to buf k;
-        Buffer.add_string buf (if indent then ": " else ":");
-        print_to buf ~indent ~level:(level + 1) item)
-      fields;
-    nl ();
-    pad level;
+    print_fields buf ~indent ~level ~first:true fields;
+    break buf ~indent level;
     Buffer.add_char buf '}'
+
+and print_items buf ~indent ~level ~first = function
+  | [] -> ()
+  | item :: rest ->
+    if not first then Buffer.add_char buf ',';
+    break buf ~indent (level + 1);
+    print_to buf ~indent ~level:(level + 1) item;
+    print_items buf ~indent ~level ~first:false rest
+
+and print_fields buf ~indent ~level ~first = function
+  | [] -> ()
+  | (k, item) :: rest ->
+    if not first then Buffer.add_char buf ',';
+    break buf ~indent (level + 1);
+    escape_to buf k;
+    Buffer.add_string buf (if indent then ": " else ":");
+    print_to buf ~indent ~level:(level + 1) item;
+    print_fields buf ~indent ~level ~first:false rest
 
 let to_string ?(indent = false) v =
   let buf = Buffer.create 1024 in
@@ -137,9 +160,9 @@ let literal cur word value =
   end
   else error cur (Printf.sprintf "expected %s" word)
 
-let parse_string cur =
-  expect cur '"';
-  let buf = Buffer.create 16 in
+(* Decode the rest of a string whose opening quote and escape-free
+   prefix are already consumed (the prefix is in [buf]). *)
+let parse_escaped cur buf =
   let rec loop () =
     if cur.pos >= String.length cur.s then error cur "unterminated string";
     let c = cur.s.[cur.pos] in
@@ -184,6 +207,30 @@ let parse_string cur =
     | c -> Buffer.add_char buf c; loop ()
   in
   loop ()
+
+(* A string without escapes (every key and value a request carries) is
+   one scan and one [String.sub]; the first backslash hands the rest to
+   the escape-decoding loop. *)
+let parse_string cur =
+  expect cur '"';
+  let s = cur.s and start = cur.pos in
+  let i = ref start in
+  while
+    !i < String.length s
+    && match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true
+  do
+    incr i
+  done;
+  if !i < String.length s && s.[!i] = '"' then begin
+    cur.pos <- !i + 1;
+    String.sub s start (!i - start)
+  end
+  else begin
+    let buf = Buffer.create (!i - start + 16) in
+    Buffer.add_substring buf s start (!i - start);
+    cur.pos <- !i;
+    parse_escaped cur buf
+  end
 
 let parse_number cur =
   let start = cur.pos in
@@ -271,9 +318,13 @@ let of_string s =
 
 (* ---- Accessors (for tests and consumers of parsed artifacts). ---- *)
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+(* [List.assoc_opt] with [String.equal] in place of the polymorphic
+   compare: a request parse looks up a dozen keys. *)
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
+
+let member key = function Obj fields -> assoc key fields | _ -> None
 
 let to_list = function List l -> Some l | _ -> None
 

@@ -15,13 +15,20 @@ type t =
     Non-finite floats print as [null] (NaN) or [±1e999] (infinities). *)
 val to_string : ?indent:bool -> t -> string
 
+(** The printer's rendering of one float: [%.1f] for integers below
+    1e15, otherwise the shorter of [%.15g] and [%.17g] that parses back
+    to the same float; [null] for NaN and [±1e999] for the infinities.
+    Printing then parsing is a fixpoint, so request hashes rest on it. *)
+val float_to_string : float -> string
+
 (** Write to [path], pretty-printed, with a trailing newline. *)
 val write : string -> t -> unit
 
 (** Parse a complete document. *)
 val of_string : string -> (t, string) result
 
-(** Field lookup on [Obj]; [None] on missing key or non-object. *)
+(** Field lookup on [Obj] (the first binding of a repeated key);
+    [None] on missing key or non-object. *)
 val member : string -> t -> t option
 
 val to_list : t -> t list option

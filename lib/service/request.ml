@@ -53,7 +53,7 @@ let known_tms = [ "a2a"; "rm1"; "rm5"; "lm"; "kodialam"; "tmh"; "tmf" ]
 let canonical_tm_name s =
   match String.lowercase_ascii s with
   | "rm" -> Some "rm1"
-  | s -> if List.mem s known_tms then Some s else None
+  | s -> if List.exists (String.equal s) known_tms then Some s else None
 
 let build_named_tm ~seed topo name =
   match canonical_tm_name name with
@@ -77,47 +77,78 @@ let build_named_tm ~seed topo name =
 
 (* Floats render through the Json printer: it is a print/parse fixpoint
    (test_obs proves it), so a parsed-back request re-serializes to the
-   same bytes — the property the content hash rests on. *)
-let float_repr x = Json.to_string (Json.Float x)
+   same bytes — the property the content hash rests on. Nearly every
+   request carries the policy's eps and tol, so those two renderings are
+   kept; both are non-zero, and [=] against a non-zero float holds only
+   for the very same bits. *)
+let default_eps = default_policy.Tb_harness.Solve.eps
+let default_tol = default_policy.Tb_harness.Solve.tol
+let default_eps_repr = Json.float_to_string default_eps
+let default_tol_repr = Json.float_to_string default_tol
+
+let float_repr x =
+  if x = default_eps then default_eps_repr
+  else if x = default_tol then default_tol_repr
+  else Json.float_to_string x
 
 (* Re-parsing the rendered spec resolves family aliases and makes the
-   default size explicit. *)
-let canon_spec sp =
-  match Catalog.spec_of_string (Catalog.spec_to_string sp) with
-  | Ok sp' -> sp'
-  | Error _ -> sp
+   default size explicit. For a family already in canonical form the
+   round trip can change nothing but [size = None] into the default the
+   renderer prints anyway, so only an alias (or a hand-built record
+   whose family no parser produced) pays for it. *)
+let canon_spec (sp : Catalog.spec) =
+  if List.exists (String.equal sp.Catalog.family) Catalog.known_families then sp
+  else
+    match Catalog.spec_of_string (Catalog.spec_to_string sp) with
+    | Ok sp' -> sp'
+    | Error _ -> sp
+
+let add_inline buf s =
+  Buffer.add_string buf "inline[";
+  Buffer.add_string buf (string_of_int (String.length s));
+  Buffer.add_string buf "]=";
+  Buffer.add_string buf s
+
+let add_topo_key buf t =
+  match t.topo with
+  | Spec sp ->
+    Buffer.add_string buf "spec=";
+    Buffer.add_string buf (Catalog.spec_to_string (canon_spec sp))
+  | Inline_topo s -> add_inline buf s
 
 let topo_key t =
-  match t.topo with
-  | Spec sp -> "spec=" ^ Catalog.spec_to_string (canon_spec sp)
-  | Inline_topo s -> Printf.sprintf "inline[%d]=%s" (String.length s) s
-
-let tm_field t =
-  match t.tm with
-  | Named n -> (
-    match canonical_tm_name n with
-    | Some n -> "named=" ^ n
-    | None -> "named=" ^ String.lowercase_ascii n)
-  | Inline_tm s -> Printf.sprintf "inline[%d]=%s" (String.length s) s
+  let buf = Buffer.create 64 in
+  add_topo_key buf t;
+  Buffer.contents buf
 
 (* Only named TMs consume the seed, so it is excluded from the bytes of
    inline-TM requests: drivers that pin different seeds still share
    cache entries for identical instances. *)
 let canonical_bytes t =
-  let seed_field =
-    match t.tm with Named _ -> string_of_int t.seed | Inline_tm _ -> "-"
-  in
-  String.concat "\n"
-    [
-      "topobench.request.v1";
-      "topo." ^ topo_key t;
-      "tm." ^ tm_field t;
-      "solver=" ^ solver_name t.solver;
-      "eps=" ^ float_repr t.eps;
-      "tol=" ^ float_repr t.tol;
-      "budget_ms=" ^ float_repr t.budget_ms;
-      "seed=" ^ seed_field;
-    ]
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "topobench.request.v1\ntopo.";
+  add_topo_key buf t;
+  Buffer.add_string buf "\ntm.";
+  (match t.tm with
+  | Named n ->
+    Buffer.add_string buf "named=";
+    Buffer.add_string buf
+      (match canonical_tm_name n with
+      | Some n -> n
+      | None -> String.lowercase_ascii n)
+  | Inline_tm s -> add_inline buf s);
+  Buffer.add_string buf "\nsolver=";
+  Buffer.add_string buf (solver_name t.solver);
+  Buffer.add_string buf "\neps=";
+  Buffer.add_string buf (float_repr t.eps);
+  Buffer.add_string buf "\ntol=";
+  Buffer.add_string buf (float_repr t.tol);
+  Buffer.add_string buf "\nbudget_ms=";
+  Buffer.add_string buf (float_repr t.budget_ms);
+  Buffer.add_string buf "\nseed=";
+  Buffer.add_string buf
+    (match t.tm with Named _ -> string_of_int t.seed | Inline_tm _ -> "-");
+  Buffer.contents buf
 
 let hash t = Digest.to_hex (Digest.string (canonical_bytes t))
 

@@ -62,13 +62,6 @@ val of_instance :
   t
 
 val solver_name : solver -> string
-val solver_of_string : string -> solver option
-
-(** Canonical named-TM names ({!canonical_tm_name} also accepts the
-    ["rm"] alias for ["rm1"]). *)
-val known_tms : string list
-
-val canonical_tm_name : string -> string option
 
 (** Build a named TM on [topo] exactly as the CLI historically did
     (rng seeded with [seed + 1]); [None] for an unknown name. *)

@@ -32,7 +32,7 @@ type t = {
   lru : Result.t Lru.t;
   store : Store.t option;
   lock : Mutex.t;
-  mutable access_log : Events.writer option;
+  access_log : Events.writer option;
 }
 
 let create ?(capacity = 256) ?store_path ?access_log () =
@@ -45,7 +45,6 @@ let create ?(capacity = 256) ?store_path ?access_log () =
 
 let store t = t.store
 let access_log t = t.access_log
-let set_access_log t w = t.access_log <- w
 
 (* Per-request span correlation: every lifecycle span of one request
    carries its hash, so a Chrome trace of the daemon can be filtered to
@@ -79,9 +78,7 @@ let log_access t ~hash ~solver ~cached ~coalesced ~queue_ms
 
 type response = { hash : string; cached : bool; result : Result.t }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let with_lock t f = Mutex.protect t.lock f
 
 (* Both lookups and inserts run under the lock: OCaml 5 domains racing a
    Hashtbl corrupt it, and the experiment drivers call [handle] from
@@ -174,9 +171,10 @@ let handle ?(fault = Fault.none) ?prebuilt ?warm t req =
   in
   let finish resp =
     Metrics.observe_hdr h_latency (Clock.ns_to_ms (Clock.elapsed_ns t0));
-    with_lock t (fun () ->
-        log_access t ~hash ~solver:(Request.solver_name req.Request.solver)
-          ~cached:resp.cached ~coalesced:false ~queue_ms:0.0 resp.result);
+    if Option.is_some t.access_log then
+      with_lock t (fun () ->
+          log_access t ~hash ~solver:(Request.solver_name req.Request.solver)
+            ~cached:resp.cached ~coalesced:false ~queue_ms:0.0 resp.result);
     resp
   in
   if Fault.active fault then
@@ -373,17 +371,22 @@ module Framer = struct
     go ()
 end
 
+(* Every front end rejects a request here, so this is the one place
+   that counts rejections in [service.errors]. *)
+let reject msg =
+  Metrics.incr m_errors;
+  Some (Error (error_json msg))
+
 let intake = function
   | Framer.Oversized ->
-    let msg = Printf.sprintf "request line exceeds %d bytes" max_line_bytes in
-    Some (Error (error_json msg))
-  | Framer.Line line ->
+    reject (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)
+  | Framer.Line line -> (
     let line = String.trim line in
     if line = "" || line.[0] = '#' then None
     else
-      Trace.span "service.intake" (fun () -> Request.of_line line)
-      |> Stdlib.Result.map_error error_json
-      |> Option.some
+      match Trace.span "service.intake" (fun () -> Request.of_line line) with
+      | Ok req -> Some (Ok req)
+      | Error msg -> reject msg)
 
 let serve ?(ic = stdin) ?(oc = stdout) t =
   let respond doc args =
@@ -395,9 +398,7 @@ let serve ?(ic = stdin) ?(oc = stdout) t =
   Framer.input_all (Framer.create ~max:max_line_bytes) ic (fun frame ->
       match intake frame with
       | None -> ()
-      | Some (Error doc) ->
-        Metrics.incr m_errors;
-        respond doc []
+      | Some (Error doc) -> respond doc []
       | Some (Ok req) ->
         let resp = handle t req in
         respond (response_json resp) (targs resp.hash))

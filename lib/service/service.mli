@@ -50,7 +50,6 @@ val create :
 
 val store : t -> Store.t option
 val access_log : t -> Tb_obs.Events.writer option
-val set_access_log : t -> Tb_obs.Events.writer option -> unit
 
 type response = {
   hash : string;  (** {!Request.hash} of the request *)
@@ -123,7 +122,9 @@ end
 (** What every front does with a frame: [None] for a blank or [#]
     line, else the trimmed line through {!Request.of_line}. A parse
     failure or an [Oversized] frame ("request line exceeds N bytes")
-    becomes the typed ["bad_request"] {!error_json}. Never raises. *)
+    becomes the typed ["bad_request"] {!error_json} and counts once in
+    [service.errors], the one count [serve], [batch] and [pool] share.
+    Never raises. *)
 val intake : Framer.frame -> (Request.t, Tb_obs.Json.t) result option
 
 (** Newline-delimited JSON loop: one {!Request} per input line, one

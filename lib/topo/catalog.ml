@@ -64,7 +64,7 @@ let known_families =
 let canonical_family f =
   match String.lowercase_ascii f with
   | "flattenedbf" -> Some "flatbf"
-  | f -> if List.mem f known_families then Some f else None
+  | f -> if List.exists (String.equal f) known_families then Some f else None
 
 let default_size family =
   match family with "jellyfish" -> 16 | "slimfly" -> 5 | _ -> 4
@@ -174,8 +174,27 @@ let spec_of_string s =
 
 let spec_to_string sp =
   let size = match sp.size with Some n -> n | None -> default_size sp.family in
-  Printf.sprintf "%s:%d,deg=%d,hosts=%d,seed=%d" sp.family size sp.degree
-    sp.hosts sp.seed
+  (* The bytes of [sprintf "%s:%d,deg=%d,hosts=%d,seed=%d"] without a
+     format interpreter or a C call per field: a request hashes this on
+     every cache hit. *)
+  let buf = Buffer.create 48 in
+  let rec add_int n =
+    if n < 0 then Buffer.add_string buf (string_of_int n)
+    else begin
+      if n >= 10 then add_int (n / 10);
+      Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+    end
+  in
+  Buffer.add_string buf sp.family;
+  Buffer.add_char buf ':';
+  add_int size;
+  Buffer.add_string buf ",deg=";
+  add_int sp.degree;
+  Buffer.add_string buf ",hosts=";
+  add_int sp.hosts;
+  Buffer.add_string buf ",seed=";
+  add_int sp.seed;
+  Buffer.contents buf
 
 (* ---- Memory estimates for the scale families. ----
 

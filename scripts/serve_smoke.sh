@@ -4,8 +4,9 @@
 # plus a blank line, a comment line and a malformed line) goes through
 # `topobench serve`, `topobench batch` (from a file) and `topobench pool
 # --workers 2`. Each front must answer the same multiset of request
-# hashes (three) with exactly one typed bad_request, and `serve` must
-# answer exactly one request from its cache.
+# hashes (three) with exactly one typed bad_request, `serve` must
+# answer exactly one request from its cache, and `batch` must report
+# the rejected line as "1 error(s)" on stderr.
 #
 #   sh scripts/serve_smoke.sh [path/to/topobench_cli.exe]
 set -eu
@@ -44,5 +45,7 @@ cmp -s "$tmp/serve.hashes" "$tmp/pool.hashes" \
   || fail "pool answered other hashes than serve"
 [ "$(grep -c '"cached":true' "$tmp/serve.out")" -eq 1 ] \
   || fail "serve: expected exactly one cache hit"
+grep -q ' 1 error(s)' "$tmp/batch.err" \
+  || fail "batch: expected \"1 error(s)\" on stderr, got: $(cat "$tmp/batch.err")"
 
 echo "serve-smoke: OK (serve, batch, pool: 3 hashes, 1 bad_request each; 1 cache hit)"

@@ -49,7 +49,185 @@ let test_json_accessors () =
   Alcotest.(check (option string)) "missing member" None
     (Option.bind (Json.member "nope" v) Json.to_str);
   check_float "int coerces to float" 42.0
-    (Option.get (Option.bind (Json.member "count" v) Json.to_float))
+    (Option.get (Option.bind (Json.member "count" v) Json.to_float));
+  Alcotest.(check (option int)) "first of duplicate keys" (Some 1)
+    (Option.bind
+       (Json.member "k" (Json.Obj [ ("k", Json.Int 1); ("k", Json.Int 2) ]))
+       Json.to_int)
+
+(* ---- Printer equivalence ----
+
+   Request hashes and stored results are keyed by the printer's bytes,
+   so its fast paths (the C float formatter, the one-scan escape, the
+   closure-free printer) must agree with the plain Printf printer written
+   out below, byte for byte. *)
+
+let printf_float x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  else if Float.is_nan x then "null"
+  else if x = infinity then "1e999"
+  else if x = neg_infinity then "-1e999"
+  else
+    let s = Printf.sprintf "%.15g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let per_char_escape buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let rec reference_print buf ~indent ~level v =
+  let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
+  let nl () = if indent then Buffer.add_char buf '\n' in
+  let seq opening closing items print_item =
+    Buffer.add_char buf opening;
+    nl ();
+    List.iteri
+      (fun i item ->
+        if i > 0 then begin
+          Buffer.add_char buf ',';
+          nl ()
+        end;
+        pad (level + 1);
+        print_item item)
+      items;
+    nl ();
+    pad level;
+    Buffer.add_char buf closing
+  in
+  match v with
+  | Json.Null -> Buffer.add_string buf "null"
+  | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Json.Int n -> Buffer.add_string buf (string_of_int n)
+  | Json.Float x -> Buffer.add_string buf (printf_float x)
+  | Json.String s -> per_char_escape buf s
+  | Json.List [] -> Buffer.add_string buf "[]"
+  | Json.List items ->
+    seq '[' ']' items (reference_print buf ~indent ~level:(level + 1))
+  | Json.Obj [] -> Buffer.add_string buf "{}"
+  | Json.Obj fields ->
+    seq '{' '}' fields (fun (k, item) ->
+        per_char_escape buf k;
+        Buffer.add_string buf (if indent then ": " else ":");
+        reference_print buf ~indent ~level:(level + 1) item)
+
+let reference_to_string ~indent v =
+  let buf = Buffer.create 64 in
+  reference_print buf ~indent ~level:0 v;
+  Buffer.contents buf
+
+let float_edge_cases =
+  [ 0.0; -0.0; infinity; neg_infinity; nan; 1e15; -1e15; 1e15 -. 1.0;
+    999999999999999.5; 1e16; 1e21; 1e22; Float.max_float;
+    -.Float.max_float; Float.min_float; 5e-324; Float.min_float /. 3.0;
+    Float.epsilon; 0.1; 0.1 +. 0.2; 1.0 /. 3.0; 1e-5; 1e-7; 0.5; -2.5;
+    123456789012345.6; 2.0000000000000031; 4.35e-10 ]
+
+let test_float_printer_edges () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string) (Printf.sprintf "%h" x) (printf_float x)
+        (Json.float_to_string x);
+      Alcotest.(check string)
+        (Printf.sprintf "%h in a tree" x)
+        (printf_float x)
+        (Json.to_string (Json.Float x)))
+    float_edge_cases
+
+(* Uniform bit patterns are nearly all huge or tiny; short decimals,
+   integers and the 1e15 switch-over get their own share. *)
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map Int64.float_of_bits ui64);
+        ( 2,
+          map2
+            (fun m k -> float_of_int m /. (10.0 ** float_of_int k))
+            (int_range (-10_000_000) 10_000_000)
+            (int_range 0 12) );
+        (1, map (fun d -> 1e15 +. (float_of_int d /. 4.0)) (int_range (-8) 8));
+        (1, map float_of_int (int_range (-1_000_000) 1_000_000));
+      ])
+
+let test_float_printer_random =
+  QCheck.Test.make ~name:"float printer vs Printf" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_float)
+    (fun x -> Json.float_to_string x = printf_float x)
+
+let gen_wire_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (3, char_range 'a' 'z');
+             (1, char_range '\000' '\255');
+             ( 1,
+               oneofl
+                 [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127';
+                   '\128'; '\255' ] );
+           ])
+      (int_range 0 40))
+
+let test_escape_random =
+  QCheck.Test.make ~name:"escape vs per-character reference" ~count:2_000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_wire_string)
+    (fun s ->
+      let rendered = Json.to_string (Json.String s) in
+      let buf = Buffer.create 16 in
+      per_char_escape buf s;
+      rendered = Buffer.contents buf
+      && Json.of_string rendered = Ok (Json.String s))
+
+let gen_tree =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun x -> Json.Float x) gen_float;
+                 map (fun s -> Json.String s) gen_wire_string;
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map
+                     (fun l -> Json.List l)
+                     (list_size (int_range 0 4) (self (n / 4))) );
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_range 0 4)
+                        (pair gen_wire_string (self (n / 4)))) );
+               ]))
+
+let test_printer_random =
+  QCheck.Test.make ~name:"printer vs reference, both layouts" ~count:500
+    (QCheck.make ~print:(fun v -> reference_to_string ~indent:false v) gen_tree)
+    (fun v ->
+      List.for_all
+        (fun indent -> Json.to_string ~indent v = reference_to_string ~indent v)
+        [ false; true ])
 
 (* ---- Metrics ---- *)
 
@@ -452,6 +630,11 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "float printer edge cases" `Quick
+            test_float_printer_edges;
+          Qseed.to_alcotest test_float_printer_random;
+          Qseed.to_alcotest test_escape_random;
+          Qseed.to_alcotest test_printer_random;
         ] );
       ( "metrics",
         [

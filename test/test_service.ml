@@ -110,6 +110,150 @@ let test_hash_stability_scale_spec () =
       | Error m -> Alcotest.failf "scale spec %s rejected: %s" s m)
     Tb_topo.Catalog.scale_specs
 
+(* Every shape of request a store on disk may be keyed by, with its
+   pinned hash: one spec per catalog family, parsed and hand-built
+   aliases (a hand-built family no parser accepts keeps its bytes),
+   defaulted sizes, every named TM and solver, inline instances, and
+   eps/tol/budget at 1e999, 0.1 and a value that needs 17 digits. Like
+   the fattree:284 pin, these move only with a deliberate schema change
+   under a new "topobench.request" version tag. *)
+let hand ?size ?(degree = 6) ?(hosts = 1) ?(seed = 42) family =
+  Request.Spec { Tb_topo.Catalog.family; size; degree; hosts; seed }
+
+let parsed s =
+  match Tb_topo.Catalog.spec_of_string s with
+  | Ok sp -> Request.Spec sp
+  | Error e -> failwith e
+
+let pin_requests () =
+  let named ?solver ?eps ?tol ?budget_ms ?seed topo tm =
+    Request.make ?solver ?eps ?tol ?budget_ms ?seed ~topo
+      ~tm:(Request.Named tm) ()
+  in
+  let a2a topo = named topo "a2a" in
+  let hc3 = parsed "hypercube:3" in
+  let cube = Tb_topo.Hypercube.make ~dim:3 () in
+  [
+    ("bcube:3", a2a (parsed "bcube:3"));
+    ("dcell:3", a2a (parsed "dcell:3"));
+    ("dragonfly:1", a2a (parsed "dragonfly:1"));
+    ("fattree:4", a2a (parsed "fattree:4"));
+    ("flatbf:2", a2a (parsed "flatbf:2"));
+    ("hypercube:3", a2a hc3);
+    ("hyperx:4", a2a (parsed "hyperx:4"));
+    ("jellyfish:12,deg=4,hosts=2,seed=7",
+     a2a (parsed "jellyfish:12,deg=4,hosts=2,seed=7"));
+    ("jellyfish:20,deg=10,hosts=10,seed=100",
+     a2a (parsed "jellyfish:20,deg=10,hosts=10,seed=100"));
+    ("longhop:3", a2a (parsed "longhop:3"));
+    ("slimfly:5", a2a (parsed "slimfly:5"));
+    ("xpander:2,deg=4", a2a (parsed "xpander:2,deg=4"));
+    ("parsed flattenedbf:2", a2a (parsed "flattenedbf:2"));
+    ("parsed FatTree:4", a2a (parsed "FatTree:4"));
+    ("parsed hypercube (default size)", a2a (parsed "hypercube"));
+    ("hand flattenedbf:2", a2a (hand ~size:2 "flattenedbf"));
+    ("hand ft:4", a2a (hand ~size:4 "ft"));
+    ("hand FatTree (default size)", a2a (hand "FatTree"));
+    ("hand slimfly (default size)", a2a (hand "slimfly"));
+    ("hand fattree:3 (invalid)", a2a (hand ~size:3 "fattree"));
+    ("hand jellyfish deg=-1", a2a (hand ~size:12 ~degree:(-1) "jellyfish"));
+    ("hand hypercube seed=-3", a2a (hand ~size:3 ~seed:(-3) "hypercube"));
+    ("tm rm1", named hc3 "rm1");
+    ("tm rm alias", named hc3 "rm");
+    ("tm rm5", named hc3 "rm5");
+    ("tm RM5", named hc3 "RM5");
+    ("tm lm", named hc3 "lm");
+    ("tm kodialam", named hc3 "kodialam");
+    ("tm tmh", named hc3 "tmh");
+    ("tm tmf", named hc3 "tmf");
+    ("tm Bogus", named hc3 "Bogus");
+    ("solver exact", named ~solver:Request.Exact_lp hc3 "a2a");
+    ("solver fptas", named ~solver:Request.Fptas hc3 "a2a");
+    ("solver cuts", named ~solver:Request.Cut_bound hc3 "a2a");
+    ("seed 0", named ~seed:0 hc3 "rm1");
+    ("seed -7", named ~seed:(-7) hc3 "rm1");
+    ("inline instance",
+     Request.of_instance cube (Tb_tm.Synthetic.longest_matching cube));
+    ("inline fptas eps 0.1",
+     Request.of_instance ~solver:Request.Fptas ~eps:0.1 cube
+       (Tb_tm.Synthetic.all_to_all cube));
+    ("eps 1e999", named ~eps:infinity hc3 "a2a");
+    ("eps 0.1", named ~eps:0.1 hc3 "a2a");
+    ("eps 17 digits", named ~eps:(0.1 +. 0.2) hc3 "a2a");
+    ("tol 1e999", named ~tol:infinity hc3 "a2a");
+    ("tol 0.1", named ~tol:0.1 hc3 "a2a");
+    ("tol 17 digits", named ~tol:(0.1 +. 0.2) hc3 "a2a");
+    ("budget 1e999", named ~budget_ms:infinity hc3 "a2a");
+    ("budget 0.1", named ~budget_ms:0.1 hc3 "a2a");
+    ("budget 17 digits", named ~budget_ms:(0.1 +. 0.2) hc3 "a2a");
+    ("budget 1500", named ~budget_ms:1500.0 hc3 "a2a");
+    ("budget -0", named ~budget_ms:(-0.0) hc3 "a2a");
+  ]
+
+let pinned_hashes =
+  [
+    ("bcube:3", "e9c50ca072097ed6c4aa15d55dafd91f");
+    ("dcell:3", "55f2697f2524f667b693cf7df4a97e58");
+    ("dragonfly:1", "c3a37e6fb07efbb6be0326aebb0c4fb5");
+    ("fattree:4", "b86af02b4d1039a7723726c9047ec950");
+    ("flatbf:2", "3cfaa24883e7c4c15597989466a5b9dc");
+    ("hypercube:3", "fc06de7dc571b7d4769e91fb9dbf61e5");
+    ("hyperx:4", "9992b4e573f71231660dafae03b13009");
+    ("jellyfish:12,deg=4,hosts=2,seed=7", "123ea9f20fc4a7fa0bb56a2e290635d9");
+    ("jellyfish:20,deg=10,hosts=10,seed=100",
+     "d9e4377c2f5d2dcdc8dffc51181c55be");
+    ("longhop:3", "af519e5b358d9ce80200ebdca1093fa9");
+    ("slimfly:5", "213845da90f84e19640288acab21f83e");
+    ("xpander:2,deg=4", "c11ae15a65b402c93dbe551dceae3df1");
+    ("parsed flattenedbf:2", "3cfaa24883e7c4c15597989466a5b9dc");
+    ("parsed FatTree:4", "b86af02b4d1039a7723726c9047ec950");
+    ("parsed hypercube (default size)", "cec1be1a18a2630db847126b5495da84");
+    ("hand flattenedbf:2", "3cfaa24883e7c4c15597989466a5b9dc");
+    ("hand ft:4", "4faba57365bda03315ae9616c9d1d037");
+    ("hand FatTree (default size)", "b86af02b4d1039a7723726c9047ec950");
+    ("hand slimfly (default size)", "213845da90f84e19640288acab21f83e");
+    ("hand fattree:3 (invalid)", "b423cedf5b9057e0797e0da12704b088");
+    ("hand jellyfish deg=-1", "d3bfc7ff57ca66307fa0635bdd5df0e5");
+    ("hand hypercube seed=-3", "0652c46da49dccd8d1a5f8d72c720b4b");
+    ("tm rm1", "1ab4b2685c859a0cce28cd27b7d0b6f1");
+    ("tm rm alias", "1ab4b2685c859a0cce28cd27b7d0b6f1");
+    ("tm rm5", "5ea8e26cd00fd3d8a9f74985267e2c6d");
+    ("tm RM5", "5ea8e26cd00fd3d8a9f74985267e2c6d");
+    ("tm lm", "4cccf09004bee57a45b344c4a0526b8f");
+    ("tm kodialam", "9285b10565332086540284cb62a42294");
+    ("tm tmh", "2eedfd919987bf9705a15116d000f4bc");
+    ("tm tmf", "391a41f73c1602c969406badcfa8a5d7");
+    ("tm Bogus", "91cb14e1f62e5bf7a08c53ea63b0617b");
+    ("solver exact", "feff107d6ded697032e29417d0b004b0");
+    ("solver fptas", "822fe8e9651810f5b312334bf708d6cb");
+    ("solver cuts", "1402ba57e4d8ca5b79e97018d9e2b573");
+    ("seed 0", "4169822e758b01f0d93ff847f6ec35b9");
+    ("seed -7", "20ab565f83e94d6ac17c8bdd27c09b92");
+    ("inline instance", "b04351405dc232d01216d196507c882d");
+    ("inline fptas eps 0.1", "57c9d147b8c60936d789507e6732bd21");
+    ("eps 1e999", "5a17561ab7d5679876c69eb76d65baaa");
+    ("eps 0.1", "957f30f69700a76222d44746f85dd5b0");
+    ("eps 17 digits", "764cf03edf2e5066468400308be79030");
+    ("tol 1e999", "c69f81f43fe7ab47b9de90d9e2e240fd");
+    ("tol 0.1", "319e286b45aebb550f9bf45e16a752b7");
+    ("tol 17 digits", "dccb57a6346f015a3372a582e1e66aee");
+    ("budget 1e999", "fc06de7dc571b7d4769e91fb9dbf61e5");
+    ("budget 0.1", "af40e6f314bb25a1d700ebacb32b8081");
+    ("budget 17 digits", "e1181273e2c58c05888b9b2e3f008890");
+    ("budget 1500", "c02a1e29f2dac3121d89b2eb2f2bf3b6");
+    ("budget -0", "81b3039b9147bd966f2a4add5ba43c82");
+  ]
+
+let test_hash_pin_table () =
+  let reqs = pin_requests () in
+  Alcotest.(check int) "one pin per request" (List.length pinned_hashes)
+    (List.length reqs);
+  List.iter2
+    (fun (label, r) (label', pinned) ->
+      Alcotest.(check string) "table order" label' label;
+      Alcotest.(check string) label pinned (Request.hash r))
+    reqs pinned_hashes
+
 let test_request_json_roundtrip () =
   let check_rt name r =
     match Request.of_json (Request.to_json r) with
@@ -608,6 +752,54 @@ let test_batch_lines_protocol () =
   | other ->
     Alcotest.failf "expected 3 output documents, got %d" (List.length other)
 
+(* A rejected line counts once in [service.errors] whichever front end
+   read it; `topobench batch` prints "N error(s)" from that counter. *)
+let test_batch_counts_rejection () =
+  let svc = Service.create ~capacity:8 () in
+  let errors0 = counter "service.errors" in
+  let out =
+    Service.batch_lines svc
+      (List.map
+         (fun l -> Service.Framer.Line l)
+         [ {|{"topo":{"spec":"hypercube:2"},"tm":{"named":"lm"}}|}; "{oops" ])
+  in
+  Alcotest.(check int) "two documents" 2 (List.length out);
+  Alcotest.(check int) "one error counted" 1
+    (counter "service.errors" - errors0)
+
+(* One cache hit — parse, hash, lookup, render — allocates a bounded
+   number of minor words: about 900 here, against about 2,600 when
+   floats went through Printf, the spec was re-parsed on every hash and
+   the printer built closures per node. The ceiling leaves 25%. *)
+let hit_minor_words_ceiling = 1120.0
+
+let test_hit_allocation () =
+  Tb_obs.Trace.disable ();
+  let svc = Service.create ~capacity:8 () in
+  let line =
+    {|{"topo":{"spec":"hypercube:3"},"tm":{"named":"a2a"},"seed":42,"solver":"auto"}|}
+  in
+  let serve () =
+    match Request.of_line line with
+    | Ok r -> Json.to_string (Service.response_json (Service.handle svc r))
+    | Error e -> Alcotest.fail e
+  in
+  let miss = serve () in
+  ignore (serve ());
+  let w0 = Gc.minor_words () in
+  let hit = serve () in
+  let words = Gc.minor_words () -. w0 in
+  let result j =
+    match Json.of_string j with
+    | Ok doc -> Option.map Json.to_string (Json.member "result" doc)
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (option string)) "hit renders the miss's result"
+    (result miss) (result hit);
+  if words > hit_minor_words_ceiling then
+    Alcotest.failf "one cache hit allocated %.0f minor words (ceiling %.0f)"
+      words hit_minor_words_ceiling
+
 (* Hardened serve loop: a malformed line and an oversized line each
    produce one typed error response, and the daemon keeps serving —
    the valid request after them still gets a real answer. *)
@@ -912,6 +1104,7 @@ let () =
           Alcotest.test_case "hash aliases" `Quick test_hash_aliases;
           Alcotest.test_case "defaulted vs explicit json" `Quick
             test_hash_defaulted_vs_explicit_json;
+          Alcotest.test_case "hash pin table" `Quick test_hash_pin_table;
           Alcotest.test_case "scale-spec hash golden" `Quick
             test_hash_stability_scale_spec;
           Alcotest.test_case "rejects bad eps and tol" `Quick
@@ -942,6 +1135,7 @@ let () =
             test_two_tier_reopen_bit_identical;
           Alcotest.test_case "eviction metric" `Quick test_eviction_metric;
           Alcotest.test_case "fault isolation" `Quick test_fault_isolation;
+          Alcotest.test_case "allocation one hit" `Quick test_hit_allocation;
         ] );
       ( "batch",
         [
@@ -955,6 +1149,8 @@ let () =
             test_serve_survives_bad_lines;
           Alcotest.test_case "over-cap line typed in place" `Quick
             test_batch_overcap_line;
+          Alcotest.test_case "counts a rejected line" `Quick
+            test_batch_counts_rejection;
         ] );
       ( "wire",
         [
