@@ -19,14 +19,15 @@ module Commodity = Tb_flow.Commodity
    which reproduces LLSKR's property of spreading subflows over distinct
    uplinks (plain Yen can return paths stacked on one uplink). *)
 
-let diverse_paths g ~src ~dst ~k =
+(* [diverse_paths] on caller-owned scratch: an SSSP state and a length
+   array for [g], which this refills. *)
+let diverse_paths_on st penalty g ~src ~dst ~k =
   if k < 1 then invalid_arg "Llskr.diverse_paths: k < 1";
-  let penalty = Graph.make_floats (Graph.num_arcs g) in
   Bigarray.Array1.fill penalty 1.0;
-  let st = Sssp.create_state (Graph.num_nodes g) in
+  let dsts = Some [| dst |] in
   let paths = ref [] in
   for _ = 1 to k do
-    Sssp.dijkstra ~target:dst g ~len:penalty ~src st;
+    Sssp.dijkstra ?dsts g ~len:penalty ~src st;
     match Sssp.path_arcs g st dst with
     | None -> ()
     | Some arcs ->
@@ -37,10 +38,18 @@ let diverse_paths g ~src ~dst ~k =
   | [] -> invalid_arg "Llskr.diverse_paths: disconnected pair"
   | ps -> Array.of_list ps
 
+let scratch g = (Sssp.create_state (Graph.num_nodes g), Graph.make_floats (Graph.num_arcs g))
+
+let diverse_paths g ~src ~dst ~k =
+  let st, penalty = scratch g in
+  diverse_paths_on st penalty g ~src ~dst ~k
+
 (* Path sets memoized per unordered pair: [diverse_paths] runs once,
    from the smaller endpoint to the larger, and the other orientation
-   gets the arc-reversals, halving the path computations. *)
+   gets the arc-reversals, halving the path computations. Every pair's
+   search runs on one scratch state and length array. *)
 let path_sets g ~k =
+  let st, penalty = scratch g in
   let cache = Hashtbl.create 64 in
   fun u v ->
     let lo = min u v and hi = max u v in
@@ -48,7 +57,7 @@ let path_sets g ~k =
       match Hashtbl.find_opt cache (lo, hi) with
       | Some p -> p
       | None ->
-        let p = diverse_paths g ~src:lo ~dst:hi ~k in
+        let p = diverse_paths_on st penalty g ~src:lo ~dst:hi ~k in
         Hashtbl.add cache (lo, hi) p;
         p
     in

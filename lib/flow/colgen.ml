@@ -70,7 +70,7 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen") g
   Array.iteri
     (fun j c ->
       let dst = c.Commodity.dst in
-      Sssp.dijkstra ~target:dst g ~len:y ~src:c.Commodity.src st;
+      Sssp.dijkstra ~dsts:[| dst |] g ~len:y ~src:c.Commodity.src st;
       match Sssp.path_arcs g st dst with
       | Some p -> ignore (add_path j p)
       | None -> invalid_arg "Colgen.solve: unreachable commodity")

@@ -158,49 +158,48 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let st = Sssp.create_state n in
   let t = Mwu.create g ~eps ~load:(load_estimate g st cs groups) ~warm_lengths cs in
   let len = t.Mwu.len and c = t.Mwu.c in
-  (* Single-destination sources (matching TMs) afford an early-exit
-     SSSP. The options are built once per solve, not once per tree. *)
-  let targets =
-    Array.map
-      (fun (_, idxs) ->
-        if Array.length idxs = 1 then Some cs.(idxs.(0)).Commodity.dst else None)
-      groups
+  (* Each group's tree stops once its destinations are settled: their
+     distances and parent paths are final then, and nothing else of the
+     tree is read. The heap takes the group's destination array; delta-
+     stepping stops early only for a single destination. Both options
+     are built once per solve, not once per tree. *)
+  let dsts =
+    Array.map (fun (_, idxs) -> Array.map (fun j -> cs.(j).Commodity.dst) idxs) groups
+  in
+  let heap_dsts = Array.map Option.some dsts in
+  let delta_target =
+    Array.map (fun d -> if Array.length d = 1 then Some d.(0) else None) dsts
   in
   (* Scratch: current tree distance per destination, per active source. *)
   let dist_at_tree = Graph.make_floats n in
   A1.fill dist_at_tree infinity;
   (* Scratch: the arcs of the tree path being routed, dst to src. *)
   let path = Array.make n 0 in
-  let sssp_tree ?target src =
+  let sssp_tree gi =
     Metrics.incr m_dijkstra;
+    let src = fst groups.(gi) in
     if use_delta then
-      Sssp.delta_stepping ?target ~max_len:c.Mwu.max_len g ~len ~src st
-    else Sssp.dijkstra ?target g ~len ~src st
+      Sssp.delta_stepping ?target:delta_target.(gi) ~max_len:c.Mwu.max_len g ~len ~src st
+    else Sssp.dijkstra ?dsts:heap_dsts.(gi) g ~len ~src st
   in
   (* alpha(l) under the *current* lengths, for the dual bound: one SSSP
      per source group on the solve's own state (every phase refreshes a
      group's tree before routing it), summed within the group in
-     commodity order and folded in group order. Each group's
-     destinations and demands are gathered once per solve, so the
-     per-tree sum is one [Sssp.weighted_distance_sum] call rather than
-     a boxed [Sssp.distance] per commodity. A single-destination group's
-     tree stops once that destination is settled: its distance is final
-     then, so alpha is unchanged. *)
-  let dual_groups =
-    Array.mapi
-      (fun gi (s, idxs) ->
-        ( s,
-          targets.(gi),
-          Array.map (fun j -> cs.(j).Commodity.dst) idxs,
-          Array.map (fun j -> t.Mwu.demand.(j)) idxs ))
-      groups
+     commodity order and folded in group order. Each group's demands
+     are gathered once per solve, so the per-tree sum is one
+     [Sssp.weighted_distance_sum] call rather than a boxed
+     [Sssp.distance] per commodity. The early-exit trees leave every
+     destination's distance final, so alpha is unchanged. *)
+  let weights =
+    Array.map (fun (_, idxs) -> Array.map (fun j -> t.Mwu.demand.(j)) idxs) groups
   in
   let alpha () =
-    Array.fold_left
-      (fun acc (s, target, targets, weights) ->
-        sssp_tree ?target s;
-        acc +. Sssp.weighted_distance_sum st ~targets ~weights)
-      0.0 dual_groups
+    let acc = ref 0.0 in
+    for gi = 0 to Array.length groups - 1 do
+      sssp_tree gi;
+      acc := !acc +. Sssp.weighted_distance_sum st ~targets:dsts.(gi) ~weights:weights.(gi)
+    done;
+    !acc
   in
   let dual_check () =
     Mwu.dual_check t ~alpha:(alpha ()) on_check;
@@ -209,13 +208,11 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let stall_window = 120 in
   let window_start = ref 0 in
   let window_gap = ref infinity in
-  (* Rebuild the tree of source [s] and record its distances, against
-     which the phase loop measures staleness. *)
-  let refresh s target =
-    sssp_tree ?target s;
-    match target with
-    | Some t -> A1.set dist_at_tree t (Sssp.distance st t)
-    | None -> Sssp.distances_into st dist_at_tree
+  (* Rebuild the tree of group [gi] and record its destinations'
+     distances, against which the phase loop measures staleness. *)
+  let refresh gi =
+    sssp_tree gi;
+    Sssp.distances_into st ~targets:dsts.(gi) dist_at_tree
   in
   let running = ref true in
   while !running do
@@ -229,8 +226,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
        crosses a call, so nothing here is boxed. *)
     for gi = 0 to Array.length groups - 1 do
       let s, idxs = groups.(gi) in
-      let target = targets.(gi) in
-      refresh s target;
+      refresh gi;
       for i = 0 to Array.length idxs - 1 do
         let j = idxs.(i) in
         let dst = cs.(j).Commodity.dst in
@@ -247,7 +243,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
             v := Graph.arc_src g a
           done;
           if !cur_len > ((1.0 +. c.Mwu.eps) *. A1.get dist_at_tree dst) +. 1e-300
-          then refresh s target
+          then refresh gi
           else Mwu.route t path !hops
         done
       done

@@ -37,7 +37,7 @@ let canonical_compare a b =
    strictly positive finite lengths for non-banned arcs (spur bans =
    infinity): positivity makes the tight-arc DAG below acyclic.
 
-   The SSSP runs WITHOUT [~target]: early exit leaves non-settled
+   The SSSP runs without early exit, which leaves non-settled
    distances that would corrupt the tight-arc test. Distances are the
    unique fixpoint of the Bellman equations over IEEE arithmetic (see
    {!Sssp}), so "tight" — [dist u +. len a = dist v], bit-equal — is

@@ -49,7 +49,12 @@ type state = {
   parent : Graph.ints; (* parent arc, -1 at source/unreached *)
   visit : Graph.ints; (* stamp marks, avoids O(n) clears *)
   mutable stamp : int;
-  heap : Heap.t;
+  (* Heap Dijkstra's binary min-heap over (priority, node), see below. *)
+  mutable heap_prio : float array;
+  mutable heap_node : int array;
+  mutable heap_size : int;
+  (* [stamp] on the destinations [dijkstra] still waits for. *)
+  want : Graph.ints;
   (* distance a node last entered a frontier with; NaN right after its
      first visit of a run (NaN <> d for all d, forcing a first scan). *)
   processed : Graph.floats;
@@ -68,13 +73,19 @@ let create_state n =
   A1.fill visit (-1);
   let processed = Graph.make_floats n in
   A1.fill processed nan;
+  let want = Graph.make_ints n in
+  A1.fill want (-1);
+  let capacity = max 16 n in
   {
     nodes = n;
     dist;
     parent;
     visit;
     stamp = 0;
-    heap = Heap.create ~capacity:(max 16 n) ();
+    heap_prio = Array.make capacity 0.0;
+    heap_node = Array.make capacity 0;
+    heap_size = 0;
+    want;
     processed;
     bucket = [||];
     bucket_len = [||];
@@ -85,12 +96,12 @@ let create_state n =
 let reached st v = A1.get st.visit v = st.stamp
 let distance st v = if reached st v then A1.get st.dist v else infinity
 
-let distances_into st (out : Graph.floats) =
+let distances_into st ~targets (out : Graph.floats) =
   if A1.dim out < st.nodes then invalid_arg "Sssp.distances_into: output too short";
   let dist = st.dist and visit = st.visit and stamp = st.stamp in
-  for v = 0 to st.nodes - 1 do
-    A1.unsafe_set out v
-      (if A1.unsafe_get visit v = stamp then A1.unsafe_get dist v else infinity)
+  for i = 0 to Array.length targets - 1 do
+    let v = targets.(i) in
+    A1.set out v (if A1.get visit v = stamp then A1.get dist v else infinity)
   done
 
 let weighted_distance_sum st ~targets ~weights =
@@ -135,39 +146,146 @@ let start_run st src =
 
 (* {2 Heap Dijkstra on Bigarray state}
 
-   Lazy deletion: a node is pushed on every improvement and stale pops
-   are skipped. The loop indexes unsafely: indices are node ids or CSR
-   positions established by Graph construction, and [len] is
-   length-checked on entry. A node's parent is the first arc that
-   strictly improves it in heap-pop x CSR order; callers that build
-   paths from parent arcs (column-generation pricing, Llskr, the cut
-   rung's hop routing) depend on that tie-breaking.
+   The heap is a binary min-heap over (float priority, node) with lazy
+   deletion: a node is pushed on every improvement and stale pops are
+   skipped, so no decrease-key is needed. It lives in the state, next to
+   the distances its keys are read from, so a push or pop is inlined
+   into the relaxation loop and no priority crosses a call (a float
+   argument of a cross-module call is boxed under [-opaque]).
 
-   Priorities never cross into [Heap]: the key pushed for [v] is read
-   from [dist] inside the heap ([push_keyed]), and a pop reports only
-   whether the entry is current ([pop_current]). A current entry's key
-   equals [dist u] at pop time (distances only decrease, and every
-   decrease pushes), so [d] is re-read from [dist] bit for bit. *)
-let dijkstra ?target g ~(len : Graph.floats) ~src st =
+   Sift-up and sift-down use hole insertion: the moving element is held
+   in registers while parents (resp. smaller children) slide into the
+   hole, one write per level instead of the three a swap costs. The
+   sift-down picks the smaller child without a branch: a pop writes
+   [infinity] into the slot it vacates, so the right child of the last
+   parent compares as never smaller and needs no bounds test. Indexing
+   inside the sift loops is unsafe; the bounds are maintained by
+   [heap_size] and the doubling in [heap_grow]. *)
+
+let heap_grow st =
+  let c = Array.length st.heap_prio in
+  let prio = Array.make (2 * c) 0.0 and node = Array.make (2 * c) 0 in
+  Array.blit st.heap_prio 0 prio 0 st.heap_size;
+  Array.blit st.heap_node 0 node 0 st.heap_size;
+  st.heap_prio <- prio;
+  st.heap_node <- node
+
+(* Push [v] with priority [dist.{v}] as of now: bubble the hole from the
+   end toward the root, sliding larger parents down into it. *)
+let[@inline] heap_push st (dist : Graph.floats) v =
+  if st.heap_size = Array.length st.heap_prio then heap_grow st;
+  let prio = st.heap_prio and node = st.heap_node in
+  let p = A1.unsafe_get dist v in
+  let i = ref st.heap_size in
+  st.heap_size <- st.heap_size + 1;
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) lsr 1 in
+    let pp = Array.unsafe_get prio parent in
+    if pp > p then begin
+      Array.unsafe_set prio !i pp;
+      Array.unsafe_set node !i (Array.unsafe_get node parent);
+      i := parent
+    end
+    else continue := false
+  done;
+  Array.unsafe_set prio !i p;
+  Array.unsafe_set node !i v
+
+(* Remove the minimum of a non-empty heap and return its node if the
+   entry is current (its priority is [<= dist.{u}]: distances only
+   decrease, and every decrease pushes), or [-1] if it is stale. The
+   sift-down pushes the hole from the root toward the leaves along the
+   smaller child, then drops the former last element into it. *)
+let[@inline] heap_pop_current st (dist : Graph.floats) =
+  let prio = st.heap_prio and node = st.heap_node in
+  let u = Array.unsafe_get node 0 in
+  let current = Array.unsafe_get prio 0 <= A1.unsafe_get dist u in
+  let last = st.heap_size - 1 in
+  st.heap_size <- last;
+  if last > 0 then begin
+    let p = Array.unsafe_get prio last in
+    let x = Array.unsafe_get node last in
+    Array.unsafe_set prio last infinity;
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= last then continue := false
+      else begin
+        let c =
+          l
+          + Bool.to_int
+              (Array.unsafe_get prio (l + 1) < Array.unsafe_get prio l)
+        in
+        let cp = Array.unsafe_get prio c in
+        if cp < p then begin
+          Array.unsafe_set prio !i cp;
+          Array.unsafe_set node !i (Array.unsafe_get node c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    Array.unsafe_set prio !i p;
+    Array.unsafe_set node !i x
+  end;
+  if current then u else -1
+
+(* Mark [dsts] as wanted in this run and return how many distinct nodes
+   they name. *)
+let mark_dsts name st dsts =
+  let want = st.want and stamp = st.stamp in
+  let count = ref 0 in
+  for i = 0 to Array.length dsts - 1 do
+    let d = Array.unsafe_get dsts i in
+    if d < 0 || d >= st.nodes then invalid_arg (name ^ ": destination out of range");
+    if A1.unsafe_get want d <> stamp then begin
+      A1.unsafe_set want d stamp;
+      incr count
+    end
+  done;
+  !count
+
+(* The loop indexes unsafely: indices are node ids or CSR positions
+   established by Graph construction, and [len] is length-checked on
+   entry. A node's parent is the first arc that strictly improves it in
+   heap-pop x CSR order; callers that build paths from parent arcs
+   (column-generation pricing, Llskr, the cut rung's hop routing)
+   depend on that tie-breaking. A current entry's key equals [dist u]
+   at pop time, so [d] is re-read from [dist] bit for bit.
+
+   Early exit. A settled node's distance and parent arc are final, and
+   so is every node on its parent path (each was settled before it), so
+   stopping once the last wanted destination is settled leaves exactly
+   what the full tree holds there. The run stops before relaxing that
+   destination's arcs; with no destinations it settles every reachable
+   node. *)
+let dijkstra ?(dsts = [||]) g ~(len : Graph.floats) ~src st =
   check_run "Sssp.dijkstra" g st src;
   check_len "Sssp.dijkstra" g len;
   let row = Graph.ba_adj_start g in
   let nbr = Graph.ba_adj_node g in
   let arc_of = Graph.ba_adj_arc g in
   let dist = st.dist and parent = st.parent and visit = st.visit in
+  let want = st.want in
   start_run st src;
   let stamp = st.stamp in
-  let heap = st.heap in
-  Heap.clear heap;
-  Heap.push_keyed heap dist src;
-  let target = match target with Some t -> t | None -> -1 in
-  let finished = ref false in
-  while (not !finished) && not (Heap.is_empty heap) do
-    let u = Heap.pop_current heap dist in
+  (* Destinations not yet settled. With none listed it starts below
+     zero and never reaches it, so the whole tree is built. *)
+  let waiting = ref (mark_dsts "Sssp.dijkstra" st dsts) in
+  if !waiting = 0 then waiting := -1;
+  st.heap_size <- 0;
+  heap_push st dist src;
+  while !waiting <> 0 && st.heap_size > 0 do
+    let u = heap_pop_current st dist in
     if u >= 0 then begin
       let d = A1.unsafe_get dist u in
-      if u = target then finished := true
-      else begin
+      if A1.unsafe_get want u = stamp then begin
+        A1.unsafe_set want u (-1);
+        decr waiting
+      end;
+      if !waiting <> 0 then begin
         let hi = A1.unsafe_get row (u + 1) in
         for i = A1.unsafe_get row u to hi - 1 do
           let v = A1.unsafe_get nbr i in
@@ -182,7 +300,7 @@ let dijkstra ?target g ~(len : Graph.floats) ~src st =
               A1.unsafe_set dist v nd;
               A1.unsafe_set parent v arc;
               A1.unsafe_set visit v stamp;
-              Heap.push_keyed heap dist v
+              heap_push st dist v
             end
           end
         done
@@ -427,10 +545,10 @@ let delta_stepping ?target ?delta ?max_len g
    one thing everywhere. *)
 let auto_delta_arcs = 32768
 
-let run ?target ?max_len ?parallel:_ g ~len ~src st =
+let run ?max_len ?parallel:_ g ~len ~src st =
   if Graph.num_arcs g >= auto_delta_arcs then
-    delta_stepping ?target ?max_len g ~len ~src st
-  else dijkstra ?target g ~len ~src st
+    delta_stepping ?max_len g ~len ~src st
+  else dijkstra g ~len ~src st
 
 (* {2 Closure/convenience wrappers} *)
 

@@ -22,12 +22,16 @@ val create_state : int -> state
 
 (** Heap Dijkstra (lazy-deletion binary heap), the small-instance
     workhorse. [len] is indexed by arc id; [infinity] (or NaN) bans an
-    arc. [?target] allows early exit once that node is settled. A
-    node's parent arc is the first arc that strictly improves it in
-    heap-pop x CSR order, so paths built from parent arcs depend only on
-    the graph, the lengths and the source. *)
+    arc. [?dsts] allows early exit: the run stops once every listed node
+    (duplicates count once) is settled, and the distance and parent path
+    of each listed node are then those of the full tree. Without it (or
+    with [[||]]) every reachable node is settled. A node's parent arc is
+    the first arc that strictly improves it in heap-pop x CSR order, so
+    paths built from parent arcs depend only on the graph, the lengths
+    and the source. Raises [Invalid_argument] on a destination out of
+    range. *)
 val dijkstra :
-  ?target:int -> Graph.t -> len:Graph.floats -> src:int -> state -> unit
+  ?dsts:int array -> Graph.t -> len:Graph.floats -> src:int -> state -> unit
 
 (** Delta-stepping. Settles distances in buckets of width [delta]
     (default: an eighth of the longest finite arc length, clamped so at
@@ -57,7 +61,6 @@ val auto_delta_arcs : int
 (** Size-dispatching entry point: {!dijkstra} below {!auto_delta_arcs}
     arcs, {!delta_stepping} at or above it. [?parallel] is ignored. *)
 val run :
-  ?target:int ->
   ?max_len:float ->
   ?parallel:bool ->
   Graph.t ->
@@ -72,11 +75,11 @@ val reached : state -> int -> bool
 (** Distance of [v] in the most recent run, [infinity] if unreached. *)
 val distance : state -> int -> float
 
-(** [distances_into st out] writes {!distance} of every node into
-    [out.{0 .. n-1}] in one pass. Hot loops use it (or
+(** [distances_into st ~targets out] writes {!distance} of each node
+    [v] of [targets] into [out.{v}]. Hot loops use it (or
     {!weighted_distance_sum}) instead of {!distance}, whose float result
     is boxed on every cross-module call. *)
-val distances_into : state -> Graph.floats -> unit
+val distances_into : state -> targets:int array -> Graph.floats -> unit
 
 (** [weighted_distance_sum st ~targets ~weights] is
     [weights.(0) *. distance st targets.(0) +. weights.(1) *. ...],

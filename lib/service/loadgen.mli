@@ -64,9 +64,6 @@ type pool_config = {
   store_dir : string option;
 }
 
-(** 4 workers, queue 64, 30 s wall deadline, no chaos, no store. *)
-val default_pool : pool_config
-
 type pool_outcome = {
   p_base : outcome;
   p_workers : int;
@@ -84,7 +81,8 @@ type pool_outcome = {
     response against a fault-free in-process oracle (canonical bytes;
     see {!Result.canonical}). Overload is handled client-side: a typed
     rejection consumes one completion and resubmits. The pool is
-    drained before returning. *)
+    drained before returning. [pool_cfg] defaults to 4 workers, queue
+    64, a 30 s wall deadline, no chaos and no store. *)
 val run_pool : ?pool_cfg:pool_config -> config -> pool_outcome
 
 (** {!outcome_json} extended with a ["pool"] object (restarts, retries,

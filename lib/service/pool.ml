@@ -385,7 +385,6 @@ let create ?(config = default_config) () =
   update_gauges t;
   t
 
-let config t = t.cfg
 let worker_pids t =
   Array.to_list
     (Array.map (fun w -> w.pid) t.workers)

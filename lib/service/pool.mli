@@ -117,8 +117,6 @@ type t
     ignores SIGPIPE for the process. *)
 val create : ?config:config -> unit -> t
 
-val config : t -> config
-
 (** Live worker pids, for tests and diagnostics. *)
 val worker_pids : t -> int list
 

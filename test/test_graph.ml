@@ -2,7 +2,6 @@ module Graph = Tb_graph.Graph
 module Traversal = Tb_graph.Traversal
 module Sssp = Tb_graph.Sssp
 module Union_find = Tb_graph.Union_find
-module Heap = Tb_graph.Heap
 module Permutation = Tb_graph.Permutation
 module Hungarian = Tb_graph.Hungarian
 module Kshortest = Tb_graph.Kshortest
@@ -212,93 +211,6 @@ let test_csr_succ_view () =
       (List.rev !from_iter)
   done
 
-(* ---- Heap ---- *)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in priority order" ~count:100
-    QCheck.(list (pair (float_range 0.0 100.0) small_int))
-    (fun items ->
-      let h = Heap.create () in
-      List.iter (fun (p, x) -> Heap.push h p x) items;
-      let rec drain acc =
-        if Heap.is_empty h then List.rev acc
-        else begin
-          let p, _ = Heap.pop h in
-          drain (p :: acc)
-        end
-      in
-      let popped = drain [] in
-      popped = List.sort compare popped)
-
-let test_heap_top_drop () =
-  let h = Heap.create ~capacity:2 () in
-  Heap.push h 3.0 30;
-  Heap.push h 1.0 10;
-  Heap.push h 2.0 20;
-  check_float "top prio" 1.0 (Heap.top_prio h);
-  Alcotest.(check int) "top data" 10 (Heap.top_data h);
-  Heap.drop h;
-  check_float "next prio" 2.0 (Heap.top_prio h);
-  Alcotest.(check int) "next data" 20 (Heap.top_data h);
-  Heap.drop h;
-  Heap.drop h;
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.check_raises "drop empty" (Invalid_argument "Heap.drop: empty")
-    (fun () -> Heap.drop h)
-
-(* Key-indexed entry points against the legacy priority API: the same
-   push sequence, interleaved with pops, must come out in the same order,
-   and an entry whose key has since been lowered must pop as stale (-1)
-   exactly where a lazy-deletion caller would skip it. Ops are
-   (node, decrement) pushes for node < 16 and pops otherwise. *)
-let prop_heap_keyed_matches_legacy =
-  QCheck.Test.make ~name:"push_keyed/pop_current = push/top/drop" ~count:200
-    QCheck.(list (pair (int_bound 19) (float_range 0.0 10.0)))
-    (fun ops ->
-      let keys = Graph.make_floats 16 in
-      Bigarray.Array1.fill keys 100.0;
-      let legacy = Heap.create ~capacity:2 () and keyed = Heap.create ~capacity:2 () in
-      let legacy_pop () =
-        let d = Heap.top_prio legacy and u = Heap.top_data legacy in
-        Heap.drop legacy;
-        if d <= Bigarray.Array1.get keys u then u else -1
-      in
-      let agree = ref true in
-      let pop () =
-        if Heap.is_empty legacy <> Heap.is_empty keyed then agree := false
-        else if not (Heap.is_empty legacy) then
-          if legacy_pop () <> Heap.pop_current keyed keys then agree := false
-      in
-      List.iter
-        (fun (v, dec) ->
-          if v >= 16 then pop ()
-          else begin
-            Bigarray.Array1.set keys v (Bigarray.Array1.get keys v -. dec);
-            Heap.push legacy (Bigarray.Array1.get keys v) v;
-            Heap.push_keyed keyed keys v
-          end)
-        ops;
-      while not (Heap.is_empty legacy && Heap.is_empty keyed) && !agree do
-        pop ()
-      done;
-      !agree)
-
-let test_heap_pop_current_stale () =
-  let keys = Graph.make_floats 3 in
-  Bigarray.Array1.fill keys 5.0;
-  let h = Heap.create () in
-  Heap.push_keyed h keys 1;
-  Heap.push_keyed h keys 2;
-  Bigarray.Array1.set keys 1 2.0;
-  Heap.push_keyed h keys 1;
-  Alcotest.(check int) "current entry" 1 (Heap.pop_current h keys);
-  (* Both remaining entries have priority 5.0; node 1's is stale. *)
-  let rest = List.sort compare [ Heap.pop_current h keys; Heap.pop_current h keys ] in
-  Alcotest.(check (list int)) "stale entry pops as -1" [ -1; 2 ] rest;
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop_current: empty")
-    (fun () -> ignore (Heap.pop_current h keys))
-
 (* ---- Dijkstra ---- *)
 
 (* Per-arc lengths as the Bigarray [Sssp] reads. *)
@@ -353,7 +265,7 @@ let prop_dijkstra_matches_bellman_ford =
       let st2 = Sssp.create_state (n + 2) in
       List.iter
         (fun t ->
-          Sssp.dijkstra ~target:t g ~len ~src:0 st2;
+          Sssp.dijkstra ~dsts:[| t |] g ~len ~src:0 st2;
           let d = Sssp.distance st2 t in
           if dist.(t) = infinity then begin
             if d <> infinity then ok := false
@@ -388,7 +300,7 @@ let test_dijkstra_weighted () =
 let test_dijkstra_path_arcs () =
   let g = Graph.of_unit_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
   let st = Sssp.create_state 4 in
-  Sssp.dijkstra ~target:3 g ~len:(floats_of_fun g (fun _ -> 1.0)) ~src:0 st;
+  Sssp.dijkstra ~dsts:[| 3 |] g ~len:(floats_of_fun g (fun _ -> 1.0)) ~src:0 st;
   match Sssp.path_arcs g st 3 with
   | None -> Alcotest.fail "no path"
   | Some arcs ->
@@ -405,7 +317,7 @@ let prop_dijkstra_early_exit_consistent =
       let target = n - 1 in
       let len = floats_of_fun g (fun _ -> 1.0) in
       Sssp.dijkstra g ~len ~src:0 st1;
-      Sssp.dijkstra ~target g ~len ~src:0 st2;
+      Sssp.dijkstra ~dsts:[| target |] g ~len ~src:0 st2;
       abs_float (Sssp.distance st1 target -. Sssp.distance st2 target) < 1e-9)
 
 (* ---- Permutation ---- *)
@@ -614,13 +526,6 @@ let () =
         [
           Alcotest.test_case "all topology families" `Quick test_csr_all_families;
           Alcotest.test_case "succ = iter_succ" `Quick test_csr_succ_view;
-        ] );
-      ( "heap",
-        [
-          Qseed.to_alcotest prop_heap_sorts;
-          Alcotest.test_case "top/drop" `Quick test_heap_top_drop;
-          Qseed.to_alcotest prop_heap_keyed_matches_legacy;
-          Alcotest.test_case "pop_current stale" `Quick test_heap_pop_current_stale;
         ] );
       ( "dijkstra",
         [

@@ -59,6 +59,11 @@ let ba_of_len g f =
   done;
   ba
 
+let build spec =
+  match Catalog.spec_of_string spec with
+  | Ok sp -> Catalog.build_spec sp
+  | Error m -> failwith m
+
 (* Check one subject run (already in [st]) against the oracle distances
    (infinity where unreachable). *)
 let check_against ~what g ~lenf (oracle : float array) (st : Sssp.state) =
@@ -85,7 +90,7 @@ let check_against ~what g ~lenf (oracle : float array) (st : Sssp.state) =
   done;
   (* The bulk readers apply the same stamp check as [Sssp.distance]. *)
   let out = Graph.make_floats n in
-  Sssp.distances_into st out;
+  Sssp.distances_into st ~targets:(Array.init n Fun.id) out;
   for v = 0 to n - 1 do
     if not (Int64.equal (bits (A1.get out v)) (bits (Sssp.distance st v))) then
       Alcotest.failf "%s: distances_into node %d: %.17g vs %.17g" what v
@@ -154,6 +159,82 @@ let test_differential_gen_instances () =
       ~tag:(Printf.sprintf "gen#%d" seed)
       inst.Tb_check.Gen.topo.Topology.graph
   done
+
+(* ---- Heap Dijkstra tie order and early exit. ----
+
+   With all-equal lengths nearly every node has several shortest-path
+   parents, so the parent arc each node keeps is decided by the heap's
+   pop order among equal priorities and by CSR order. The digest covers
+   every node's parent arc and distance bits from every source on two
+   tie-heavy fabrics; it was recorded with the standalone [Heap] module
+   the heap Dijkstra used before its heap moved into [Sssp], so any
+   change to the heap's structure or tie-breaking moves it. *)
+let tie_digest spec =
+  let g = (build spec).Topology.graph in
+  let n = Graph.num_nodes g in
+  let len = ba_of_len g (fun _ -> 1.0) in
+  let st = Sssp.create_state n in
+  let b = Buffer.create (n * n * 12) in
+  for src = 0 to n - 1 do
+    Sssp.dijkstra g ~len ~src st;
+    for v = 0 to n - 1 do
+      Buffer.add_int32_le b (Int32.of_int (Sssp.parent_arc st v));
+      Buffer.add_int64_le b (bits (Sssp.distance st v))
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_dijkstra_tie_order () =
+  List.iter
+    (fun (spec, pinned) ->
+      Alcotest.(check string) (spec ^ " parent arcs and distances") pinned
+        (tie_digest spec))
+    [
+      ("hypercube:4", "f1250312125f270c02766cd614c2b667");
+      ("fattree:4", "928bc154cb909ec84548914e26f0698d");
+    ]
+
+(* Early exit at a destination set must leave each listed node exactly
+   as the full tree does: distance bits, reachability and the whole
+   parent path. The set repeats its first node (duplicates count once),
+   and a second early-exit run on the same state checks that the
+   previous run's destination marks do not leak into the next. *)
+let prop_dijkstra_early_exit_exact =
+  QCheck.Test.make ~name:"early exit = full tree at every destination" ~count:60
+    QCheck.(pair Tb_check.Gen.arbitrary (pair small_nat (list_of_size Gen.(1 -- 6) small_nat)))
+    (fun (inst, (pick, picks)) ->
+      let g = inst.Tb_check.Gen.topo.Topology.graph in
+      let n = Graph.num_nodes g in
+      let _, lenf = List.nth variants (pick mod List.length variants) in
+      let len = ba_of_len g lenf in
+      let src = pick mod n in
+      let dsts = Array.of_list (List.map (fun p -> p mod n) (picks @ [ List.hd picks ])) in
+      let full = Sssp.create_state n and early = Sssp.create_state n in
+      Sssp.dijkstra g ~len ~src full;
+      let agrees d =
+        Sssp.reached full d = Sssp.reached early d
+        && Int64.equal (bits (Sssp.distance full d)) (bits (Sssp.distance early d))
+        && Sssp.path_arcs g full d = Sssp.path_arcs g early d
+      in
+      Sssp.dijkstra ~dsts g ~len ~src early;
+      let first = Array.for_all agrees dsts in
+      let last = [| dsts.(Array.length dsts - 2) |] in
+      Sssp.dijkstra ~dsts:last g ~len ~src early;
+      first && agrees last.(0))
+
+let test_dijkstra_dsts_edges () =
+  let g = (Tb_topo.Hypercube.make ~dim:3 ()).Topology.graph in
+  let len = ba_of_len g len_unit in
+  let st = Sssp.create_state 8 in
+  (* The source alone: nothing past it is settled or even relaxed. *)
+  Sssp.dijkstra ~dsts:[| 5; 5 |] g ~len ~src:5 st;
+  Alcotest.(check bool) "neighbour unreached" false (Sssp.reached st 4);
+  (* An empty set is the full tree. *)
+  Sssp.dijkstra ~dsts:[||] g ~len ~src:0 st;
+  Alcotest.(check (float 0.0)) "antipode" 3.0 (Sssp.distance st 7);
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Sssp.dijkstra: destination out of range") (fun () ->
+      Sssp.dijkstra ~dsts:[| 1; 8 |] g ~len ~src:0 st)
 
 (* ---- Domain-count bit-determinism. ----
 
@@ -309,11 +390,6 @@ let test_fleischer_delta_trajectory () =
    warm-up pass; domains are pinned to 1 so the count does not depend on
    the machine. *)
 
-let build spec =
-  match Catalog.spec_of_string spec with
-  | Ok sp -> Catalog.build_spec sp
-  | Error m -> failwith m
-
 let minor_words_after_warmup f =
   with_domains "1" (fun () ->
       f ();
@@ -344,13 +420,16 @@ let test_alloc_dijkstra () =
   let ba = ba_of_len g len_dup in
   let n = Graph.num_nodes g in
   let st = Sssp.create_state n in
+  (* Early-exit trees take a prebuilt option, as Fleischer passes. *)
+  let dsts = Some [| 3; 40; 63; 3 |] in
   let words =
     minor_words_after_warmup (fun () ->
         for i = 0 to 99 do
-          Sssp.dijkstra g ~len:ba ~src:(i mod n) st
+          Sssp.dijkstra g ~len:ba ~src:(i mod n) st;
+          Sssp.dijkstra ?dsts g ~len:ba ~src:(i mod n) st
         done)
   in
-  check_ceiling "100 heap Dijkstra trees on hypercube:6" ~ceiling:400.0 words
+  check_ceiling "200 heap Dijkstra trees on hypercube:6" ~ceiling:400.0 words
 
 let test_alloc_fleischer () =
   let topo = build "fattree:8" in
@@ -571,6 +650,13 @@ let () =
             test_differential_gen_instances;
           Alcotest.test_case "delta-stepping domain determinism" `Quick
             test_delta_domain_determinism;
+        ] );
+      ( "heap dijkstra",
+        [
+          Alcotest.test_case "tie order pinned" `Quick test_dijkstra_tie_order;
+          Qseed.to_alcotest prop_dijkstra_early_exit_exact;
+          Alcotest.test_case "destination set edges" `Quick
+            test_dijkstra_dsts_edges;
         ] );
       ( "fleischer",
         [
