@@ -62,7 +62,8 @@ let plain ~name ~descr run = { name; descr; run; post = None }
    they explain *why* a wall-clock number moved. ("dijkstra.runs" is
    bumped by the solvers, not by [Sssp]: it counts Fleischer's trees,
    on either workhorse, and Colgen's pricing runs. Workloads that call
-   [Sssp] directly, the dijkstra-rr* rows, record no counters.) *)
+   [Sssp] directly, the dijkstra-rr* and delta-* rows, record no
+   counters.) *)
 let tracked_counters =
   [ "dijkstra.runs"; "fleischer.phases"; "fleischer.solves" ]
 
@@ -124,15 +125,23 @@ let hypercube_workload ~name ~dim ~tol =
       (Printf.sprintf "Fleischer tol=%.2f on hypercube dim=%d, LM TM" tol dim)
     (fun () -> ignore (Tb_flow.Fleischer.solve ~tol g cs))
 
+(* Arc [a]'s length [f a], stored at its CSR slot as the SSSP kernels
+   read it. *)
+let slot_lengths g f =
+  let slot = Graph.ba_arc_slot g in
+  let len = Graph.make_floats (Graph.num_arcs g) in
+  for a = 0 to Graph.num_arcs g - 1 do
+    len.{slot.{a}} <- f a
+  done;
+  len
+
 let dijkstra_workload ~name ~n ~degree ~reps =
   let rng = Rng.make 11 in
   let g = Tb_graph.Equipment.random_regular rng ~n ~degree in
-  let num_arcs = Graph.num_arcs g in
   (* Deterministic non-uniform lengths so the heap sees real churn. *)
-  let len = Graph.make_floats num_arcs in
-  for a = 0 to num_arcs - 1 do
-    len.{a} <- 1.0 +. (float_of_int ((a * 2654435761) land 255) /. 64.0)
-  done;
+  let len =
+    slot_lengths g (fun a -> 1.0 +. (float_of_int ((a * 2654435761) land 255) /. 64.0))
+  in
   let st = Tb_graph.Sssp.create_state n in
   plain ~name
     ~descr:
@@ -141,6 +150,22 @@ let dijkstra_workload ~name ~n ~degree ~reps =
     (fun () ->
       for i = 0 to reps - 1 do
         Tb_graph.Sssp.dijkstra g ~len ~src:(i mod n) st
+      done)
+
+(* Full delta-stepping trees (no target) on a fat tree, the SSSP shape
+   of the benchmark suite's fattree-sparse workload, under seeded
+   lengths in [1, 4). *)
+let delta_workload ~name ~spec ~reps =
+  let g = (topo_of_spec spec).Tb_topo.Topology.graph in
+  let n = Graph.num_nodes g in
+  let rng = Rng.make 13 in
+  let len = slot_lengths g (fun _ -> 1.0 +. Rng.float rng 3.0) in
+  let st = Tb_graph.Sssp.create_state n in
+  plain ~name
+    ~descr:(Printf.sprintf "%d full delta-stepping trees on %s" reps spec)
+    (fun () ->
+      for i = 0 to reps - 1 do
+        Tb_graph.Sssp.delta_stepping g ~len ~src:(i * 7 mod n) st
       done)
 
 (* The Appendix C sparse-cut estimator suite on an A2A TM, with its
@@ -282,6 +307,7 @@ let workloads mode =
   | Quick ->
     [
       dijkstra_workload ~name:"dijkstra-rr128" ~n:128 ~degree:8 ~reps:2000;
+      delta_workload ~name:"delta-fattree32" ~spec:"fattree:32" ~reps:200;
       lm_workload ~name:"fleischer-rr64-lm" ~n:64 ~degree:6 ~tol:0.08;
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
@@ -291,6 +317,7 @@ let workloads mode =
     [
       dijkstra_workload ~name:"dijkstra-rr128" ~n:128 ~degree:8 ~reps:2000;
       dijkstra_workload ~name:"dijkstra-rr512" ~n:512 ~degree:10 ~reps:500;
+      delta_workload ~name:"delta-fattree32" ~spec:"fattree:32" ~reps:200;
       lm_workload ~name:"fleischer-rr64-lm" ~n:64 ~degree:6 ~tol:0.08;
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       lm_workload ~name:"fleischer-rr256-lm" ~n:256 ~degree:10 ~tol:0.08;

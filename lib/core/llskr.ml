@@ -20,11 +20,12 @@ module Commodity = Tb_flow.Commodity
    uplinks (plain Yen can return paths stacked on one uplink). *)
 
 (* [diverse_paths] on caller-owned scratch: an SSSP state and a length
-   array for [g], which this refills. *)
+   array for [g] in CSR slot order, which this refills. *)
 let diverse_paths_on st penalty g ~src ~dst ~k =
   if k < 1 then invalid_arg "Llskr.diverse_paths: k < 1";
   Bigarray.Array1.fill penalty 1.0;
   let dsts = Some [| dst |] in
+  let slot = Graph.ba_arc_slot g in
   let paths = ref [] in
   for _ = 1 to k do
     Sssp.dijkstra ?dsts g ~len:penalty ~src st;
@@ -32,7 +33,7 @@ let diverse_paths_on st penalty g ~src ~dst ~k =
     | None -> ()
     | Some arcs ->
       paths := arcs :: !paths;
-      List.iter (fun a -> penalty.{a} <- penalty.{a} *. 4.0) arcs
+      List.iter (fun a -> let i = slot.{a} in penalty.{i} <- penalty.{i} *. 4.0) arcs
   done;
   match List.rev !paths with
   | [] -> invalid_arg "Llskr.diverse_paths: disconnected pair"

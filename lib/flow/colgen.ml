@@ -53,9 +53,10 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen") g
   @@ fun () ->
   let num_arcs = Graph.num_arcs g in
   let st = Sssp.create_state (Graph.num_nodes g) in
-  (* Arc lengths for every Dijkstra run: unit while seeding, then the
-     pricing lengths, refilled each iteration. *)
+  (* Arc lengths for every Dijkstra run, by CSR slot: unit while
+     seeding, then the pricing lengths, refilled each iteration. *)
   let y = Graph.make_floats num_arcs in
+  let slot = Graph.ba_arc_slot g in
   (* Column store: per commodity, the list of candidate paths. *)
   let columns : int list list array = Array.make k [] in
   let add_path j p =
@@ -149,7 +150,7 @@ let solve ?deadline ?(tol = 1e-7) ?(on_check = Convergence.tracing "colgen") g
        arcs still order by hop count. *)
     Bigarray.Array1.fill y 1e-12;
     List.iteri
-      (fun idx a -> y.{a} <- max 0.0 s.Lp.duals.(k + idx) +. 1e-12)
+      (fun idx a -> y.{slot.{a}} <- max 0.0 s.Lp.duals.(k + idx) +. 1e-12)
       used_arcs;
     let improved = ref false in
     Metrics.incr m_iterations;

@@ -157,7 +157,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
   let groups = Commodity.group_by_source ~n cs in
   let st = Sssp.create_state n in
   let t = Mwu.create g ~eps ~load:(load_estimate g st cs groups) ~warm_lengths cs in
-  let len = t.Mwu.len and c = t.Mwu.c in
+  let len = t.Mwu.len and slot = t.Mwu.slot and c = t.Mwu.c in
   (* Each group's tree stops once its destinations are settled: their
      distances and parent paths are final then, and nothing else of the
      tree is read. The heap takes the group's destination array; delta-
@@ -237,7 +237,7 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
           while !v <> s do
             let a = Sssp.parent_arc st !v in
             if a < 0 then failwith "Fleischer: lost reachability";
-            cur_len := !cur_len +. A1.unsafe_get len a;
+            cur_len := !cur_len +. A1.unsafe_get len (A1.unsafe_get slot a);
             path.(!hops) <- a;
             incr hops;
             v := Graph.arc_src g a
@@ -282,6 +282,6 @@ let solve ?deadline ?(eps = default_eps) ?(tol = default_tol)
     upper;
     flow =
       Array.init num_arcs (fun a -> A1.get t.Mwu.best_flow a *. c.Mwu.flow_scale);
-    lengths = Array.init num_arcs (fun a -> A1.get t.Mwu.best_len a);
+    lengths = Array.init num_arcs (fun a -> A1.get t.Mwu.best_len (A1.get slot a));
     phases = t.Mwu.phases;
   }

@@ -6,7 +6,11 @@ module A1 = Bigarray.Array1
    flows only grow between renormalizations, so the largest value
    written is the largest present. The push is exported per path: under
    -opaque nothing is inlined across modules, so a per-arc push would
-   cost a call per arc (see DESIGN.md, "Allocation-free hot path"). *)
+   cost a call per arc (see DESIGN.md, "Allocation-free hot path").
+
+   Lengths are stored in CSR slot order ([Graph.ba_arc_slot]), the
+   order the SSSP kernels read them in; flows, capacities and paths stay
+   arc-indexed, so arc [a]'s length is [len.{slot.{a}}]. *)
 
 type cells = {
   mutable eps : float;
@@ -20,6 +24,7 @@ type cells = {
 
 type t = {
   cap : Graph.floats;
+  slot : Graph.ints;
   len : Graph.floats;
   flow : Graph.floats;
   best_len : Graph.floats;
@@ -42,6 +47,7 @@ let create g ~eps ~(load : Graph.floats) ~warm_lengths cs =
     invalid_arg "Mwu.create: eps must lie in (0, 1)";
   let num_arcs = Graph.num_arcs g in
   let cap = Graph.ba_arc_caps g in
+  let slot = Graph.ba_arc_slot g in
   let worst = ref 0.0 in
   for a = 0 to num_arcs - 1 do
     let r = A1.get load a /. A1.get cap a in
@@ -58,8 +64,11 @@ let create g ~eps ~(load : Graph.floats) ~warm_lengths cs =
     when Array.length w = num_arcs
          && Array.for_all (fun l -> Float.is_finite l && l > 0.0) w ->
     let wmax = Array.fold_left Float.max 0.0 w in
-    for a = 0 to num_arcs - 1 do A1.set len a (w.(a) /. wmax) done
-  | _ -> for a = 0 to num_arcs - 1 do A1.set len a (1.0 /. A1.get cap a) done);
+    for a = 0 to num_arcs - 1 do A1.set len (A1.get slot a) (w.(a) /. wmax) done
+  | _ ->
+    for a = 0 to num_arcs - 1 do
+      A1.set len (A1.get slot a) (1.0 /. A1.get cap a)
+    done);
   let c =
     { eps; remaining = 0.0; max_len = 0.0; congestion = 0.0; lower = 0.0;
       upper = infinity; flow_scale = 0.0 }
@@ -69,14 +78,15 @@ let create g ~eps ~(load : Graph.floats) ~warm_lengths cs =
   done;
   let best_len = Graph.make_floats num_arcs in
   A1.blit len best_len;
-  { cap; len; flow = zeros num_arcs; best_len; best_flow = zeros num_arcs;
+  { cap; slot; len; flow = zeros num_arcs; best_len; best_flow = zeros num_arcs;
     demand = Array.map (fun d -> d.Commodity.demand *. sigma) cs; sigma; c;
     phases = 0 }
 
 (* The path's arcs are read through a bounds check once, in the
    bottleneck pass; the push pass then indexes the same arcs unchecked. *)
 let route t path n =
-  let cap = t.cap and flow = t.flow and len = t.len and c = t.c in
+  let cap = t.cap and slot = t.slot and flow = t.flow and len = t.len in
+  let c = t.c in
   let bottleneck = ref infinity in
   for k = 0 to n - 1 do
     let x = A1.get cap path.(k) in
@@ -90,8 +100,9 @@ let route t path n =
     A1.unsafe_set flow a fa;
     let r = fa /. ca in
     if r > c.congestion then c.congestion <- r;
-    let l = A1.unsafe_get len a *. (1.0 +. (c.eps *. f /. ca)) in
-    A1.unsafe_set len a l;
+    let i = A1.unsafe_get slot a in
+    let l = A1.unsafe_get len i *. (1.0 +. (c.eps *. f /. ca)) in
+    A1.unsafe_set len i l;
     if l > c.max_len then c.max_len <- l
   done;
   c.remaining <- c.remaining -. f
@@ -122,10 +133,12 @@ let end_phase t =
     end
   end
 
+(* D(l) is summed in arc order, whatever order [len] is stored in. *)
 let dual_check t ~alpha on_check =
   let dsum = ref 0.0 in
   for a = 0 to A1.dim t.len - 1 do
-    dsum := !dsum +. (A1.unsafe_get t.len a *. A1.unsafe_get t.cap a)
+    dsum :=
+      !dsum +. (A1.unsafe_get t.len (A1.unsafe_get t.slot a) *. A1.unsafe_get t.cap a)
   done;
   let c = t.c in
   let ub = if alpha > 0.0 then !dsum /. alpha else infinity in

@@ -19,11 +19,15 @@ type cells = {
   mutable flow_scale : float;  (** [1 / congestion] when [lower] was set *)
 }
 
+(** Per-arc arrays are indexed by arc id, except [len] and [best_len]:
+    they are in CSR slot order, as the {!Tb_graph.Sssp} kernels read
+    them, so arc [a]'s length is [len.{slot.{a}}]. *)
 type t = {
   cap : Graph.floats;
-  len : Graph.floats;
+  slot : Graph.ints;  (** arc id -> CSR slot, {!Tb_graph.Graph.ba_arc_slot} *)
+  len : Graph.floats;  (** current lengths, by slot *)
   flow : Graph.floats;
-  best_len : Graph.floats;  (** the lengths that achieved [upper] *)
+  best_len : Graph.floats;  (** the lengths that achieved [upper], by slot *)
   best_flow : Graph.floats;  (** times [flow_scale], a flow of value [lower] *)
   demand : float array;  (** per-commodity demand times [sigma] *)
   sigma : float;  (** demand pre-scale: one phase routes ~one unit of congestion *)

@@ -75,7 +75,7 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
      shortest length is handed back through an unboxed cell rather than
      a boxed tuple. Sums and minima run in path order: reordering them
      would change the brackets' last bits. *)
-  let len = t.Mwu.len in
+  let len = t.Mwu.len and slot = t.Mwu.slot in
   let best_len = [| infinity |] in
   (* Index of commodity [j]'s shortest path (first on ties); its length
      is left in [best_len.(0)]. *)
@@ -86,7 +86,7 @@ let solve ?deadline ?(eps = 0.07) ?(tol = 0.03) ?(max_phases = 50_000)
       let p = ps.(i) in
       let l = ref 0.0 in
       for k = 0 to Array.length p - 1 do
-        l := !l +. len.{p.(k)}
+        l := !l +. len.{slot.{p.(k)}}
       done;
       if !l < !bl then begin
         bl := !l;

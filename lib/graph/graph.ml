@@ -12,9 +12,11 @@
 
    Memory layout: the only storage is a set of Bigarrays — per-edge
    endpoint/capacity columns (e_u/e_v/e_cap) and the CSR adjacency (row
-   pointers plus packed neighbor ids, arc ids and arc capacities).
+   pointers plus packed neighbor ids, arc ids and arc capacities, and
+   the arc id -> CSR slot map that lets solvers keep per-arc lengths in
+   slot order, next to the neighbor ids the SSSP kernels walk).
    Bigarrays live outside the OCaml heap: a 100k-node, 10M-edge fat-tree
-   costs ~72 bytes/edge of flat storage that the GC never scans and that
+   costs ~88 bytes/edge of flat storage that the GC never scans and that
    domains share without copying. The [int] and [float64] element kinds
    are used throughout because those are the two kinds the compiler
    reads back unboxed (int32/int64 elements would box on every access in
@@ -42,6 +44,7 @@ type t = {
   col_node : ints; (* length 2m, packed neighbor ids *)
   col_arc : ints; (* length 2m, packed outgoing arc ids *)
   cap_arc : floats; (* length 2m, capacity per directed arc *)
+  arc_slot : ints; (* length 2m, arc id -> its index in col_node/col_arc *)
 }
 
 let num_nodes g = g.n
@@ -54,6 +57,7 @@ let ba_adj_start g = g.row_start
 let ba_adj_node g = g.col_node
 let ba_adj_arc g = g.col_arc
 let ba_arc_caps g = g.cap_arc
+let ba_arc_slot g = g.arc_slot
 let ba_edge_u g = g.e_u
 let ba_edge_v g = g.e_v
 let ba_edge_cap g = g.e_cap
@@ -122,7 +126,7 @@ let build_csr ~n ~m ~(e_u : ints) ~(e_v : ints) ~(e_cap : floats) =
       (A1.unsafe_get row_start (u + 1) + A1.unsafe_get row_start u)
   done;
   let col_node = make_ints m2 and col_arc = make_ints m2 in
-  let cap_arc = make_floats m2 in
+  let cap_arc = make_floats m2 and arc_slot = make_ints m2 in
   let fill = make_ints (n + 1) in
   A1.blit row_start fill;
   for e = 0 to m - 1 do
@@ -131,15 +135,17 @@ let build_csr ~n ~m ~(e_u : ints) ~(e_v : ints) ~(e_cap : floats) =
     let iu = A1.unsafe_get fill u in
     A1.unsafe_set col_node iu v;
     A1.unsafe_set col_arc iu (2 * e);
+    A1.unsafe_set arc_slot (2 * e) iu;
     A1.unsafe_set fill u (iu + 1);
     let iv = A1.unsafe_get fill v in
     A1.unsafe_set col_node iv u;
     A1.unsafe_set col_arc iv ((2 * e) + 1);
+    A1.unsafe_set arc_slot ((2 * e) + 1) iv;
     A1.unsafe_set fill v (iv + 1);
     A1.unsafe_set cap_arc (2 * e) c;
     A1.unsafe_set cap_arc ((2 * e) + 1) c
   done;
-  { n; m; e_u; e_v; e_cap; row_start; col_node; col_arc; cap_arc }
+  { n; m; e_u; e_v; e_cap; row_start; col_node; col_arc; cap_arc; arc_slot }
 
 let of_edges ~n edge_list =
   let m = List.length edge_list in
@@ -262,8 +268,9 @@ end
 
 (* Flat memory footprint of the Bigarray storage for a graph with
    [nodes]/[edges]: edge columns (2 ints + 1 float) plus CSR (row
-   pointers, 2m ints x2, 2m floats) at 8 bytes per element. *)
+   pointers; neighbor ids, arc ids, arc capacities and arc slots, 2m
+   each) at 8 bytes per element. *)
 let bigarray_bytes ~nodes ~edges =
-  (8 * 3 * edges) + (8 * (nodes + 1)) + (8 * 3 * 2 * edges)
+  (8 * 3 * edges) + (8 * (nodes + 1)) + (8 * 4 * 2 * edges)
 
 let pp ppf g = Fmt.pf ppf "graph(n=%d, m=%d)" g.n g.m

@@ -71,6 +71,12 @@ val ba_adj_arc : t -> ints
 (** Per-arc capacities, length [num_arcs]. *)
 val ba_arc_caps : t -> floats
 
+(** Arc id -> CSR slot, length [num_arcs], the inverse of
+    {!ba_adj_arc}: [ba_adj_arc g .{ba_arc_slot g .{a}} = a]. Per-arc
+    state kept in slot order (the SSSP kernels' lengths) is read for arc
+    [a] at index [ba_arc_slot g .{a}]. Built once with the graph. *)
+val ba_arc_slot : t -> ints
+
 (** Per-edge endpoint columns, length [num_edges]; [ba_edge_u g .{e}] is
     the smaller endpoint id of edge [e] (the normalized record order). *)
 val ba_edge_u : t -> ints
@@ -147,7 +153,8 @@ module Builder : sig
 end
 
 (** [bigarray_bytes ~nodes ~edges] is the flat-storage footprint in
-    bytes of a graph of that size (edge columns + CSR adjacency), the
+    bytes of a graph of that size (edge columns + CSR adjacency,
+    including the arc-slot map), the
     basis of the catalog's documented memory estimates. *)
 val bigarray_bytes : nodes:int -> edges:int -> int
 

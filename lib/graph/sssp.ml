@@ -14,6 +14,20 @@
    case; for unit lengths it degenerates to level-synchronous BFS, which
    is what [dial] implements.
 
+   Lengths are read in CSR slot order: [len.{i}] is the length of the
+   arc at slot [i] of [Graph.ba_adj_arc], so a row's lengths are read
+   sequentially next to its neighbour ids, and the arc id itself is read
+   only when a relaxation improves a node, to record its parent. [run]
+   and [dijkstra_dist] take arc-indexed lengths and gather them into
+   slot order first.
+
+   Resetting between runs. Every node the last run did not reach holds
+   [dist = infinity] and [parent = -1]; a run first restores that on the
+   nodes the previous run reached, which it listed in [seen], so a
+   relaxation is one [nd < dist.{v}] test (an unreached node compares
+   as [infinity], and a banned arc's [infinity] or NaN sum never
+   compares below anything) and [reached] is [dist < infinity].
+
    Determinism. Distances need no ceremony: for a fixed length function
    the shortest-path distances are the unique fixpoint of the Bellman
    equations over IEEE float (+, <), so any label-correcting schedule —
@@ -47,8 +61,11 @@ type state = {
   nodes : int;
   dist : Graph.floats;
   parent : Graph.ints; (* parent arc, -1 at source/unreached *)
-  visit : Graph.ints; (* stamp marks, avoids O(n) clears *)
-  mutable stamp : int;
+  (* The nodes the current run has reached, [seen_count] of them, in
+     first-reach order: the next run resets exactly these. *)
+  seen : Graph.ints;
+  mutable seen_count : int;
+  mutable stamp : int; (* run counter, the current mark in [want] *)
   (* Heap Dijkstra's binary min-heap over (priority, node), see below. *)
   mutable heap_prio : float array;
   mutable heap_node : int array;
@@ -61,7 +78,7 @@ type state = {
   mutable bucket : int array array; (* circular: slot -> queued nodes *)
   mutable bucket_len : int array;
   mutable frontier : int array;
-  mutable queue : int array; (* dial/BFS ring *)
+  mutable slot_len : Graph.floats; (* [run]'s lengths, gathered by slot *)
 }
 
 let create_state n =
@@ -69,8 +86,6 @@ let create_state n =
   A1.fill dist infinity;
   let parent = Graph.make_ints n in
   A1.fill parent (-1);
-  let visit = Graph.make_ints n in
-  A1.fill visit (-1);
   let processed = Graph.make_floats n in
   A1.fill processed nan;
   let want = Graph.make_ints n in
@@ -80,7 +95,8 @@ let create_state n =
     nodes = n;
     dist;
     parent;
-    visit;
+    seen = Graph.make_ints n;
+    seen_count = 0;
     stamp = 0;
     heap_prio = Array.make capacity 0.0;
     heap_node = Array.make capacity 0;
@@ -90,32 +106,31 @@ let create_state n =
     bucket = [||];
     bucket_len = [||];
     frontier = Array.make 16 0;
-    queue = [||];
+    slot_len = Graph.make_floats 0;
   }
 
-let reached st v = A1.get st.visit v = st.stamp
-let distance st v = if reached st v then A1.get st.dist v else infinity
+let reached st v = A1.get st.dist v < infinity
+let distance st v = A1.get st.dist v
 
 let distances_into st ~targets (out : Graph.floats) =
   if A1.dim out < st.nodes then invalid_arg "Sssp.distances_into: output too short";
-  let dist = st.dist and visit = st.visit and stamp = st.stamp in
+  let dist = st.dist in
   for i = 0 to Array.length targets - 1 do
     let v = targets.(i) in
-    A1.set out v (if A1.get visit v = stamp then A1.get dist v else infinity)
+    A1.set out v (A1.get dist v)
   done
 
 let weighted_distance_sum st ~targets ~weights =
   if Array.length weights < Array.length targets then
     invalid_arg "Sssp.weighted_distance_sum: fewer weights than targets";
-  let dist = st.dist and visit = st.visit and stamp = st.stamp in
+  let dist = st.dist in
   let acc = ref 0.0 in
   for i = 0 to Array.length targets - 1 do
-    let t = targets.(i) in
-    let d = if A1.get visit t = stamp then A1.get dist t else infinity in
-    acc := !acc +. (Array.unsafe_get weights i *. d)
+    acc := !acc +. (Array.unsafe_get weights i *. A1.get dist targets.(i))
   done;
   !acc
-let parent_arc st v = if reached st v then A1.get st.parent v else -1
+
+let parent_arc st v = A1.get st.parent v
 
 let path_arcs g st v =
   if not (reached st v) then None
@@ -137,12 +152,25 @@ let check_len name g (len : Graph.floats) =
   if A1.dim len < Graph.num_arcs g then
     invalid_arg (name ^ ": length array too short")
 
+let check_target name st = function
+  | Some t when t < 0 || t >= st.nodes -> invalid_arg (name ^ ": target out of range")
+  | Some t -> t
+  | None -> -1
+
+(* Restore [dist = infinity] and [parent = -1] on the previous run's
+   nodes, then reach [src]. *)
 let start_run st src =
+  let dist = st.dist and parent = st.parent and seen = st.seen in
+  for i = 0 to st.seen_count - 1 do
+    let v = A1.unsafe_get seen i in
+    A1.unsafe_set dist v infinity;
+    A1.unsafe_set parent v (-1)
+  done;
   st.stamp <- st.stamp + 1;
-  A1.set st.dist src 0.0;
-  A1.set st.parent src (-1);
-  A1.set st.visit src st.stamp;
-  A1.set st.processed src nan
+  A1.set dist src 0.0;
+  A1.set st.processed src nan;
+  A1.set seen 0 src;
+  st.seen_count <- 1
 
 (* {2 Heap Dijkstra on Bigarray state}
 
@@ -249,10 +277,12 @@ let mark_dsts name st dsts =
 
 (* The loop indexes unsafely: indices are node ids or CSR positions
    established by Graph construction, and [len] is length-checked on
-   entry. A node's parent is the first arc that strictly improves it in
-   heap-pop x CSR order; callers that build paths from parent arcs
-   (column-generation pricing, Llskr, the cut rung's hop routing)
-   depend on that tie-breaking. A current entry's key equals [dist u]
+   entry. [seen] has room for every node: a node is listed when its
+   distance first drops below [infinity], once per run. A node's parent
+   is the first arc that strictly improves it in heap-pop x CSR order;
+   callers that build paths from parent arcs (column-generation
+   pricing, Llskr, the cut rung's hop routing) depend on that
+   tie-breaking. A current entry's key equals [dist u]
    at pop time, so [d] is re-read from [dist] bit for bit.
 
    Early exit. A settled node's distance and parent arc are final, and
@@ -267,10 +297,11 @@ let dijkstra ?(dsts = [||]) g ~(len : Graph.floats) ~src st =
   let row = Graph.ba_adj_start g in
   let nbr = Graph.ba_adj_node g in
   let arc_of = Graph.ba_adj_arc g in
-  let dist = st.dist and parent = st.parent and visit = st.visit in
+  let dist = st.dist and parent = st.parent and seen = st.seen in
   let want = st.want in
   start_run st src;
   let stamp = st.stamp in
+  let nseen = ref 1 in
   (* Destinations not yet settled. With none listed it starts below
      zero and never reaches it, so the whole tree is built. *)
   let waiting = ref (mark_dsts "Sssp.dijkstra" st dsts) in
@@ -289,24 +320,22 @@ let dijkstra ?(dsts = [||]) g ~(len : Graph.floats) ~src st =
         let hi = A1.unsafe_get row (u + 1) in
         for i = A1.unsafe_get row u to hi - 1 do
           let v = A1.unsafe_get nbr i in
-          let arc = A1.unsafe_get arc_of i in
-          let w = A1.unsafe_get len arc in
-          if w < infinity then begin
-            let nd = d +. w in
-            if
-              not
-                (A1.unsafe_get visit v = stamp && A1.unsafe_get dist v <= nd)
-            then begin
-              A1.unsafe_set dist v nd;
-              A1.unsafe_set parent v arc;
-              A1.unsafe_set visit v stamp;
-              heap_push st dist v
-            end
+          let nd = d +. A1.unsafe_get len i in
+          let dv = A1.unsafe_get dist v in
+          if nd < dv then begin
+            if dv = infinity then begin
+              A1.unsafe_set seen !nseen v;
+              incr nseen
+            end;
+            A1.unsafe_set dist v nd;
+            A1.unsafe_set parent v (A1.unsafe_get arc_of i);
+            heap_push st dist v
           end
         done
       end
     end
-  done
+  done;
+  st.seen_count <- !nseen
 
 (* {2 Dial / unit lengths}
 
@@ -317,20 +346,19 @@ let dijkstra ?(dsts = [||]) g ~(len : Graph.floats) ~src st =
    what heap Dijkstra computes for distances. *)
 let dial ?target g ~src st =
   check_run "Sssp.dial" g st src;
+  let target = check_target "Sssp.dial" st target in
   let row = Graph.ba_adj_start g in
   let nbr = Graph.ba_adj_node g in
   let arc_of = Graph.ba_adj_arc g in
-  let dist = st.dist and parent = st.parent and visit = st.visit in
+  let dist = st.dist and parent = st.parent in
+  (* The BFS queue is the [seen] list itself: it holds every node
+     reached so far, in first-reach order, the source first. *)
   start_run st src;
-  let stamp = st.stamp in
-  if Array.length st.queue < st.nodes then st.queue <- Array.make (max 16 st.nodes) 0;
-  let q = st.queue in
-  q.(0) <- src;
+  let q = st.seen in
   let head = ref 0 and tail = ref 1 in
-  let target = match target with Some t -> t | None -> -1 in
   let finished = ref false in
   while (not !finished) && !head < !tail do
-    let u = Array.unsafe_get q !head in
+    let u = A1.unsafe_get q !head in
     incr head;
     if u = target then finished := true
     else begin
@@ -338,16 +366,16 @@ let dial ?target g ~src st =
       let hi = A1.unsafe_get row (u + 1) in
       for i = A1.unsafe_get row u to hi - 1 do
         let v = A1.unsafe_get nbr i in
-        if A1.unsafe_get visit v <> stamp then begin
-          A1.unsafe_set visit v stamp;
+        if A1.unsafe_get dist v = infinity then begin
           A1.unsafe_set dist v (du +. 1.0);
           A1.unsafe_set parent v (A1.unsafe_get arc_of i);
-          Array.unsafe_set q !tail v;
+          A1.unsafe_set q !tail v;
           incr tail
         end
       done
     end
-  done
+  done;
+  st.seen_count <- !tail
 
 (* {2 Delta-stepping} *)
 
@@ -382,13 +410,14 @@ let delta_stepping ?target ?delta ?max_len g
   | Some d when not (d > 0.0 && d < infinity) ->
       invalid_arg "Sssp.delta_stepping: delta must be positive and finite"
   | _ -> ());
+  let target = check_target "Sssp.delta_stepping" st target in
   let num_arcs = Graph.num_arcs g in
   let row = Graph.ba_adj_start g in
   let nbr = Graph.ba_adj_node g in
   let arc_of = Graph.ba_adj_arc g in
   let dist = st.dist
   and parent = st.parent
-  and visit = st.visit
+  and seen = st.seen
   and processed = st.processed in
   (* Longest finite arc bounds the live-distance window. *)
   let maxl =
@@ -427,14 +456,12 @@ let delta_stepping ?target ?delta ?max_len g
     Array.unsafe_set bucket_len slot (l + 1)
   in
   start_run st src;
-  let stamp = st.stamp in
   (* Lower edge of the current bucket, in an unboxed cell: the closures
      below capture it, and a captured [float ref] boxes on every write. *)
   let base = [| 0.0 |]
   and base_slot = ref 0
   and live = ref 1 in
   push_bucket 0 src;
-  let target = match target with Some t -> t | None -> -1 in
   (* Slot offset of distance [d] from the current base. The clamp
      absorbs ulp-level rounding at the window edges; a misbucketed
      entry is merely drained early and re-queued, never lost. *)
@@ -443,22 +470,21 @@ let delta_stepping ?target ?delta ?max_len g
     let off = if off < 0 then 0 else if off >= slots then slots - 1 else off in
     (!base_slot + off) mod slots
   in
-  (* Apply one candidate (v, arc, nd); returns unit. The re-check
+  (* Apply one candidate (v, slot i, nd); returns unit. The check
      against the (no longer frozen) dist makes earlier candidates in
-     this same apply pass win ties and stale candidates no-ops. Inlined
-     (as is [slot_of]) so [nd] is never boxed. *)
-  let[@inline] apply v a nd =
-    if A1.unsafe_get visit v <> stamp then begin
-      A1.unsafe_set visit v stamp;
-      A1.unsafe_set processed v nan;
+     this same apply pass win ties and stale candidates no-ops; a first
+     reach lists [v] in [seen] and clears its [processed]. Inlined (as
+     is [slot_of]) so [nd] is never boxed. *)
+  let[@inline] apply v i nd =
+    let dv = A1.unsafe_get dist v in
+    if nd < dv then begin
+      if dv = infinity then begin
+        A1.unsafe_set processed v nan;
+        A1.unsafe_set seen st.seen_count v;
+        st.seen_count <- st.seen_count + 1
+      end;
       A1.unsafe_set dist v nd;
-      A1.unsafe_set parent v a;
-      push_bucket (slot_of nd) v;
-      incr live
-    end
-    else if nd < A1.unsafe_get dist v then begin
-      A1.unsafe_set dist v nd;
-      A1.unsafe_set parent v a;
+      A1.unsafe_set parent v (A1.unsafe_get arc_of i);
       push_bucket (slot_of nd) v;
       incr live
     end
@@ -475,8 +501,7 @@ let delta_stepping ?target ?delta ?max_len g
       let b0 = Array.unsafe_get base 0 +. (float_of_int !k *. delta) in
       Array.unsafe_set base 0 b0;
       base_slot := (!base_slot + !k) mod slots;
-      if target >= 0 && A1.get visit target = stamp && A1.get dist target <= b0
-      then finished := true
+      if target >= 0 && A1.unsafe_get dist target <= b0 then finished := true
       else begin
         let hi_edge = b0 +. delta in
         (* Settle the bucket: frozen-scan rounds to a fixpoint. *)
@@ -525,9 +550,7 @@ let delta_stepping ?target ?delta ?max_len g
               let du = A1.unsafe_get processed u in
               let hi_row = A1.unsafe_get row (u + 1) in
               for i = A1.unsafe_get row u to hi_row - 1 do
-                let a = A1.unsafe_get arc_of i in
-                let w = A1.unsafe_get len a in
-                if w < infinity then apply (A1.unsafe_get nbr i) a (du +. w)
+                apply (A1.unsafe_get nbr i) i (du +. A1.unsafe_get len i)
               done
             done
           end
@@ -535,8 +558,8 @@ let delta_stepping ?target ?delta ?max_len g
       end
     end
   done;
-  (* Leave no stale queue entries for the next run: lengths are stamped,
-     but bucket contents are not. *)
+  (* Leave no stale queue entries for the next run: [start_run] resets
+     distances, but not bucket contents. *)
   Array.fill bucket_len 0 slots 0
 
 (* Arc count at which [run] switches from the heap to buckets: below
@@ -545,7 +568,19 @@ let delta_stepping ?target ?delta ?max_len g
    one thing everywhere. *)
 let auto_delta_arcs = 32768
 
+(* [len] (arc-indexed) gathered into the state's slot-ordered scratch. *)
+let gather_slots name g st (len : Graph.floats) =
+  check_len name g len;
+  let num_arcs = Graph.num_arcs g in
+  if A1.dim st.slot_len < num_arcs then st.slot_len <- Graph.make_floats num_arcs;
+  let arc_of = Graph.ba_adj_arc g and sl = st.slot_len in
+  for i = 0 to num_arcs - 1 do
+    A1.unsafe_set sl i (A1.unsafe_get len (A1.unsafe_get arc_of i))
+  done;
+  sl
+
 let run ?max_len ?parallel:_ g ~len ~src st =
+  let len = gather_slots "Sssp.run" g st len in
   if Graph.num_arcs g >= auto_delta_arcs then
     delta_stepping ?max_len g ~len ~src st
   else dijkstra g ~len ~src st
@@ -555,9 +590,10 @@ let run ?max_len ?parallel:_ g ~len ~src st =
 let dijkstra_dist g ~len ~src =
   let st = create_state (Graph.num_nodes g) in
   let num_arcs = Graph.num_arcs g in
+  let slot = Graph.ba_arc_slot g in
   let l = Graph.make_floats num_arcs in
   for a = 0 to num_arcs - 1 do
-    A1.set l a (len a)
+    A1.set l (A1.get slot a) (len a)
   done;
   dijkstra g ~len:l ~src st;
   Array.init (Graph.num_nodes g) (fun v -> distance st v)

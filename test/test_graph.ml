@@ -201,6 +201,49 @@ let test_csr_all_families () =
           topo.Tb_topo.Topology.graph)
     Tb_topo.Catalog.all_families
 
+(* The arc-slot map inverts the packed arc ids: every arc sits at its
+   slot, on catalog graphs, on their uniform-capacity views (which share
+   the CSR columns) and on builder graphs in both edge orders. *)
+let check_arc_slot name g =
+  let adj_arc = Graph.ba_adj_arc g and slot = Graph.ba_arc_slot g in
+  Alcotest.(check int) (name ^ ": slot column length") (Graph.num_arcs g)
+    (Bigarray.Array1.dim slot);
+  for a = 0 to Graph.num_arcs g - 1 do
+    if adj_arc.{slot.{a}} <> a then
+      Alcotest.failf "%s: arc %d at slot %d holds arc %d" name a slot.{a}
+        adj_arc.{slot.{a}}
+  done
+
+let test_arc_slot_catalog () =
+  List.iter
+    (fun family ->
+      match Tb_topo.Catalog.small ~rng:(Rng.make 1) family with
+      | [] -> ()
+      | topo :: _ ->
+        let name = Tb_topo.Catalog.family_name family in
+        let g = topo.Tb_topo.Topology.graph in
+        check_arc_slot name g;
+        check_arc_slot (name ^ " uniform view") (Graph.with_uniform_capacity g 2.0))
+    Tb_topo.Catalog.all_families
+
+let prop_arc_slot_builder =
+  QCheck.Test.make ~name:"arc slot inverts the CSR arcs of builder graphs" ~count:40
+    QCheck.(pair small_nat (int_range 2 30))
+    (fun (seed, n) ->
+      let src = random_graph (Rng.make seed) ~n ~extra:n in
+      List.for_all
+        (fun reverse ->
+          let b = Graph.Builder.create ~n () in
+          Graph.iter_edges (fun _ e -> Graph.Builder.add b e.Graph.u e.Graph.v 1.0) src;
+          let g = Graph.Builder.finish ~reverse b in
+          let adj_arc = Graph.ba_adj_arc g and slot = Graph.ba_arc_slot g in
+          let ok = ref true in
+          for a = 0 to Graph.num_arcs g - 1 do
+            if adj_arc.{slot.{a}} <> a then ok := false
+          done;
+          !ok)
+        [ false; true ])
+
 let test_csr_succ_view () =
   let g = random_graph (Rng.make 9) ~n:20 ~extra:15 in
   for u = 0 to Graph.num_nodes g - 1 do
@@ -213,18 +256,20 @@ let test_csr_succ_view () =
 
 (* ---- Dijkstra ---- *)
 
-(* Per-arc lengths as the Bigarray [Sssp] reads. *)
+(* Per-arc lengths as the Bigarray the [Sssp] kernels read: arc [a]'s
+   length at its CSR slot. *)
 let floats_of_fun g f =
   let len = Graph.make_floats (Graph.num_arcs g) in
+  let slot = Graph.ba_arc_slot g in
   for a = 0 to Graph.num_arcs g - 1 do
-    len.{a} <- f a
+    len.{slot.{a}} <- f a
   done;
   len
 
 (* Oracle check for the heap Dijkstra: the certificate checker's
    Bellman-Ford relaxes every arc in rounds to a fixpoint with the same
    lengths, so any disagreement in distances (including infinities on an
-   unreachable island) is a bug in the CSR relaxation loop or the stamp
+   unreachable island) is a bug in the CSR relaxation loop or the reset
    bookkeeping. *)
 let prop_dijkstra_matches_bellman_ford =
   QCheck.Test.make ~name:"heap dijkstra = Bellman-Ford oracle" ~count:40
@@ -526,6 +571,8 @@ let () =
         [
           Alcotest.test_case "all topology families" `Quick test_csr_all_families;
           Alcotest.test_case "succ = iter_succ" `Quick test_csr_succ_view;
+          Alcotest.test_case "arc slot inverts catalog CSR" `Quick test_arc_slot_catalog;
+          Qseed.to_alcotest prop_arc_slot_builder;
         ] );
       ( "dijkstra",
         [

@@ -51,10 +51,20 @@ let variants =
     ("banned", len_banned);
   ]
 
+(* Lengths as the kernels read them: arc [a]'s length at its CSR slot.
+   [arc_ba_of_len] is the arc-indexed form [Sssp.run] takes. *)
 let ba_of_len g f =
   let num_arcs = Graph.num_arcs g in
+  let slot = Graph.ba_arc_slot g in
   let ba = Graph.make_floats num_arcs in
   for a = 0 to num_arcs - 1 do
+    A1.set ba (A1.get slot a) (f a)
+  done;
+  ba
+
+let arc_ba_of_len g f =
+  let ba = Graph.make_floats (Graph.num_arcs g) in
+  for a = 0 to Graph.num_arcs g - 1 do
     A1.set ba a (f a)
   done;
   ba
@@ -88,7 +98,7 @@ let check_against ~what g ~lenf (oracle : float array) (st : Sssp.state) =
       end
     end
   done;
-  (* The bulk readers apply the same stamp check as [Sssp.distance]. *)
+  (* The bulk readers agree with [Sssp.distance]. *)
   let out = Graph.make_floats n in
   Sssp.distances_into st ~targets:(Array.init n Fun.id) out;
   for v = 0 to n - 1 do
@@ -235,6 +245,125 @@ let test_dijkstra_dsts_edges () =
   Alcotest.check_raises "out of range"
     (Invalid_argument "Sssp.dijkstra: destination out of range") (fun () ->
       Sssp.dijkstra ~dsts:[| 1; 8 |] g ~len ~src:0 st)
+
+(* ---- Arc-indexed wrapper and state reuse. ---- *)
+
+(* Every node's reachability, distance bits and parent arc. *)
+let snapshot n st =
+  Array.init n (fun v -> (Sssp.reached st v, bits (Sssp.distance st v), Sssp.parent_arc st v))
+
+(* [Sssp.run] takes arc-indexed lengths and gathers them by slot, so it
+   must leave exactly what the kernel it dispatches to leaves on the
+   slot-ordered lengths. Small instances go to the heap; fattree:32 has
+   exactly [auto_delta_arcs] arcs, so it goes to delta-stepping. *)
+let prop_run_is_dijkstra =
+  QCheck.Test.make ~name:"run on arc lengths = dijkstra on slot lengths" ~count:60
+    QCheck.(pair Tb_check.Gen.arbitrary small_nat)
+    (fun (inst, pick) ->
+      let g = inst.Tb_check.Gen.topo.Topology.graph in
+      let n = Graph.num_nodes g in
+      let _, lenf = List.nth variants (pick mod List.length variants) in
+      let src = pick mod n in
+      let st = Sssp.create_state n in
+      Sssp.run g ~len:(arc_ba_of_len g lenf) ~src st;
+      let via_run = snapshot n st in
+      Sssp.dijkstra g ~len:(ba_of_len g lenf) ~src st;
+      via_run = snapshot n st)
+
+let fattree32 = lazy (build "fattree:32").Topology.graph
+
+let prop_run_is_delta_stepping =
+  QCheck.Test.make ~name:"run on arc lengths = delta-stepping on slot lengths" ~count:8
+    QCheck.small_nat
+    (fun pick ->
+      let g = Lazy.force fattree32 in
+      let n = Graph.num_nodes g in
+      let _, lenf = List.nth variants (pick mod List.length variants) in
+      let src = (pick * 37) mod n in
+      let st = Sssp.create_state n in
+      Sssp.run g ~len:(arc_ba_of_len g lenf) ~src st;
+      let via_run = snapshot n st in
+      Sssp.delta_stepping g ~len:(ba_of_len g lenf) ~src st;
+      Graph.num_arcs g >= Sssp.auto_delta_arcs && via_run = snapshot n st)
+
+(* A full tree, then an early-exit tree from another source on the same
+   state: the second run must leave every node as a fresh state does,
+   and every node it did not reach at [infinity], unreached, with no
+   parent. *)
+let test_state_reuse () =
+  let g = (build "hypercube:6").Topology.graph in
+  let n = Graph.num_nodes g in
+  let len = ba_of_len g len_dup in
+  let check name ~full ~early =
+    let st = Sssp.create_state n and fresh = Sssp.create_state n in
+    full st;
+    early st;
+    early fresh;
+    if snapshot n st <> snapshot n fresh then
+      Alcotest.failf "%s: reused state differs from a fresh one" name;
+    let unreached = ref 0 in
+    for v = 0 to n - 1 do
+      if not (Sssp.reached fresh v) then begin
+        incr unreached;
+        if Sssp.reached st v || Sssp.distance st v <> infinity || Sssp.parent_arc st v <> -1
+        then Alcotest.failf "%s: node %d not reset" name v
+      end
+    done;
+    if !unreached = 0 then Alcotest.failf "%s: the early exit reached every node" name
+  in
+  check "dijkstra"
+    ~full:(fun st -> Sssp.dijkstra g ~len ~src:0 st)
+    ~early:(fun st -> Sssp.dijkstra ~dsts:[| 9 |] g ~len ~src:8 st);
+  check "delta-stepping"
+    ~full:(fun st -> Sssp.delta_stepping g ~len ~src:0 st)
+    ~early:(fun st -> Sssp.delta_stepping ~target:9 g ~len ~src:8 st);
+  check "dial"
+    ~full:(fun st -> Sssp.dial g ~src:0 st)
+    ~early:(fun st -> Sssp.dial ~target:9 g ~src:8 st);
+  check "heap after delta-stepping"
+    ~full:(fun st -> Sssp.delta_stepping g ~len ~src:0 st)
+    ~early:(fun st -> Sssp.dijkstra ~dsts:[| 9 |] g ~len ~src:8 st)
+
+(* The one deliberate change of the stamp-free kernels: a node whose
+   only relaxations sum to [+inf] (finite lengths whose sum overflows)
+   is not reached. It used to be marked reached at distance [+inf]. *)
+let test_overflow_not_reached () =
+  let g = Graph.of_unit_edges ~n:3 [ (0, 1); (1, 2) ] in
+  let lenf _ = max_float in
+  let kernels =
+    [
+      ("dijkstra", fun st -> Sssp.dijkstra g ~len:(ba_of_len g lenf) ~src:0 st);
+      ("delta", fun st -> Sssp.delta_stepping g ~len:(ba_of_len g lenf) ~src:0 st);
+      ("run", fun st -> Sssp.run g ~len:(arc_ba_of_len g lenf) ~src:0 st);
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      let st = Sssp.create_state 3 in
+      run st;
+      Alcotest.(check (float 0.0)) (name ^ ": one hop") max_float (Sssp.distance st 1);
+      Alcotest.(check bool) (name ^ ": overflowed node unreached") false (Sssp.reached st 2);
+      Alcotest.(check int) (name ^ ": no parent") (-1) (Sssp.parent_arc st 2);
+      Alcotest.(check bool) (name ^ ": no path") true (Sssp.path_arcs g st 2 = None))
+    kernels
+
+(* An out-of-range target is rejected before the run starts, so the
+   state still holds the previous tree. *)
+let test_target_out_of_range () =
+  let g = (Tb_topo.Hypercube.make ~dim:3 ()).Topology.graph in
+  let len = ba_of_len g len_unit in
+  let st = Sssp.create_state 8 in
+  Sssp.dial g ~src:0 st;
+  let before = snapshot 8 st in
+  List.iter
+    (fun t ->
+      Alcotest.check_raises "delta-stepping"
+        (Invalid_argument "Sssp.delta_stepping: target out of range") (fun () ->
+          Sssp.delta_stepping ~target:t g ~len ~src:1 st);
+      Alcotest.check_raises "dial" (Invalid_argument "Sssp.dial: target out of range")
+        (fun () -> Sssp.dial ~target:t g ~src:1 st))
+    [ 8; -1 ];
+  Alcotest.(check bool) "previous tree intact" true (before = snapshot 8 st)
 
 (* ---- Domain-count bit-determinism. ----
 
@@ -620,7 +749,16 @@ let test_estimates_match_built () =
           Alcotest.(check int) (s ^ " nodes") (Graph.num_nodes g)
             e.Catalog.nodes;
           Alcotest.(check int) (s ^ " edges") (Graph.num_edges g)
-            e.Catalog.edges))
+            e.Catalog.edges;
+          (* The flat estimate is every Bigarray column of the graph. *)
+          let ints = [ Graph.ba_edge_u g; Graph.ba_edge_v g; Graph.ba_adj_start g;
+                       Graph.ba_adj_node g; Graph.ba_adj_arc g; Graph.ba_arc_slot g ] in
+          let floats = [ Graph.ba_edge_cap g; Graph.ba_arc_caps g ] in
+          let bytes =
+            8 * (List.fold_left (fun acc a -> acc + A1.dim a) 0 ints
+                 + List.fold_left (fun acc a -> acc + A1.dim a) 0 floats)
+          in
+          Alcotest.(check int) (s ^ " flat bytes") bytes e.Catalog.flat_bytes))
     [ "fattree:4"; "fattree:8"; "dragonfly:2"; "hypercube:5"; "slimfly:5";
       "xpander:8,deg=4,seed=3"; "jellyfish:16,deg=6" ]
 
@@ -657,6 +795,15 @@ let () =
           Qseed.to_alcotest prop_dijkstra_early_exit_exact;
           Alcotest.test_case "destination set edges" `Quick
             test_dijkstra_dsts_edges;
+        ] );
+      ( "state",
+        [
+          Qseed.to_alcotest prop_run_is_dijkstra;
+          Qseed.to_alcotest prop_run_is_delta_stepping;
+          Alcotest.test_case "reuse resets unreached nodes" `Quick test_state_reuse;
+          Alcotest.test_case "overflowed sum leaves a node unreached" `Quick
+            test_overflow_not_reached;
+          Alcotest.test_case "target out of range" `Quick test_target_out_of_range;
         ] );
       ( "fleischer",
         [
