@@ -1,4 +1,4 @@
-.PHONY: all build test test-times check fuzz fuzz-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke failures-smoke examples clean
+.PHONY: all build test test-times check unused-exports fuzz fuzz-quick bench bench-quick metrics micro perf perf-quick perf-scale perf-scale-smoke alloc-gate bench-pairs golden-bits loadgen loadgen-quick chaos-quick serve-smoke failures-smoke examples clean
 
 all: build
 
@@ -17,6 +17,14 @@ test-times:
 # Full gate: everything compiles and every suite passes.
 check:
 	dune build @all && dune runtest
+
+# Interface gate: fails on any `val` in lib/**/*.mli that no other
+# compilation unit under lib/, bin/, bench/, benchsuite/, examples/ or
+# test/ references, and on any tools/unused_exports/allowlist entry
+# that is no longer exported, is referenced, or gives no reason.
+unused-exports:
+	dune build @check
+	dune exec -- ./tools/unused_exports/main.exe
 
 # Differential fuzzing: replay the committed corpus, then fresh seeded
 # instances through every solver route with certificate validation

@@ -17,9 +17,6 @@ module Commodity = Tb_flow.Commodity
 
 type verdict = (unit, string) result
 
-(** Default relative tolerance ([1e-6]) used by every checker. *)
-val default_rtol : float
-
 (** {1 Primal certificates} *)
 
 (** [primal_feasible g cs ~throughput ~flow] checks that the per-arc

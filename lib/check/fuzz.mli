@@ -20,8 +20,6 @@ type subject = All_solvers | Warm_vs_cold
 (** Accepts ["all"]/["all_solvers"] and ["warm_vs_cold"]/["warm"]. *)
 val subject_of_string : string -> subject option
 
-val subject_name : subject -> string
-
 type config = {
   instances : int;  (** freshly generated instances to run *)
   seed : int;  (** base seed for the generated stream *)
@@ -34,11 +32,6 @@ type report = {
   instances_run : int;
   corpus_replayed : int;
 }
-
-(** Seeds pinned in [dir]: every [*.json] file must parse as an object
-    with an integer ["seed"] field (["note"] is free-form).
-    @raise Failure on an unreadable or malformed corpus file. *)
-val corpus_seeds : string -> (int * string) list
 
 (** Run the loop. [progress] is called once per instance with a
     one-line description (default: silent). *)

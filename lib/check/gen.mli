@@ -28,37 +28,12 @@ type instance = {
   seed : int;  (** the seed that regenerates this instance *)
 }
 
-(** Number of endpoint-to-endpoint flows. *)
-val num_demands : instance -> int
-
 (** One-line description: tag, node/edge/flow counts. *)
 val describe : instance -> string
 
 (** {1 Graph generators} *)
 
-(** Random [degree]-regular graph on [n] switches (Jellyfish
-    construction). [n * degree] must be even; adjusted internally. *)
-val random_regular : rng:Rng.t -> n:int -> degree:int -> Topology.t
-
-(** G(n, p) resampled (advancing the rng) until connected. *)
-val erdos_renyi : rng:Rng.t -> n:int -> p:float -> Topology.t
-
-(** A catalog family instance with its primary size drawn from a small
-    feasible range. *)
-val perturbed_catalog : rng:Rng.t -> Topology.t
-
-(** Same fabric with every link capacity drawn uniformly from
-    [[0.5, 2.5)]. *)
-val perturb_capacities : rng:Rng.t -> Topology.t -> Topology.t
-
 (** {1 TM generators} *)
-
-(** Random fixed-point-free permutation of the endpoints. *)
-val permutation_tm : rng:Rng.t -> Topology.t -> Tm.t
-
-(** A few hot endpoint pairs with squared-uniform weights,
-    hose-normalized. *)
-val skewed_tm : rng:Rng.t -> Topology.t -> Tm.t
 
 (** {1 Instances} *)
 
@@ -66,14 +41,6 @@ val skewed_tm : rng:Rng.t -> Topology.t -> Tm.t
 val instance_of_seed : int -> instance
 
 (** {1 Shrinking} *)
-
-(** Remove node [v] (graph, hosts and TM relabeled); [None] when the
-    result would have no demands or disconnect the remaining
-    endpoints. *)
-val delete_node : instance -> int -> instance option
-
-(** Remove the [i]-th TM flow; [None] when it is the last one. *)
-val delete_demand : instance -> int -> instance option
 
 (** [instance_of_seed] as a QCheck arbitrary whose shrinker deletes
     nodes and demands while preserving endpoint connectivity. *)

@@ -8,14 +8,6 @@ module Mcf = Tb_flow.Mcf
 module Rng = Tb_prelude.Rng
 module Stats = Tb_prelude.Stats
 
-(** How the TM is obtained for each evaluated graph. Graph-dependent TMs
-    (longest matching and derivatives) must use [Generator] so each
-    random graph faces its own near-worst-case TM; placement-sensitive
-    TMs (the real-world rack workloads) use [Fixed]. *)
-type tm_source =
-  | Fixed of Tm.t
-  | Generator of (Rng.t -> Topology.t -> Tm.t)
-
 (** Server placement on the random baseline: [Spread] (default for
     generators) places the same server count evenly over all switches
     per the Jellyfish methodology; [Preserve] (default and required
@@ -28,18 +20,10 @@ type result = {
   relative : Stats.summary; (** per-random-graph ratio samples *)
 }
 
-(** [compute ~rng topo source] evaluates [iterations] independent random
-    rewirings in parallel (OCaml domains) and summarizes the ratios with
-    95% confidence intervals. *)
-val compute :
-  ?solver:Mcf.solver ->
-  ?iterations:int ->
-  ?placement:placement ->
-  rng:Rng.t ->
-  Topology.t ->
-  tm_source ->
-  result
-
+(** [compute_fixed ~rng topo tm] evaluates [iterations] independent
+    random rewirings in parallel (OCaml domains), each under [tm]
+    itself, and summarizes the ratios with 95% confidence intervals.
+    Placement-sensitive TMs (the real-world rack workloads) use it. *)
 val compute_fixed :
   ?solver:Mcf.solver ->
   ?iterations:int ->
@@ -49,6 +33,9 @@ val compute_fixed :
   Tm.t ->
   result
 
+(** As {!compute_fixed}, but the TM is regenerated for each graph, so
+    each random graph faces its own near-worst-case TM: graph-dependent
+    TMs (longest matching and derivatives) must use it. *)
 val compute_gen :
   ?solver:Mcf.solver ->
   ?iterations:int ->

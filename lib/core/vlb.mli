@@ -18,8 +18,4 @@ type certificate = {
 (** Largest per-endpoint send or receive total of a TM. *)
 val hose_volume : Tm.t -> float
 
-(** Largest per-server send or receive total under the topology's
-    placement — the unit of the Theorem-2 guarantee. *)
-val per_server_volume : Topology.t -> Tm.t -> float
-
 val certify : ?solver:Mcf.solver -> Topology.t -> Tm.t -> certificate

@@ -8,18 +8,6 @@ module Rng = Tb_prelude.Rng
 (** Exhaustive minimum balanced cut; raises on graphs above ~24 nodes. *)
 val exact : Graph.t -> float * Cut.t option
 
-(** One KL pass: returns the (possibly) improved cut and whether it
-    improved. *)
-val kl_pass : Graph.t -> Cut.t -> Cut.t * bool
-
-(** Iterated KL until no pass improves (bounded rounds). *)
-val kl_refine : Graph.t -> Cut.t -> Cut.t
-
-(** Balanced cut at the spectral sweep order's midpoint. *)
-val spectral_balanced : Graph.t -> Cut.t
-
-val random_balanced : Rng.t -> int -> Cut.t
-
 (** Bisection bandwidth estimate (capacity units). *)
 val bandwidth : ?rng:Rng.t -> ?restarts:int -> Graph.t -> float
 

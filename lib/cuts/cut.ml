@@ -62,9 +62,6 @@ let sparsity g flows cut =
   let dem = max fwd bwd in
   if dem <= 0.0 then infinity else capacity g cut /. dem
 
-(* Sparsity under the TM type. *)
-let sparsity_tm g tm cut = sparsity g (Tb_tm.Tm.flows tm) cut
-
 let complement cut = Array.map not cut
 
 (* The estimators' evaluation kernel. [prepare] lays the flows out once

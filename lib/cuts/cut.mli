@@ -47,5 +47,4 @@ val graph : prepared -> Graph.t
     not checked) and may be mutated between callbacks. *)
 val sparsest : prepared -> ((t -> unit) -> unit) -> float * t option
 
-val sparsity_tm : Graph.t -> Tb_tm.Tm.t -> t -> float
 val complement : t -> t

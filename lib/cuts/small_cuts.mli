@@ -1,11 +1,6 @@
 (** One- and two-node cuts (Appendix C) — cheap families that catch
     fringe bottlenecks in core-dense, edge-sparse networks. *)
 
-module Graph = Tb_graph.Graph
-
-val iter_one_node : Graph.t -> (Cut.t -> unit) -> unit
-val iter_two_node : Graph.t -> (Cut.t -> unit) -> unit
-
 (** Best (minimum) sparsity among one-node cuts, with a witness;
     [(infinity, None)] on graphs with fewer than two nodes. *)
 val sparsest_one_node : Cut.prepared -> float * Cut.t option

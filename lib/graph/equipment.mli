@@ -17,10 +17,6 @@ val connect_by_swaps :
   (int * int) list ->
   (int * int) list
 
-(** Random connected simple graph with the given degree sequence. *)
-val random_connected_with_degrees :
-  Tb_prelude.Rng.t -> int array -> Graph.t
-
 (** Random graph with exactly the same node count and per-node degrees
     as the input (the paper's relative-throughput baseline). *)
 val same_equipment_random : Tb_prelude.Rng.t -> Graph.t -> Graph.t

@@ -215,8 +215,6 @@ module Builder = struct
     let cap = max 16 capacity in
     { bn = n; bm = 0; bu = make_ints cap; bv = make_ints cap; bc = make_floats cap }
 
-  let length b = b.bm
-
   let grow b =
     let cap = A1.dim b.bu in
     let cap' = 2 * cap in

@@ -133,9 +133,6 @@ module Builder : sig
       needed). *)
   val create : ?capacity:int -> n:int -> unit -> b
 
-  (** Edges added so far. *)
-  val length : b -> int
-
   (** [add b u v cap] appends one undirected edge. Raises
       [Invalid_argument] on self-loops, out-of-range nodes, or
       non-positive or non-finite capacities. *)

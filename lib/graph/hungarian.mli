@@ -1,9 +1,5 @@
 (** Exact assignment problem (Kuhn–Munkres with potentials), O(n³). *)
 
-(** [minimize cost] returns [assign] with [assign.(row) = col], minimizing
-    the total cost over perfect assignments of the square matrix. *)
-val minimize : float array array -> int array
-
 (** [maximize weight]: same, maximizing total weight. *)
 val maximize : float array array -> int array
 

@@ -1,7 +1,6 @@
 (** Random permutations, derangements, and group-avoiding matchings used
     to build random-matching traffic. *)
 
-val identity : int -> int array
 val random : Tb_prelude.Rng.t -> int -> int array
 val is_permutation : int array -> bool
 val inverse : int array -> int array

@@ -53,8 +53,6 @@ let apsp g =
   let n = Graph.num_nodes g in
   Array.init n (fun u -> bfs_dist g u)
 
-let eccentricity g u = Array.fold_left max 0 (bfs_dist g u)
-
 let diameter g =
   let n = Graph.num_nodes g in
   let d = ref 0 in

@@ -14,8 +14,6 @@ val is_connected : Graph.t -> bool
 (** All-pairs hop distances, [apsp g].(u).(v). O(n*m). *)
 val apsp : Graph.t -> int array array
 
-val eccentricity : Graph.t -> int -> int
-
 (** Raises [Invalid_argument] if the graph is disconnected. *)
 val diameter : Graph.t -> int
 

@@ -3,7 +3,6 @@
 type t
 
 val create : int -> t
-val find : t -> int -> int
 
 (** [union t x y] merges the sets of [x] and [y]; returns [false] if they
     were already in the same set. *)

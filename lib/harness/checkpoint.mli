@@ -9,9 +9,6 @@ type t
 (** Load the checkpoint at [path], or an empty store bound to [path]. *)
 val load : path:string -> t
 
-(** In-memory store bound to [path] (nothing written until {!record}). *)
-val empty : string -> t
-
 val path : t -> string
 val completed : t -> int
 val find : t -> string -> Tb_obs.Json.t option

@@ -106,8 +106,5 @@ val throughput :
   Tb_tm.Tm.t ->
   outcome
 
-(** Certified relative gap [(upper - lower) / lower] of an estimate. *)
-val rel_gap : Mcf.estimate -> float
-
 (** Provenance record: bounds, producing rung, gap, failed attempts. *)
 val outcome_to_json : outcome -> Tb_obs.Json.t

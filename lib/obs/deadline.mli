@@ -14,9 +14,6 @@ type t
     [infinity] never expires. *)
 val start : budget_ms:float -> t
 
-(** Milliseconds elapsed since {!start}. *)
-val elapsed_ms : t -> float
-
 (** Milliseconds left before expiry ([infinity] for an unbounded
     deadline, [0.] once spent). *)
 val remaining_ms : t -> float

@@ -33,8 +33,6 @@ let missing_final_newline path =
 let open_ ?(max_bytes = 64 * 1024 * 1024) ?(max_keep = 3) path =
   { w_path = path; max_bytes; max_keep; oc = None; bytes = 0 }
 
-let path w = w.w_path
-
 let close w =
   match w.oc with
   | None -> ()

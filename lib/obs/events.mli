@@ -21,8 +21,6 @@ type writer
     (default 3) *)
 val open_ : ?max_bytes:int -> ?max_keep:int -> string -> writer
 
-val path : writer -> string
-
 (** Append one record as a single JSON-object line and flush. *)
 val write : writer -> (string * Json.t) list -> unit
 

@@ -43,8 +43,6 @@ val quantile : t -> float -> float
     unchanged. *)
 val merge : into:t -> t -> unit
 
-val clear : t -> unit
-
 (** {1 Sharded recording}
 
     One shard per concurrent writer (indexed by the current domain), so

@@ -150,7 +150,6 @@ let histogram_count h = h.h_count
 let histogram_mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
 
 let observe_hdr h v = Hdr.record_sharded h.shards v
-let hdr_merged h = Hdr.merged h.shards
 
 (* Upper edge of the smallest bucket prefix holding [q] of the mass —
    a log-scale quantile estimate, good to a factor of 2. *)

@@ -56,10 +56,6 @@ val histogram_quantile : histogram -> float -> float
     domain's shard — contention-free on the hot path. *)
 val observe_hdr : hdr -> float -> unit
 
-(** Merge of all shards at this instant; query it with {!Hdr.quantile}
-    and friends. *)
-val hdr_merged : hdr -> Hdr.t
-
 (** Registered counter by name, if any — for reading someone else's
     counter without creating it. *)
 val find_counter : string -> counter option

@@ -50,5 +50,3 @@ let step p =
         end
       in
       Printf.fprintf p.out "%s\n%!" line)
-
-let elapsed_s p = Clock.ns_to_ms (Clock.elapsed_ns p.t0) /. 1e3

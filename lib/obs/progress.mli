@@ -9,8 +9,5 @@ val create : ?out:out_channel -> label:string -> int -> t
 (** Mark one unit done and print "label: k/n done (elapsed, ~eta left)". *)
 val step : t -> unit
 
-(** Seconds since [create]. *)
-val elapsed_s : t -> float
-
 (** Human-friendly duration (e.g. "45.2s", "2m10s", "1h05m"). *)
 val fmt_seconds : float -> string

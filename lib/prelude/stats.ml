@@ -58,6 +58,3 @@ let summarize a =
     else t_critical ~df:(n - 1) *. stddev a /. sqrt (float_of_int n)
   in
   { mean = m; ci95 = ci; n }
-
-let pp_summary ppf { mean; ci95; n = _ } =
-  Fmt.pf ppf "%.4f ±%.4f" mean ci95

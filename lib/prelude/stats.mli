@@ -7,7 +7,6 @@ val mean : float array -> float
 (** Unbiased sample variance (0 for fewer than two samples). *)
 val variance : float array -> float
 
-val stddev : float array -> float
 val min_max : float array -> float * float
 val median : float array -> float
 
@@ -18,5 +17,3 @@ type summary = { mean : float; ci95 : float; n : int }
 
 (** Mean with a 95% confidence half-width. *)
 val summarize : float array -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

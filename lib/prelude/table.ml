@@ -18,8 +18,6 @@ let add_row t row =
   t.rows <- row :: t.rows
 
 let cell_f x = Printf.sprintf "%.4f" x
-let cell_i n = string_of_int n
-let cell_pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
 let render ?(align = Right) t =
   let rows = List.rev t.rows in

@@ -12,7 +12,5 @@ val create : title:string -> string list -> t
 val add_row : t -> string list -> unit
 
 val cell_f : float -> string
-val cell_i : int -> string
-val cell_pct : float -> string
 val render : ?align:align -> t -> string
 val print : ?align:align -> t -> unit

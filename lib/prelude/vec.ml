@@ -1,8 +1,6 @@
 (* Dense float-vector kernels for the spectral toolkit and LP solver.
    Plain float arrays keep everything unboxed. *)
 
-let create n x = Array.make n x
-
 let dot a b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Vec.dot";
@@ -30,20 +28,3 @@ let axpy_in_place a c b =
 let normalize_in_place a =
   let n = norm2 a in
   if n > 0.0 then scale_in_place a (1.0 /. n)
-
-let sub a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Vec.sub";
-  Array.init n (fun i -> a.(i) -. b.(i))
-
-let linf_dist a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Vec.linf_dist";
-  let d = ref 0.0 in
-  for i = 0 to n - 1 do
-    let x = abs_float (a.(i) -. b.(i)) in
-    if x > !d then d := x
-  done;
-  !d
-
-let sum a = Array.fold_left ( +. ) 0.0 a

@@ -1,14 +1,9 @@
 (** Dense float-vector kernels (unboxed float arrays). *)
 
-val create : int -> float -> float array
 val dot : float array -> float array -> float
 val norm2 : float array -> float
-val scale_in_place : float array -> float -> unit
 
 (** [axpy_in_place a c b]: [a <- a + c * b]. *)
 val axpy_in_place : float array -> float -> float array -> unit
 
 val normalize_in_place : float array -> unit
-val sub : float array -> float array -> float array
-val linf_dist : float array -> float array -> float
-val sum : float array -> float

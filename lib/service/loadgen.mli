@@ -23,10 +23,6 @@ type config = {
 (** 2000 requests, seed 42, batch 1, capacity 256, skew 1.2. *)
 val default : config
 
-(** The distinct request pool (small hypercube/fat-tree instances × TM
-    models × solver variants), deterministic given [seed]. *)
-val pool : seed:int -> Request.t array
-
 (** The replayed sequence: Zipf-ranked over a seed-shuffled pool. *)
 val mix : config -> Request.t array
 

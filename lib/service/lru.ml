@@ -22,7 +22,6 @@ let create ~capacity =
   let rec sent = { key = ""; v = None; prev = sent; next = sent } in
   { capacity; tbl = Hashtbl.create (2 * capacity); sent; evicted = 0 }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
 
 let unlink n =

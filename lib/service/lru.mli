@@ -7,7 +7,6 @@ type 'v t
 (** @raise Invalid_argument if [capacity < 1]. *)
 val create : capacity:int -> 'v t
 
-val capacity : 'v t -> int
 val length : 'v t -> int
 
 (** Lookup; a hit promotes the key to most-recently-used. *)

@@ -158,9 +158,6 @@ val await : t -> int -> completion
 (** Requests accepted but not yet completed (queued + in flight). *)
 val pending_count : t -> int
 
-(** [{"hash", "cached", "retries", "result"}]. *)
-val completion_json : completion -> Tb_obs.Json.t
-
 (** Graceful drain: stop intake, finish everything accepted (hard-fail
     in-flight work only after [grace_ms]), EOF + reap all workers,
     merge store segments, restore signal handlers. Idempotent. *)
@@ -171,8 +168,8 @@ val shutdown : t -> unit
 
 (** ndjson front for the [topobench pool] subcommand: request lines in
     on [ic] (through {!Service.Framer} and {!Service.intake}),
-    completion lines out on [oc] ({!completion_json}, in completion
-    order), typed {!Service.error_json} lines for malformed or oversized
+    completion lines out on [oc] ([{"hash", "cached", "retries",
+    "result"}], in completion order), typed {!Service.error_json} lines for malformed or oversized
     input ([bad_request]) and admission rejections ([overloaded]).
     Returns after EOF or once [!stop] is true (the SIGTERM flag),
     having drained gracefully. *)

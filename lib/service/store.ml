@@ -92,7 +92,6 @@ let open_ ~path =
         m "store %s: skipped %d unreadable line(s) (torn write?)" path skipped);
   t
 
-let path t = t.path
 let length t = Hashtbl.length t.tbl
 let mem t h = Hashtbl.mem t.tbl h
 let find t h = Hashtbl.find_opt t.tbl h

@@ -22,8 +22,6 @@ type t
     is an empty store; unreadable lines are skipped, never an error. *)
 val open_ : path:string -> t
 
-val path : t -> string
-
 (** Entries currently resident (after torn-line recovery). *)
 val length : t -> int
 

@@ -68,9 +68,3 @@ let to_string tm =
     (fun (u, v, w) -> Buffer.add_string buf (Printf.sprintf "%d %d %g\n" u v w))
     (Tm.flows tm);
   Buffer.contents buf
-
-let save tm path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string tm))

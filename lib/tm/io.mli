@@ -17,4 +17,3 @@ val load : string -> Tm.t
 val load_result : string -> (Tm.t, string) result
 
 val to_string : Tm.t -> string
-val save : Tm.t -> string -> unit

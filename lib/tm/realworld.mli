@@ -11,7 +11,6 @@ type cluster =
   | Frontend  (** TM-F: skewed cache/web structure *)
 
 val num_racks : int
-val cluster_label : cluster -> string
 
 (** The full 64-rack TM, deterministic given [seed]. *)
 val cluster_tm : ?seed:int -> cluster -> Tm.t
@@ -21,9 +20,6 @@ val downsample : int -> Tm.t -> Tm.t
 
 (** Random rack relabeling (the paper's "Shuffled" placement). *)
 val shuffle : Rng.t -> racks:int -> Tm.t -> Tm.t
-
-(** Map rack [r] onto the [r]-th endpoint node of the topology. *)
-val place : Topology.t -> Tm.t -> racks:int -> Tm.t
 
 (** Downsample to the topology's endpoint count, optionally shuffle,
     place, and hose-normalize. *)

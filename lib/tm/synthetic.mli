@@ -15,10 +15,6 @@ val all_to_all : Topology.t -> Tm.t
     weight [1/k]. As [k] grows this approaches A2A. *)
 val random_matching : ?k:int -> Rng.t -> Topology.t -> Tm.t
 
-(** [(endpoints, dist)] with pairwise hop distances between endpoint
-    nodes. Raises [Invalid_argument] on disconnected endpoints. *)
-val endpoint_distances : Topology.t -> int array * float array array
-
 (** Longest matching — the paper's near-worst-case heuristic: the
     maximum-weight perfect matching of endpoints under shortest-path
     distance, one unit per matched pair. *)

@@ -84,6 +84,3 @@ let relabel perm t =
     t with
     flows = Array.map (fun (u, v, w) -> (perm.(u), perm.(v), w)) t.flows;
   }
-
-let pp ppf t =
-  Fmt.pf ppf "%s (%d flows, demand %.3f)" t.label (num_flows t) (total_demand t)

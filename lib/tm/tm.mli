@@ -37,5 +37,3 @@ val normalize_hose : Topology.t -> t -> t
 
 (** Apply a node relabeling (placement shuffle). *)
 val relabel : int array -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -2,6 +2,4 @@
     links each, (k+1) levels of n^k switches. Servers forward traffic,
     so they are graph nodes. *)
 
-val num_servers : n:int -> k:int -> int
-val switches_per_level : n:int -> k:int -> int
 val make : n:int -> k:int -> unit -> Topology.t

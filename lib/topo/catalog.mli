@@ -32,7 +32,7 @@ val family_name : family -> string
     e.g. ["hypercube:3"], ["jellyfish:16,deg=6,hosts=4,seed=7"].
     Families are the lowercase CLI names (["fattree"], ["flatbf"],
     ["xpander"], ...); [deg] defaults to 6, [hosts] to 1, [seed] to 42,
-    and a missing size to {!default_size}. *)
+    and a missing size to a per-family default. *)
 
 type spec = {
   family : string; (** canonical lowercase family name *)
@@ -45,19 +45,10 @@ type spec = {
 (** Lowercase names {!spec_of_string} accepts (canonical forms only). *)
 val known_families : string list
 
-(** Default primary size when a spec omits it. *)
-val default_size : string -> int
-
 (** Parse; unknown families, bad numbers, unknown keys and
     unrepresentable sizes (odd fat-tree [k], composite Slim Fly [q],
     out-of-range hypercube dims, ...) are [Error]. *)
 val spec_of_string : string -> (spec, string) result
-
-(** Family-specific size/degree feasibility check (with the family
-    default filled in for a missing size). {!spec_of_string} applies it
-    to everything it parses; it is exposed so front ends can re-check
-    specs built programmatically. *)
-val validate_spec : spec -> (unit, string) result
 
 (** Canonical rendering: every field explicit, aliases resolved, size
     defaulted — equal instances render byte-identically, so the string
@@ -66,7 +57,7 @@ val spec_to_string : spec -> string
 
 (** Build the instance a spec names (deterministic given [spec.seed]).
     @raise Failure on an unknown family or infeasible parameters
-    (everything {!validate_spec} rejects). *)
+    (everything {!spec_of_string} rejects). *)
 val build_spec : spec -> Topology.t
 
 (** {1 Scale instances}

@@ -2,10 +2,4 @@
     DCell_0 is n servers on one switch, and level l joins
     [t_{l-1} + 1] sub-DCells with one server-server link per pair. *)
 
-(** Servers in a DCell of level [l]. *)
-val servers_in : n:int -> int -> int
-
-(** Sub-DCells per DCell of level [l]. *)
-val g_of : n:int -> int -> int
-
 val make : n:int -> k:int -> unit -> Topology.t

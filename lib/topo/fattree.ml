@@ -50,4 +50,3 @@ let make ~k () =
 
 (* Index helpers exposed for the LLSKR replication. *)
 let num_edge_switches ~k = k * k / 2
-let servers_per_edge ~k = k / 2

@@ -2,9 +2,5 @@
     k/2 aggregation switches, (k/2)² cores, k/2 servers per edge switch;
     nonblocking by construction. [k] must be even. *)
 
-module Graph = Tb_graph.Graph
-
-val graph : k:int -> Graph.t
 val make : k:int -> unit -> Topology.t
 val num_edge_switches : k:int -> int
-val servers_per_edge : k:int -> int

@@ -2,10 +2,6 @@
     switches fully connected within each of n-1 dimensions, k servers
     per switch by default. *)
 
-module Graph = Tb_graph.Graph
-
-val graph : k:int -> dims:int -> Graph.t
-
 (** [stages] is the k-ary n-stage naming: [stages - 1] switch
     dimensions. [hosts_per_switch] defaults to the concentration [k]. *)
 val make : ?hosts_per_switch:int -> k:int -> stages:int -> unit -> Topology.t

@@ -1,6 +1,3 @@
 (** Binary hypercube: 2^dim switches, dim-regular, diameter dim. *)
 
-module Graph = Tb_graph.Graph
-
-val graph : dim:int -> Graph.t
 val make : ?hosts_per_switch:int -> dim:int -> unit -> Topology.t

@@ -2,18 +2,14 @@
     dimension, T servers per switch — plus the cost search the paper
     uses to pick instances for a bisection target. *)
 
-module Graph = Tb_graph.Graph
-
 type config = { l : int; s : int; t : int }
 
-val num_switches : config -> int
 val num_servers : config -> int
 val switch_radix : config -> int
 
 (** Relative bisection bandwidth of the worst dimension-aligned cut. *)
 val relative_bisection : config -> float
 
-val graph : config -> Graph.t
 val make : config -> Topology.t
 
 (** Cheapest regular HyperX (switches, then links) with at least

@@ -18,21 +18,6 @@ let popcount x =
   let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
   go x 0
 
-(* Worst (largest) nontrivial adjacency eigenvalue of Cayley(Z_2^dim, gens):
-   smaller is a better expander. *)
-let worst_eigenvalue ~dim gens =
-  let n = 1 lsl dim in
-  let worst = ref neg_infinity in
-  for chi = 1 to n - 1 do
-    let lambda =
-      List.fold_left
-        (fun acc s -> if popcount (chi land s) mod 2 = 0 then acc +. 1.0 else acc -. 1.0)
-        0.0 gens
-    in
-    if lambda > !worst then worst := lambda
-  done;
-  !worst
-
 let generators ~dim ~degree =
   if degree < dim then invalid_arg "Longhop.generators: degree < dim";
   if degree > (1 lsl dim) - 1 then

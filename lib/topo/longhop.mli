@@ -2,18 +2,8 @@
     hypercube basis with long-hop generators chosen greedily to maximize
     the spectral gap (see DESIGN.md for the substitution rationale). *)
 
-module Graph = Tb_graph.Graph
-
-val popcount : int -> int
-
-(** Largest nontrivial adjacency eigenvalue of Cayley(Z_2^dim, gens);
-    smaller means a better expander. *)
-val worst_eigenvalue : dim:int -> int list -> float
-
 (** Generator set of size [degree] (>= dim), starting from the basis. *)
 val generators : dim:int -> degree:int -> int list
-
-val graph : dim:int -> degree:int -> Graph.t
 
 (** [degree] defaults to [min (2^dim - 1) (2 * dim)]. *)
 val make : ?hosts_per_switch:int -> ?degree:int -> dim:int -> unit -> Topology.t

@@ -4,20 +4,6 @@
     communities, and core-periphery families. All generators are
     deterministic given the RNG and return the giant component. *)
 
-module Graph = Tb_graph.Graph
-module Rng = Tb_prelude.Rng
-
-val preferential_attachment : Rng.t -> n:int -> m_per_node:int -> Graph.t
-val small_world : Rng.t -> n:int -> k:int -> beta:float -> Graph.t
-
-val community :
-  Rng.t -> clusters:int -> cluster_size:int -> p_in:float -> p_out:float -> Graph.t
-
-val core_periphery : Rng.t -> core:int -> pendants:int -> Graph.t
-
-(** Keep only the largest connected component, relabeled densely. *)
-val giant_component : Graph.t -> Graph.t
-
 (** The deterministic zoo used by Fig. 3 / Table II: [count] graphs
     cycling through the four families at varied sizes. *)
 val zoo : ?count:int -> seed:int -> unit -> Topology.t list

@@ -2,18 +2,8 @@
     a prime field F_q with q ≡ 1 (mod 4); 2q² routers of degree
     (3q−1)/2. *)
 
-module Graph = Tb_graph.Graph
-
-val is_prime : int -> bool
-val primitive_root : int -> int
-
 (** Admissible parameter: prime and ≡ 1 (mod 4), e.g. 5, 13, 17, 29. *)
 val valid_q : int -> bool
-
-val network_degree : q:int -> int
-
-(** Raises [Invalid_argument] on inadmissible [q]. *)
-val graph : q:int -> Graph.t
 
 (** Default servers per router: about half the network degree. *)
 val make : ?hosts_per_switch:int -> q:int -> unit -> Topology.t

@@ -47,20 +47,6 @@ let endpoint_nodes t =
   done;
   Array.of_list !out
 
-(* One entry per server: the node it attaches to. *)
-let server_locations t =
-  let total = num_servers t in
-  let out = Array.make total (-1) in
-  let k = ref 0 in
-  Array.iteri
-    (fun v h ->
-      for _ = 1 to h do
-        out.(!k) <- v;
-        incr k
-      done)
-    t.hosts;
-  out
-
 let label t = Printf.sprintf "%s(%s)" t.name t.params
 
 let pp ppf t =

@@ -34,9 +34,6 @@ val num_switches : t -> int
 (** Nodes that terminate traffic (hosts > 0), ascending. *)
 val endpoint_nodes : t -> int array
 
-(** One entry per server: the node it attaches to. *)
-val server_locations : t -> int array
-
 (** ["Name(params)"]. *)
 val label : t -> string
 

@@ -2,10 +2,7 @@
     deterministic-structure expander with Jellyfish-like performance;
     [degree]-regular on [lift * (degree + 1)] switches. *)
 
-module Graph = Tb_graph.Graph
 module Rng = Tb_prelude.Rng
-
-val graph : rng:Rng.t -> lift:int -> degree:int -> Graph.t
 
 val make :
   ?hosts_per_switch:int ->

@@ -149,13 +149,6 @@ let test_theorem2_families () =
   theorem2_check (Tb_topo.Bcube.make ~n:3 ~k:1 ()) 4;
   theorem2_check (Tb_topo.Dcell.make ~n:3 ~k:1 ()) 5
 
-let test_lower_bound_compute () =
-  let topo = Tb_topo.Hypercube.make ~dim:3 () in
-  let lb = Topobench.Lower_bound.compute topo in
-  let a2a = Topobench.Throughput.of_tm topo (Synthetic.all_to_all topo) in
-  Alcotest.(check (float 1e-9)) "half of A2A" (a2a.Mcf.value /. 2.0)
-    lb.Mcf.value
-
 (* The paper's hypercube observation: LM attains the bound exactly. *)
 let test_hypercube_lm_attains_bound () =
   let topo = Tb_topo.Hypercube.make ~dim:5 () in
@@ -297,7 +290,6 @@ let () =
       ( "theorem2",
         [
           Alcotest.test_case "families" `Slow test_theorem2_families;
-          Alcotest.test_case "compute" `Quick test_lower_bound_compute;
           Alcotest.test_case "hypercube LM attains" `Quick
             test_hypercube_lm_attains_bound;
           Alcotest.test_case "fattree LM = A2A" `Quick test_fattree_lm_equals_a2a;
