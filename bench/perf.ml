@@ -1,5 +1,5 @@
-(* Performance record: Fleischer-dominated workload sets and the cut
-   estimator suite, timed with a warmup run plus median-of-N trials,
+(* Performance record: Fleischer-dominated workload sets, the cut
+   estimator suite and the service's cache-hit path, timed with a warmup run plus median-of-N trials,
    written to a JSON file in a stable schema. Speed comparisons between
    two commits are made by `make bench-pairs`, which runs both in
    alternating pairs on one machine; the medians here are absolute
@@ -200,6 +200,55 @@ let cuts_workload ~name ~spec =
           | _ -> ([], false));
   }
 
+(* The service front door on its hit path: a warm service answers one
+   fixed request line from its LRU [reps] times, each hit timed through
+   [Request.of_line], [Service.handle] and the rendered response line,
+   so with 1000 reps [median_ms] reads as microseconds per hit. The
+   post-pass checks that the last hit carried its miss's result bytes. *)
+let service_hit_workload ~name ~reps =
+  let module Service = Tb_service.Service in
+  let svc = Service.create ~capacity:8 () in
+  let serve () =
+    match
+      Tb_service.Request.of_line
+        {|{"topo":{"spec":"hypercube:3"},"tm":{"named":"a2a"},"seed":42}|}
+    with
+    | Ok req -> Service.handle svc req
+    | Error e -> failwith e
+  in
+  let miss = serve () in
+  let last = ref miss in
+  {
+    name;
+    descr =
+      Printf.sprintf "%d served cache hits of hypercube:3 A2A (parse, handle, render)"
+        reps;
+    run =
+      (fun () ->
+        for _ = 1 to reps do
+          let resp = serve () in
+          ignore (Sys.opaque_identity (Json.to_string (Service.response_json resp)));
+          last := resp
+        done);
+    post =
+      Some
+        (fun () ->
+          let ok =
+            !last.Service.cached
+            && String.equal !last.Service.result_bytes miss.Service.result_bytes
+          in
+          ( [
+              ( "certs",
+                Json.Obj
+                  [
+                    ( "hit_bytes",
+                      Json.String
+                        (if ok then "ok" else "hit differs from its miss") );
+                  ] );
+            ],
+            ok ));
+  }
+
 (* ---- Scale workloads: certified brackets on datacenter sizes. ---- *)
 
 (* A sparse seeded demand set: [pairs] distinct src->dst commodities of
@@ -312,6 +361,7 @@ let workloads mode =
       lm_workload ~name:"fleischer-rr128-lm" ~n:128 ~degree:8 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
       cuts_workload ~name:"cuts-hypercube6-a2a" ~spec:"hypercube:6";
+      service_hit_workload ~name:"service-hit" ~reps:1000;
     ]
   | Full ->
     [
@@ -323,6 +373,7 @@ let workloads mode =
       lm_workload ~name:"fleischer-rr256-lm" ~n:256 ~degree:10 ~tol:0.08;
       hypercube_workload ~name:"fleischer-hypercube6-lm" ~dim:6 ~tol:0.08;
       cuts_workload ~name:"cuts-hypercube6-a2a" ~spec:"hypercube:6";
+      service_hit_workload ~name:"service-hit" ~reps:1000;
     ]
   | Scale_smoke ->
     let budget = getenv_float "TOPOBENCH_SCALE_BUDGET_S" 600.0 in

@@ -88,5 +88,3 @@ let compute_fixed ?solver ?iterations ?placement ~rng topo tm =
 
 let compute_gen ?solver ?iterations ?placement ~rng topo gen =
   compute ?solver ?iterations ?placement ~rng topo (Generator gen)
-
-let ratio r = r.relative.Stats.mean

@@ -44,5 +44,3 @@ val compute_gen :
   Topology.t ->
   (Rng.t -> Topology.t -> Tm.t) ->
   result
-
-val ratio : result -> float

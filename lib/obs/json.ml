@@ -15,6 +15,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 (* ---- Printing. ---- *)
 
@@ -81,6 +82,7 @@ let rec print_to buf ~indent ~level v =
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float x -> Buffer.add_string buf (float_to_string x)
   | String s -> escape_to buf s
+  | Raw s -> Buffer.add_string buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_char buf '[';

@@ -10,6 +10,13 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** An already-rendered compact JSON value, printed verbatim: the
+          caller vouches that it is valid JSON. [~indent:true] leaves it
+          as it is (un-indented). {!of_string} never yields it, and the
+          accessors treat it as opaque ({!member} finds no field in it,
+          [to_*] return [None]). The service renders a cached result
+          once and serves every hit from those bytes. *)
 
 (** Serialize; [indent] pretty-prints with two-space indentation.
     Non-finite floats print as [null] (NaN) or [±1e999] (infinities). *)

@@ -28,8 +28,15 @@ let h_solve = Metrics.hdr "service.solve_ms"
 let h_queue_wait = Metrics.hdr "service.queue_ms"
 let h_coalesce_wait = Metrics.hdr "service.coalesce_wait_ms"
 
+(* A result with its bytes, [Json.to_string (Result.to_json r)],
+   rendered once when the result is made or promoted from the store:
+   every response serves these bytes, so a hit formats no float. *)
+type entry = { r : Result.t; bytes : string }
+
+let entry r = { r; bytes = Json.to_string (Result.to_json r) }
+
 type t = {
-  lru : Result.t Lru.t;
+  lru : entry Lru.t;
   store : Store.t option;
   lock : Mutex.t;
   access_log : Events.writer option;
@@ -76,7 +83,15 @@ let log_access t ~hash ~solver ~cached ~coalesced ~queue_ms
           | None -> Json.Null );
       ]
 
-type response = { hash : string; cached : bool; result : Result.t }
+type response = {
+  hash : string;
+  cached : bool;
+  result : Result.t;
+  result_bytes : string;
+}
+
+let respond ~hash ~cached e =
+  { hash; cached; result = e.r; result_bytes = e.bytes }
 
 let with_lock t f = Mutex.protect t.lock f
 
@@ -85,7 +100,7 @@ let with_lock t f = Mutex.protect t.lock f
    parallel maps. *)
 let cache_find_locked t hash =
   match Lru.find t.lru hash with
-  | Some r -> Some r
+  | Some e -> Some e
   | None -> (
     match t.store with
     | None -> None
@@ -96,20 +111,23 @@ let cache_find_locked t hash =
         match Result.of_json j with
         | Ok r ->
           (* Promote the disk hit into the memory tier. *)
-          Lru.add t.lru hash r;
-          Some r
+          let e = entry r in
+          Lru.add t.lru hash e;
+          Some e
         | Error e ->
           Log.warn (fun m -> m "store entry %s unreadable: %s" hash e);
           None)))
 
-let cache_insert_locked t hash r =
-  if not (Result.is_error r) then begin
+(* The store keeps the parsed tree for [find], so it gets the tree,
+   never the bytes: [Result.of_json] cannot read a [Json.Raw]. *)
+let cache_insert_locked t hash e =
+  if not (Result.is_error e.r) then begin
     let before = Lru.evictions t.lru in
-    Lru.add t.lru hash r;
+    Lru.add t.lru hash e;
     Metrics.add m_evictions (Lru.evictions t.lru - before);
     match t.store with
     | Some st when not (Store.mem st hash) ->
-      Store.append st hash (Result.to_json r)
+      Store.append st hash (Result.to_json e.r)
     | _ -> ()
   end
 
@@ -136,14 +154,14 @@ let policy_of (req : Request.t) =
 (* One solve, fault-isolated: whatever goes wrong — a bad inline
    instance, infeasible parameters, an exhausted custom chain, an
    injected crash — comes back as an error result, never an exception
-   that could take the daemon down. *)
+   that could take the daemon down. The result comes back rendered. *)
 let run_solve ~fault ?warm ~build ~hash (req : Request.t) =
   Metrics.incr m_solves;
   let t0 = Clock.now_ns () in
   let elapsed () = Clock.ns_to_ms (Clock.elapsed_ns t0) in
   let record_solve r =
     Metrics.observe_hdr h_solve r.Result.solve_ms;
-    r
+    entry r
   in
   try
     let topo, tm = Trace.span ~args:(targs hash) "service.build" build in
@@ -180,20 +198,20 @@ let handle ?(fault = Fault.none) ?prebuilt ?warm t req =
   if Fault.active fault then
     (* Injected failures must neither read nor poison real results —
        nor the warm cache, which is deliberately not threaded here. *)
-    finish { hash; cached = false; result = run_solve ~fault ~build ~hash req }
+    finish (respond ~hash ~cached:false (run_solve ~fault ~build ~hash req))
   else
     match
       Trace.span ~args:(targs hash) "service.cache_lookup" (fun () ->
           with_lock t (fun () -> cache_find_locked t hash))
     with
-    | Some r ->
+    | Some e ->
       Metrics.incr m_hits;
-      finish { hash; cached = true; result = r }
+      finish (respond ~hash ~cached:true e)
     | None ->
       Metrics.incr m_misses;
-      let r = run_solve ~fault:Fault.none ?warm ~build ~hash req in
-      with_lock t (fun () -> cache_insert_locked t hash r);
-      finish { hash; cached = false; result = r }
+      let e = run_solve ~fault:Fault.none ?warm ~build ~hash req in
+      with_lock t (fun () -> cache_insert_locked t hash e);
+      finish (respond ~hash ~cached:false e)
 
 (* ---- Batching. ---- *)
 
@@ -276,10 +294,10 @@ let handle_batch t reqs =
       (fun h ->
         let canon = Hashtbl.find slot h in
         match Hashtbl.find_opt fresh h with
-        | Some r -> { hash = h; cached = false; result = r }
+        | Some e -> respond ~hash:h ~cached:false e
         | None -> (
           match cached.(canon) with
-          | Some r -> { hash = h; cached = true; result = r }
+          | Some e -> respond ~hash:h ~cached:true e
           | None -> assert false))
       hashes
   in
@@ -302,12 +320,12 @@ let handle_batch t reqs =
 
 (* ---- Wire protocol. ---- *)
 
-let response_json { hash; cached; result } =
+let response_json { hash; cached; result_bytes; _ } =
   Json.Obj
     [
       ("hash", Json.String hash);
       ("cached", Json.Bool cached);
-      ("result", Result.to_json result);
+      ("result", Json.Raw result_bytes);
     ]
 
 let error_json ?(code = "bad_request") msg =

@@ -6,8 +6,10 @@
     fixed-capacity in-memory {!Lru} in front of an optional append-only
     {!Store}. A hit returns the stored {!Result.t} verbatim — including
     its original [solve_ms] — so its JSON rendering is bit-identical to
-    the miss that populated it. Error results and fault-injected solves
-    never enter the cache.
+    the miss that populated it. A result is rendered once, when it is
+    solved or promoted from the store into the LRU, and every response
+    carries those bytes: a hit formats no float. Error results and
+    fault-injected solves never enter the cache.
 
     Counters under the ["service."] prefix in {!Tb_obs.Metrics}:
     [requests], [solves], [errors], [coalesced], [cache.hits],
@@ -55,6 +57,9 @@ type response = {
   hash : string;  (** {!Request.hash} of the request *)
   cached : bool;  (** served from a cache tier, not solved *)
   result : Result.t;
+  result_bytes : string;
+      (** [Json.to_string (Result.to_json result)], rendered by the solve
+          (or store promotion) that made the entry; a hit shares it *)
 }
 
 (** Serve one request: cache lookup, else solve via the
@@ -89,7 +94,8 @@ val handle :
     failing cell yields an error response, never an exception. *)
 val handle_batch : t -> Request.t list -> response list
 
-(** [{"hash": h, "cached": b, "result": {...}}]. *)
+(** [{"hash": h, "cached": b, "result": {...}}], the result as
+    [Json.Raw result_bytes]. *)
 val response_json : response -> Tb_obs.Json.t
 
 (** The typed error line: [{"error": msg, "code": code}]. Codes in use:

@@ -141,9 +141,3 @@ let to_string (t : Topology.t) =
          else Printf.sprintf "edge %d %d %g\n" e.Graph.u e.Graph.v e.Graph.cap))
     t.Topology.graph;
   Buffer.contents buf
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))

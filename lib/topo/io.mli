@@ -29,4 +29,3 @@ val load : string -> Topology.t
 val load_result : string -> (Topology.t, string) result
 
 val to_string : Topology.t -> string
-val save : Topology.t -> string -> unit

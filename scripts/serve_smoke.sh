@@ -5,8 +5,9 @@
 # `topobench serve`, `topobench batch` (from a file) and `topobench pool
 # --workers 2`. Each front must answer the same multiset of request
 # hashes (three) with exactly one typed bad_request, `serve` must
-# answer exactly one request from its cache, and `batch` must report
-# the rejected line as "1 error(s)" on stderr.
+# answer exactly one request from its cache, with the very "result"
+# bytes of the miss that filled it (solve_ms included), and `batch`
+# must report the rejected line as "1 error(s)" on stderr.
 #
 #   sh scripts/serve_smoke.sh [path/to/topobench_cli.exe]
 set -eu
@@ -45,7 +46,15 @@ cmp -s "$tmp/serve.hashes" "$tmp/pool.hashes" \
   || fail "pool answered other hashes than serve"
 [ "$(grep -c '"cached":true' "$tmp/serve.out")" -eq 1 ] \
   || fail "serve: expected exactly one cache hit"
+hit=$(grep '"cached":true' "$tmp/serve.out")
+hash=$(printf '%s\n' "$hit" | grep -o '"hash":"[0-9a-f]*"')
+miss=$(grep -F "$hash" "$tmp/serve.out" | grep '"cached":false') \
+  || fail "serve: no miss line for the cached hash"
+result_bytes() { printf '%s\n' "$1" | sed -n 's/^.*"result":\(.*\)}$/\1/p'; }
+[ -n "$(result_bytes "$miss")" ] \
+  && [ "$(result_bytes "$hit")" = "$(result_bytes "$miss")" ] \
+  || fail "serve: the cache hit's result bytes differ from its miss's"
 grep -q ' 1 error(s)' "$tmp/batch.err" \
   || fail "batch: expected \"1 error(s)\" on stderr, got: $(cat "$tmp/batch.err")"
 
-echo "serve-smoke: OK (serve, batch, pool: 3 hashes, 1 bad_request each; 1 cache hit)"
+echo "serve-smoke: OK (serve, batch, pool: 3 hashes, 1 bad_request each; 1 cache hit with its miss's bytes)"

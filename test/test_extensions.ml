@@ -186,7 +186,8 @@ let test_xpander_expands () =
       (fun _ t -> Synthetic.longest_matching t)
   in
   Alcotest.(check bool) "~ random graph" true
-    (abs_float (Topobench.Relative.ratio r -. 1.0) < 0.2)
+    (abs_float (r.Topobench.Relative.relative.Tb_prelude.Stats.mean -. 1.0)
+     < 0.2)
 
 let () =
   Alcotest.run "extensions"

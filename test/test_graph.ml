@@ -1,7 +1,6 @@
 module Graph = Tb_graph.Graph
 module Traversal = Tb_graph.Traversal
 module Sssp = Tb_graph.Sssp
-module Union_find = Tb_graph.Union_find
 module Permutation = Tb_graph.Permutation
 module Hungarian = Tb_graph.Hungarian
 module Kshortest = Tb_graph.Kshortest
@@ -133,18 +132,6 @@ let prop_apsp_symmetric =
         done
       done;
       !ok)
-
-(* ---- Union find ---- *)
-
-let test_union_find () =
-  let uf = Union_find.create 5 in
-  Alcotest.(check int) "initial components" 5 (Union_find.components uf);
-  Alcotest.(check bool) "union works" true (Union_find.union uf 0 1);
-  Alcotest.(check bool) "re-union no-op" false (Union_find.union uf 0 1);
-  Alcotest.(check bool) "same set" true (Union_find.same uf 0 1);
-  ignore (Union_find.union uf 1 2);
-  Alcotest.(check bool) "transitive" true (Union_find.same uf 0 2);
-  Alcotest.(check int) "components" 3 (Union_find.components uf)
 
 (* ---- CSR layout ----
 
@@ -566,7 +553,6 @@ let () =
           Alcotest.test_case "components" `Quick test_components;
           Qseed.to_alcotest prop_apsp_symmetric;
         ] );
-      ("union-find", [ Alcotest.test_case "basic" `Quick test_union_find ]);
       ( "csr",
         [
           Alcotest.test_case "all topology families" `Quick test_csr_all_families;

@@ -53,7 +53,16 @@ let test_json_accessors () =
   Alcotest.(check (option int)) "first of duplicate keys" (Some 1)
     (Option.bind
        (Json.member "k" (Json.Obj [ ("k", Json.Int 1); ("k", Json.Int 2) ]))
-       Json.to_int)
+       Json.to_int);
+  (* Raw bytes are opaque to the accessors and printed verbatim, also
+     inside an indented document. *)
+  let raw = Json.Raw {|{"k":1,"l":[2.5]}|} in
+  Alcotest.(check bool) "no member of a raw value" true
+    (Json.member "k" raw = None);
+  Alcotest.(check bool) "raw is no number" true
+    (Json.to_float (Json.Raw "1.0") = None && Json.to_int (Json.Raw "1") = None);
+  Alcotest.(check string) "raw un-indented" "{\n  \"r\": {\"k\":1,\"l\":[2.5]}\n}"
+    (Json.to_string ~indent:true (Json.Obj [ ("r", raw) ]))
 
 (* ---- Printer equivalence ----
 
@@ -112,6 +121,7 @@ let rec reference_print buf ~indent ~level v =
   | Json.Int n -> Buffer.add_string buf (string_of_int n)
   | Json.Float x -> Buffer.add_string buf (printf_float x)
   | Json.String s -> per_char_escape buf s
+  | Json.Raw s -> Buffer.add_string buf s
   | Json.List [] -> Buffer.add_string buf "[]"
   | Json.List items ->
     seq '[' ']' items (reference_print buf ~indent ~level:(level + 1))
@@ -227,6 +237,59 @@ let test_printer_random =
     (fun v ->
       List.for_all
         (fun indent -> Json.to_string ~indent v = reference_to_string ~indent v)
+        [ false; true ])
+
+(* Preorder nodes of a tree, and the tree with node [k] (preorder)
+   replaced by [f node]. *)
+let rec size = function
+  | Json.List l -> List.fold_left (fun n v -> n + size v) 1 l
+  | Json.Obj l -> List.fold_left (fun n (_, v) -> n + size v) 1 l
+  | _ -> 1
+
+let replace_node k f v =
+  let k = ref k in
+  let rec go v =
+    if !k = 0 then begin
+      decr k;
+      f v
+    end
+    else begin
+      decr k;
+      match v with
+      | Json.List l -> Json.List (List.map go l)
+      | Json.Obj l -> Json.Obj (List.map (fun (key, v) -> (key, go v)) l)
+      | v -> v
+    end
+  in
+  go v
+
+let test_raw_subtree_random =
+  QCheck.Test.make ~name:"raw subtree prints the subtree's bytes" ~count:500
+    (QCheck.make
+       ~print:(fun (v, k) ->
+         Printf.sprintf "node %d of %s" k (reference_to_string ~indent:false v))
+       QCheck.Gen.(pair gen_tree (int_bound 1_000)))
+    (fun (v, k) ->
+      let raw =
+        replace_node (k mod size v) (fun n -> Json.Raw (Json.to_string n)) v
+      in
+      Json.to_string raw = Json.to_string v)
+
+let rec has_raw = function
+  | Json.Raw _ -> true
+  | Json.List l -> List.exists has_raw l
+  | Json.Obj l -> List.exists (fun (_, v) -> has_raw v) l
+  | _ -> false
+
+let test_parse_never_raw =
+  QCheck.Test.make ~name:"of_string never yields Raw" ~count:500
+    (QCheck.make ~print:(fun v -> reference_to_string ~indent:false v) gen_tree)
+    (fun v ->
+      List.for_all
+        (fun indent ->
+          match Json.of_string (Json.to_string ~indent v) with
+          | Ok parsed -> not (has_raw parsed)
+          | Error _ -> false)
         [ false; true ])
 
 (* ---- Metrics ---- *)
@@ -635,6 +698,8 @@ let () =
           Qseed.to_alcotest test_float_printer_random;
           Qseed.to_alcotest test_escape_random;
           Qseed.to_alcotest test_printer_random;
+          Qseed.to_alcotest test_raw_subtree_random;
+          Qseed.to_alcotest test_parse_never_raw;
         ] );
       ( "metrics",
         [

@@ -465,6 +465,53 @@ let test_two_tier_reopen_bit_identical () =
     (Json.to_string (Res.to_json resp1.Service.result))
     (Json.to_string (Res.to_json resp2.Service.result))
 
+(* Every serving path hands out the bytes of the miss that filled the
+   entry, rendered once: a miss, an LRU hit, a hit promoted from the
+   store, a coalesced duplicate in a batch and a hit after a reopen. The
+   wire line carries those very bytes as its "result". *)
+let test_every_path_serves_miss_bytes () =
+  let path = temp_path ".ndjson" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let check_served what ~cached ~bytes (resp : Service.response) =
+    Alcotest.(check bool) (what ^ ": cached") cached resp.Service.cached;
+    Alcotest.(check string) (what ^ ": bytes") bytes resp.Service.result_bytes;
+    Alcotest.(check string) (what ^ ": wire line")
+      (Printf.sprintf {|{"hash":"%s","cached":%b,"result":%s}|}
+         resp.Service.hash cached bytes)
+      (Json.to_string (Service.response_json resp))
+  in
+  let a = req "hypercube:2" "rm1" in
+  let b = req "hypercube:2" "lm" in
+  let svc = Service.create ~capacity:1 ~store_path:path () in
+  let miss = Service.handle svc a in
+  let bytes = Json.to_string (Res.to_json miss.Service.result) in
+  check_served "miss" ~cached:false ~bytes miss;
+  check_served "LRU hit" ~cached:true ~bytes (Service.handle svc a);
+  ignore (Service.handle svc b);
+  let solves0 = counter "service.solves" in
+  check_served "store-promoted hit" ~cached:true ~bytes (Service.handle svc a);
+  check_served "LRU hit after promotion" ~cached:true ~bytes
+    (Service.handle svc a);
+  Alcotest.(check int) "promotion solves nothing" 0
+    (counter "service.solves" - solves0);
+  (match Service.store svc with
+  | Some st -> Store.close st
+  | None -> Alcotest.fail "store expected");
+  let reopened = Service.create ~capacity:1 ~store_path:path () in
+  check_served "reopened store" ~cached:true ~bytes (Service.handle reopened a);
+  Alcotest.(check int) "reopen solves nothing" 0
+    (counter "service.solves" - solves0);
+  (match Service.store reopened with Some st -> Store.close st | None -> ());
+  (* A batch's canonical miss and its coalesced duplicate. *)
+  let c = req "hypercube:3" "rm1" in
+  match Service.handle_batch (Service.create ~capacity:8 ()) [ c; c ] with
+  | [ first; dup ] ->
+    let bytes = Json.to_string (Res.to_json first.Service.result) in
+    check_served "batch miss" ~cached:false ~bytes first;
+    check_served "coalesced duplicate" ~cached:false ~bytes dup
+  | _ -> Alcotest.fail "two responses expected"
+
 let test_batch_coalescing () =
   let svc = Service.create ~capacity:8 () in
   let a = req "hypercube:3" "rm1" in
@@ -768,10 +815,11 @@ let test_batch_counts_rejection () =
     (counter "service.errors" - errors0)
 
 (* One cache hit — parse, hash, lookup, render — allocates a bounded
-   number of minor words: about 900 here, against about 2,600 when
-   floats went through Printf, the spec was re-parsed on every hash and
-   the printer built closures per node. The ceiling leaves 25%. *)
-let hit_minor_words_ceiling = 1120.0
+   number of minor words: about 790 here, against about 900 when every
+   hit re-rendered its result's floats and about 2,600 when floats went
+   through Printf, the spec was re-parsed on every hash and the printer
+   built closures per node. The ceiling leaves 25%. *)
+let hit_minor_words_ceiling = 990.0
 
 let test_hit_allocation () =
   Tb_obs.Trace.disable ();
@@ -1131,6 +1179,8 @@ let () =
         [
           Alcotest.test_case "hit bit-identical" `Quick
             test_cache_hit_bit_identical;
+          Alcotest.test_case "every path serves the miss's bytes" `Quick
+            test_every_path_serves_miss_bytes;
           Alcotest.test_case "two-tier reopen" `Quick
             test_two_tier_reopen_bit_identical;
           Alcotest.test_case "eviction metric" `Quick test_eviction_metric;
