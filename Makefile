@@ -137,8 +137,10 @@ serve-smoke:
 	sh scripts/serve_smoke.sh _build/default/bin/topobench_cli.exe
 
 # End-to-end smoke of `topobench failures`: a checkpointed sweep re-run
-# on its own checkpoint must print byte-identical output, and with every
-# solver attempt timing out, every trial must land on the cut rung (c).
+# on its own checkpoint must print byte-identical output, also after its
+# last record line is cut in half (a kill mid-write: that cell reruns),
+# and with every solver attempt timing out, every trial must land on the
+# cut rung (c).
 FAILURES_SMOKE = dune exec bin/topobench_cli.exe -- failures -t fattree -n 4 \
 	  --rates 0,0.1 --trials 2
 failures-smoke:
@@ -148,12 +150,18 @@ failures-smoke:
 	$(FAILURES_SMOKE) --checkpoint "$$tmp/ck.json" > "$$tmp/resumed.txt" && \
 	{ cmp "$$tmp/first.txt" "$$tmp/resumed.txt" \
 	  || { echo "failures-smoke: resumed output differs"; exit 1; }; } && \
+	truncate -s -20 "$$tmp/ck.json" && \
+	$(FAILURES_SMOKE) --checkpoint "$$tmp/ck.json" > "$$tmp/torn.txt" && \
+	{ cmp "$$tmp/first.txt" "$$tmp/torn.txt" \
+	  || { echo "failures-smoke: resume from a torn record differs"; \
+	       exit 1; }; } && \
 	$(FAILURES_SMOKE) --inject-timeout 1 > "$$tmp/faults.txt" && \
 	awk '$$1 == "FatTree(k=4)" { n++; if ($$NF !~ /^c+$$/) bad++ } \
 	     END { exit !(n == 2 && bad == 0) }' "$$tmp/faults.txt" \
 	  || { echo "failures-smoke: expected only cut rungs"; \
 	       cat "$$tmp/faults.txt"; exit 1; }
-	@echo "failures-smoke: OK (resume identical, injected timeouts on cuts)"
+	@echo "failures-smoke: OK (resume identical, also from a torn record;" \
+	  "injected timeouts on cuts)"
 
 examples:
 	dune exec examples/quickstart.exe

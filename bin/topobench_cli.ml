@@ -496,8 +496,8 @@ let failures_cmd =
       & opt (some string) None
       & info [ "checkpoint" ] ~docv:"PATH"
           ~doc:
-            "Persist completed cells to $(docv) (JSON, written \
-             atomically after every cell); an interrupted sweep rerun \
+            "Persist completed cells to $(docv) (one JSON line \
+             appended and flushed per cell); an interrupted sweep rerun \
              with the same $(docv) resumes and produces identical \
              output.")
   in

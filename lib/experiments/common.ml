@@ -51,8 +51,10 @@ let solver_for cfg topo = Mcf.Approx { eps = cfg.eps; tol = tol_for cfg topo }
    through the Tb_service front door, so identical cells recomputed by
    different figures (baselines, shared sweep points) are solved once
    and replayed from the content-addressed cache. [handle] is
-   mutex-protected, so calls from [parallel_map] domains are safe. *)
-let service = lazy (Tb_service.Service.create ~capacity:512 ())
+   mutex-protected, so calls from [parallel_map] domains are safe. The
+   instance is created at module initialisation, not lazily: forcing one
+   [Lazy.t] from two domains at once raises [CamlinternalLazy.Undefined]. *)
+let service = Tb_service.Service.create ~capacity:512 ()
 
 let throughput cfg topo tm =
   let req =
@@ -60,7 +62,7 @@ let throughput cfg topo tm =
       ~eps:cfg.eps ~tol:(tol_for cfg topo) topo tm
   in
   let resp =
-    Tb_service.Service.handle ~prebuilt:(topo, tm) (Lazy.force service) req
+    Tb_service.Service.handle ~prebuilt:(topo, tm) service req
   in
   let r = resp.Tb_service.Service.result in
   match r.Tb_service.Result.error with

@@ -1,78 +1,87 @@
 module Json = Tb_obs.Json
+module Events = Tb_obs.Events
 
-(* Sweep checkpoint store: completed (cell key -> result) pairs,
-   persisted as one JSON document after every record.
+(* Sweep checkpoint: completed (cell key -> result) pairs on the
+   Tb_obs.Events record log, one appended line per record after a
+   header line, so a sweep of N cells writes O(N) bytes.
 
-   Durability is the point, so the file is replaced atomically (write to
-   a sibling temp file, then rename): a SIGKILL mid-write leaves the
-   previous consistent snapshot, never a truncated document. A corrupt
-   or foreign file degrades to an empty store with a warning — losing a
+   A kill mid-record leaves a torn final line, which the fold skips (the
+   resume recomputes that cell). A file without the header is foreign:
+   it loads as empty with a warning, and the first record replaces it
+   (temp file + rename) instead of appending to its bytes — losing a
    checkpoint costs recomputation, not the run. *)
 
 type t = {
   path : string;
   tbl : (string, Json.t) Hashtbl.t;
-  mutable order : string list; (* reverse insertion order *)
   mutable extra : Json.t option;
-      (* carry-along state (e.g. a warm-start cache snapshot), persisted
-         in the same atomic save as each cell record so a resumed run
+      (* carry-along state (e.g. a warm-start cache snapshot), written
+         in the same line as the cell record it follows, so a resumed run
          sees exactly the state the interrupted run had after its last
          completed cell *)
+  mutable oc : out_channel option;
+      (* [None] until the first record; while [None], [headed] says
+         whether the file on disk already starts with [header] *)
+  mutable headed : bool;
 }
 
-let version = 1
-
-let empty path = { path; tbl = Hashtbl.create 64; order = []; extra = None }
+let header = {|{"checkpoint":2}|}
 
 let path t = t.path
-let completed t = Hashtbl.length t.tbl
 let find t key = Hashtbl.find_opt t.tbl key
-let mem t key = Hashtbl.mem t.tbl key
-
-let set_extra t j = t.extra <- Some j
 let extra t = t.extra
 
-let to_json t =
-  Json.Obj
-    (("version", Json.Int version)
-     :: ( "cells",
-          Json.Obj (List.rev_map (fun k -> (k, Hashtbl.find t.tbl k)) t.order)
-        )
-     :: (match t.extra with None -> [] | Some e -> [ ("extra", e) ]))
-
 let load ~path =
-  if not (Sys.file_exists path) then empty path
+  let t =
+    { path; tbl = Hashtbl.create 64; extra = None; oc = None; headed = false }
+  in
+  if not (Sys.file_exists path) then t
+  else if
+    In_channel.with_open_bin path In_channel.input_line <> Some header
+  then begin
+    Logs.warn (fun m ->
+        m "checkpoint %s: not a checkpoint log; starting from an empty \
+           checkpoint" path);
+    t
+  end
   else begin
-    let discard reason =
+    let (), skipped =
+      Events.fold
+        (fun () doc ->
+          match (Json.member "key" doc, Json.member "value" doc) with
+          | Some (Json.String k), Some v ->
+            Hashtbl.replace t.tbl k v;
+            Option.iter (fun e -> t.extra <- Some e) (Json.member "extra" doc)
+          | _ -> ())
+        () path
+    in
+    if skipped > 0 then
       Logs.warn (fun m ->
-          m "checkpoint %s: %s; starting from an empty checkpoint" path reason);
-      empty path
-    in
-    let contents =
-      In_channel.with_open_text path In_channel.input_all
-    in
-    match Json.of_string contents with
-    | Error msg -> discard ("unparseable (" ^ msg ^ ")")
-    | Ok doc -> (
-      match (Json.member "version" doc, Json.member "cells" doc) with
-      | Some (Json.Int v), Some (Json.Obj cells) when v = version ->
-        let t = empty path in
-        List.iter
-          (fun (k, v) ->
-            if not (Hashtbl.mem t.tbl k) then t.order <- k :: t.order;
-            Hashtbl.replace t.tbl k v)
-          cells;
-        t.extra <- Json.member "extra" doc;
-        t
-      | _ -> discard "not a checkpoint document")
+          m "checkpoint %s: skipped %d torn line(s); their cells rerun" path
+            skipped);
+    t.headed <- true;
+    t
   end
 
-let save t =
-  let tmp = t.path ^ ".tmp" in
-  Json.write tmp (to_json t);
-  Sys.rename tmp t.path
+let channel t =
+  match t.oc with
+  | Some oc -> oc
+  | None ->
+    if not t.headed then begin
+      let tmp = t.path ^ ".tmp" in
+      Out_channel.with_open_bin tmp (fun oc -> Events.append_line oc header);
+      Sys.rename tmp t.path;
+      t.headed <- true
+    end;
+    let oc = Events.open_append t.path in
+    t.oc <- Some oc;
+    oc
 
-let record t key value =
-  if not (Hashtbl.mem t.tbl key) then t.order <- key :: t.order;
+let record ?extra t key value =
   Hashtbl.replace t.tbl key value;
-  save t
+  Option.iter (fun e -> t.extra <- Some e) extra;
+  let fields =
+    ("key", Json.String key) :: ("value", value)
+    :: (match extra with None -> [] | Some e -> [ ("extra", e) ])
+  in
+  Events.append_line (channel t) (Json.to_string (Json.Obj fields))

@@ -37,13 +37,11 @@ let run ?checkpoint ?extra ?(on_cell = fun _ _ -> ()) cells =
           let v = c.run () in
           Option.iter
             (fun cp ->
-              (* Stage carry-along state (warm caches) BEFORE the record
-                 so both land in one atomic save: a kill between cells
-                 then leaves cell results and warm state consistent. *)
-              (match extra with
-              | Some f -> Checkpoint.set_extra cp (f ())
-              | None -> ());
-              Checkpoint.record cp c.key v)
+              (* Carry-along state (warm caches) rides in the cell's own
+                 record line: a kill between cells then leaves cell
+                 results and warm state consistent. *)
+              Checkpoint.record ?extra:(Option.map (fun f -> f ()) extra) cp
+                c.key v)
             checkpoint;
           v
       in

@@ -20,9 +20,9 @@ val install_graceful_stop : unit -> unit
 (** [run ?checkpoint ?on_cell cells] returns [(key, result)] in cell
     order. [on_cell] fires per cell (replayed or computed) — progress
     reporting. [extra], if given, is sampled after every computed cell
-    and staged via {!Checkpoint.set_extra} so carry-along state (warm
-    caches) persists in the same atomic save as the cell record —
-    replayed cells never re-sample it. *)
+    and passed to {!Checkpoint.record} so carry-along state (warm
+    caches) persists in the same line as the cell record — replayed
+    cells never re-sample it. *)
 val run :
   ?checkpoint:Checkpoint.t ->
   ?extra:(unit -> Tb_obs.Json.t) ->

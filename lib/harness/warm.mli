@@ -12,8 +12,8 @@
 
     The cache itself is a bounded FIFO keyed by caller-chosen strings
     (e.g. the intact topology label) and round-trips through JSON so a
-    checkpointed sweep can persist it atomically with each cell (see
-    {!Checkpoint.set_extra}). *)
+    checkpointed sweep can persist it in each cell's record line (see
+    {!Checkpoint.record}). *)
 
 module Graph = Tb_graph.Graph
 

@@ -1,9 +1,55 @@
-(* Rotating ndjson writer + tolerant reader. See events.mli.
+(* The record log: ndjson append primitives, a torn-tolerant fold, and
+   the rotating writer built on them. See events.mli.
 
    The writer reopens lazily after rotation and tracks the byte count
    itself (seeded from the existing file size) so rotation needs no
    stat per record. Flush-per-record means a SIGKILL loses at most one
-   line, and that line is exactly what [read] skips. *)
+   line, and that line is exactly what [fold] skips. *)
+
+(* A killed writer can leave the file without a trailing newline; the
+   next append must not concatenate onto the torn line, so it is
+   newline-terminated first. *)
+let open_append path =
+  let torn =
+    Sys.file_exists path
+    &&
+    let ic = open_in_bin path in
+    let len = in_channel_length ic in
+    let torn =
+      len > 0
+      &&
+      (seek_in ic (len - 1);
+       input_char ic <> '\n')
+    in
+    close_in ic;
+    torn
+  in
+  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
+  if torn then output_char oc '\n';
+  oc
+
+let append_line oc line =
+  output_string oc line;
+  output_char oc '\n';
+  flush oc
+
+let fold f init path =
+  if not (Sys.file_exists path) then (init, 0)
+  else begin
+    let ic = open_in_bin path in
+    let acc = ref init and skipped = ref 0 in
+    (try
+       while true do
+         let line = input_line ic in
+         if String.trim line <> "" then
+           match Json.of_string line with
+           | Ok (Json.Obj _ as doc) -> acc := f !acc doc
+           | Ok _ | Error _ -> incr skipped
+       done
+     with End_of_file -> ());
+    close_in ic;
+    (!acc, !skipped)
+  end
 
 type writer = {
   w_path : string;
@@ -12,23 +58,6 @@ type writer = {
   mutable oc : out_channel option;
   mutable bytes : int;
 }
-
-(* A killed writer can leave the file without a trailing newline; the
-   next append must not concatenate onto the torn line (same recovery
-   as Tb_service.Store). *)
-let missing_final_newline path =
-  Sys.file_exists path
-  &&
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let torn =
-    len > 0
-    &&
-    (seek_in ic (len - 1);
-     input_char ic <> '\n')
-  in
-  close_in ic;
-  torn
 
 let open_ ?(max_bytes = 64 * 1024 * 1024) ?(max_keep = 3) path =
   { w_path = path; max_bytes; max_keep; oc = None; bytes = 0 }
@@ -55,11 +84,7 @@ let channel w =
   match w.oc with
   | Some oc -> oc
   | None ->
-    let torn = missing_final_newline w.w_path in
-    let oc =
-      open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 w.w_path
-    in
-    if torn then output_char oc '\n';
+    let oc = open_append w.w_path in
     w.bytes <- out_channel_length oc;
     w.oc <- Some oc;
     oc
@@ -68,26 +93,9 @@ let write w fields =
   let line = Json.to_string (Json.Obj fields) in
   if w.bytes > 0 && w.bytes + String.length line + 1 > w.max_bytes then
     rotate w;
-  let oc = channel w in
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
+  append_line (channel w) line;
   w.bytes <- w.bytes + String.length line + 1
 
 let read path =
-  if not (Sys.file_exists path) then ([], 0)
-  else begin
-    let ic = open_in_bin path in
-    let records = ref [] and skipped = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then
-           match Json.of_string line with
-           | Ok (Json.Obj _ as doc) -> records := doc :: !records
-           | Ok _ | Error _ -> incr skipped
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (List.rev !records, !skipped)
-  end
+  let records, skipped = fold (fun acc doc -> doc :: acc) [] path in
+  (List.rev records, skipped)

@@ -1,17 +1,18 @@
 (** Append-only on-disk result store — the persistent tier of the
-    service cache. One JSON object per line ([{"hash": h, "result": r}]);
-    every append is flushed whole, and {!compact} rewrites the file via
-    temp-file + rename (the {!Tb_harness.Checkpoint} idiom), so a store
-    is never left unreadable. A torn final line from a killed writer is
-    skipped (with a logged warning) on reopen; every fully written entry
-    survives.
+    service cache. One JSON object per line ([{"hash": h, "result": r}])
+    on the {!Tb_obs.Events} record log: every append is flushed whole,
+    and a torn final line from a killed writer is skipped (with a
+    logged warning) on reopen; every fully written entry survives.
+    [merge ~into:path []] compacts a store: it rewrites the file with
+    one line per live hash, via temp-file + rename, so a store is never
+    left unreadable.
 
-    Concurrent writers: {!append} and {!compact} serialize through a
+    Concurrent writers: {!append} and {!merge} serialize through a
     POSIX advisory lock on [path ^ ".lock"] ([lockf], so the lock dies
-    with its holder — a [kill -9] mid-compaction never wedges the
-    store). An appender whose file was swapped underneath it by a
-    concurrent compaction detects the stale inode under the lock and
-    re-opens before writing, so no append is ever lost to the rename.
+    with its holder — a [kill -9] mid-merge never wedges the store).
+    An appender whose file was swapped underneath it by a concurrent
+    merge detects the stale inode under the lock and re-opens before
+    writing, so no append is ever lost to the rename.
     The pool supervisor gives each worker its own segment file, making
     every segment single-writer; {!merge} folds segments back into one
     store, atomically. *)
@@ -34,25 +35,20 @@ exception Lock_timeout of string
 
 (** Persist one result: the line is appended and flushed before
     returning, under the store lock. Re-appending a hash overwrites the
-    in-memory binding; the old line stays on disk until {!compact}.
+    in-memory binding; the old line stays on disk until a
+    [merge ~into:path []] compacts the file.
     @raise Lock_timeout if the lock cannot be acquired. *)
 val append : t -> string -> Tb_obs.Json.t -> unit
-
-(** Rewrite the file with one line per live hash, atomically
-    (temp + rename) and under the store lock, so a concurrent
-    {!append} can never interleave with the swap. Before rewriting, the
-    current file is re-read under the lock, so entries appended by
-    {e other} processes since this handle opened are preserved — a
-    compactor racing a concurrent appender loses nothing.
-    @raise Lock_timeout if the lock cannot be acquired. *)
-val compact : t -> unit
 
 val close : t -> unit
 
 (** [merge ~into paths] folds the entries of [paths] (torn lines
     skipped; later segments win duplicated hashes) into the single
     store file [into], written atomically under [into]'s lock. An
-    existing [into] file is folded in first, so repeated merges
-    accumulate. Returns the number of distinct entries written. The
-    sources are left untouched. *)
+    existing [into] file is folded in first, re-read under the lock, so
+    repeated merges accumulate and entries appended by a concurrent
+    {!append} are kept; [merge ~into:path []] is thus the store's
+    compaction. Returns the number of distinct entries written. The
+    sources are left untouched.
+    @raise Lock_timeout if the lock cannot be acquired. *)
 val merge : into:string -> string list -> int

@@ -34,6 +34,17 @@ let test_throughput_helper () =
   let v = Common.throughput tiny topo tm in
   Alcotest.(check bool) "positive" true (v > 0.5 && v < 2.0)
 
+(* The shared service must be usable from two domains at once, as the
+   figures' [parallel_map] calls it: the first two calls race. *)
+let test_throughput_two_domains () =
+  let topo = Tb_topo.Hypercube.make ~dim:3 () in
+  let tm = Tb_tm.Synthetic.all_to_all topo in
+  let solve () = Domain.spawn (fun () -> Common.throughput tiny topo tm) in
+  let a = solve () and b = solve () in
+  let va = Domain.join a and vb = Domain.join b in
+  Alcotest.(check bool) "both domains served, same value" true
+    (va > 0.5 && va = vb)
+
 let test_relative_helper () =
   let topo = Tb_topo.Hypercube.make ~dim:3 () in
   let r =
@@ -200,6 +211,8 @@ let () =
     [
       ( "config",
         [
+          Alcotest.test_case "throughput from two domains" `Quick
+            test_throughput_two_domains;
           Alcotest.test_case "rng deterministic" `Quick test_config_rng_deterministic;
           Alcotest.test_case "trim sweep" `Quick test_trim_sweep;
           Alcotest.test_case "throughput helper" `Quick test_throughput_helper;

@@ -112,25 +112,76 @@ let test_checkpoint_roundtrip () =
   let path = tmp_path "roundtrip" in
   if Sys.file_exists path then Sys.remove path;
   let c = Checkpoint.load ~path in
-  Alcotest.(check int) "fresh store is empty" 0 (Checkpoint.completed c);
+  Alcotest.(check bool) "fresh store is empty" true
+    (Checkpoint.find c "a" = None);
   Checkpoint.record c "a" (Json.Float 1.5);
   Checkpoint.record c "b" (Json.Obj [ ("v", Json.Int 2) ]);
   Checkpoint.record c "a" (Json.Float 2.5) (* overwrite *);
   let c' = Checkpoint.load ~path in
-  Alcotest.(check int) "reloaded size" 2 (Checkpoint.completed c');
   Alcotest.(check bool) "overwrite persisted" true
     (Checkpoint.find c' "a" = Some (Json.Float 2.5));
-  Alcotest.(check bool) "missing key" false (Checkpoint.mem c' "zzz");
+  Alcotest.(check bool) "second key persisted" true
+    (Checkpoint.find c' "b" = Some (Json.Obj [ ("v", Json.Int 2) ]));
+  Alcotest.(check bool) "missing key" true (Checkpoint.find c' "zzz" = None);
   Sys.remove path
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A foreign file (a version-1 document, or not JSON at all) loads as
+   empty, and the first record replaces it: the file then holds exactly
+   the header and that record, never the old bytes. *)
 let test_checkpoint_corrupt () =
-  let path = tmp_path "corrupt" in
-  let oc = open_out path in
-  output_string oc "{ not json at all";
-  close_out oc;
+  let v1 =
+    Json.to_string ~indent:true
+      (Json.Obj
+         [
+           ("version", Json.Int 1);
+           ("cells", Json.Obj [ ("a", Json.Float 1.5); ("b", Json.Float 2.5) ]);
+           ("extra", Json.Obj [ ("w", Json.Int 1) ]);
+         ])
+  in
+  List.iter
+    (fun (name, contents) ->
+      let path = tmp_path "corrupt" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      let c = Checkpoint.load ~path in
+      Alcotest.(check bool) (name ^ " loads empty") true
+        (Checkpoint.find c "a" = None
+        && Checkpoint.find c "b" = None
+        && Checkpoint.extra c = None);
+      Checkpoint.record c "z" (Json.Int 3);
+      Alcotest.(check string) (name ^ " replaced, not appended to")
+        "{\"checkpoint\":2}\n{\"key\":\"z\",\"value\":3}\n" (read_file path);
+      let c' = Checkpoint.load ~path in
+      Alcotest.(check bool) (name ^ " record reads back") true
+        (Checkpoint.find c' "z" = Some (Json.Int 3)
+        && Checkpoint.find c' "a" = None);
+      Sys.remove path)
+    [ ("v1 document", v1); ("non-JSON", "{ not json at all") ]
+
+(* One line per record: 1,000 records leave exactly the header and
+   1,000 record lines, where a whole-document rewrite per record wrote
+   O(N^2) bytes. *)
+let test_checkpoint_linear () =
+  let path = tmp_path "linear" in
   let c = Checkpoint.load ~path in
-  Alcotest.(check int) "corrupt file loads empty" 0 (Checkpoint.completed c);
-  Sys.remove path
+  let value = Json.String (String.make 200 'x') in
+  let bound = ref (String.length {|{"checkpoint":2}|} + 1) in
+  for i = 1 to 1000 do
+    let key = Printf.sprintf "cell-%04d" i in
+    Checkpoint.record c key value;
+    bound :=
+      !bound
+      + String.length
+          (Json.to_string
+             (Json.Obj [ ("key", Json.String key); ("value", value) ]))
+      + 1
+  done;
+  let size = (Unix.stat path).Unix.st_size in
+  Sys.remove path;
+  Alcotest.(check bool)
+    (Printf.sprintf "file %d bytes <= header + 1000 lines (%d)" size !bound)
+    true (size <= !bound)
 
 (* ---- Sweep: checkpoint/kill/resume ---- *)
 
@@ -280,6 +331,43 @@ let test_warm_sweep_resume_identical () =
   Alcotest.(check bool)
     "resumed warm output bit-identical to uninterrupted warm run" true
     (resumed = reference);
+  Sys.remove path
+
+(* A run killed mid-record leaves its last line torn. The resume skips
+   that line, restores the warm state of the last whole line, recomputes
+   only the torn cell, and matches the uninterrupted warm run, warm
+   state included. *)
+let test_warm_sweep_torn_resume () =
+  let path = tmp_path "warm_torn" in
+  let ref_cache = Warm.create () in
+  let reference = Sweep.run (warm_cells ref_cache (ref 0)) in
+  let first_cache = Warm.create () in
+  ignore
+    (Sweep.run ~checkpoint:(Checkpoint.load ~path)
+       ~extra:(fun () -> Warm.to_json first_cache)
+       (warm_cells first_cache (ref 0)));
+  Unix.truncate path ((Unix.stat path).Unix.st_size - 20);
+  let cp = Checkpoint.load ~path in
+  Alcotest.(check bool) "torn cell dropped, others kept" true
+    (Checkpoint.find cp "c4" = None && Checkpoint.find cp "c3" <> None);
+  let resume_cache = Warm.create () in
+  (match Checkpoint.extra cp with
+  | None -> Alcotest.fail "checkpoint lost the warm state"
+  | Some j ->
+    Alcotest.(check bool) "warm state restores" true
+      (Warm.restore resume_cache j));
+  let resumed_calls = ref 0 in
+  let resumed =
+    Sweep.run ~checkpoint:cp
+      ~extra:(fun () -> Warm.to_json resume_cache)
+      (warm_cells resume_cache resumed_calls)
+  in
+  Alcotest.(check int) "resume recomputes only the torn cell" 1
+    !resumed_calls;
+  Alcotest.(check bool) "resumed output bit-identical" true
+    (resumed = reference);
+  Alcotest.(check bool) "warm state identical" true
+    (Checkpoint.extra (Checkpoint.load ~path) = Some (Warm.to_json ref_cache));
   Sys.remove path
 
 (* A warm cache written when entries also kept per-commodity path
@@ -538,6 +626,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "corrupt" `Quick test_checkpoint_corrupt;
+          Alcotest.test_case "linear in records" `Quick test_checkpoint_linear;
         ] );
       ( "sweep",
         [
@@ -546,6 +635,8 @@ let () =
           Alcotest.test_case "graceful interrupt" `Quick test_sweep_interrupt;
           Alcotest.test_case "warm resume bit-identical" `Quick
             test_warm_sweep_resume_identical;
+          Alcotest.test_case "warm resume from a torn record" `Quick
+            test_warm_sweep_torn_resume;
           Alcotest.test_case "warm restores cache with path pools" `Quick
             test_warm_restores_pooled_cache;
         ] );

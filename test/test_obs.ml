@@ -513,6 +513,129 @@ let test_events_rotation () =
   let _, skipped1 = Events.read (path ^ ".1") in
   Alcotest.(check int) "rotated file parses clean" 0 skipped1
 
+(* One torn tail, three users of the record log: the rotating writer,
+   the result store and the sweep checkpoint. Each writes three records,
+   the file is cut inside the third line, and a reopen must skip (and
+   count) the torn line, keep the first two, and start the next record
+   on its own line. *)
+
+module Store = Tb_service.Store
+module Checkpoint = Tb_harness.Checkpoint
+
+(* [append path ids] writes one record per id in one writer session;
+   [ids path] reopens [path] and lists the ids that read back. *)
+type log_user = {
+  user : string;
+  append : string -> int list -> unit;
+  ids : string -> int list;
+}
+
+let candidates = [ 1; 2; 3; 4 ]
+
+let log_users =
+  [
+    {
+      user = "events";
+      append =
+        (fun path ids ->
+          let w = Events.open_ path in
+          List.iter (fun i -> Events.write w [ ("i", Json.Int i) ]) ids;
+          Events.close w);
+      ids =
+        (fun path -> List.filter_map (int_field "i") (fst (Events.read path)));
+    };
+    {
+      user = "store";
+      append =
+        (fun path ids ->
+          let st = Store.open_ ~path in
+          List.iter
+            (fun i ->
+              Store.append st (Printf.sprintf "h%d" i)
+                (Json.Obj [ ("value", Json.Int i) ]))
+            ids;
+          Store.close st);
+      ids =
+        (fun path ->
+          let st = Store.open_ ~path in
+          List.filter
+            (fun i -> Store.mem st (Printf.sprintf "h%d" i))
+            candidates);
+    };
+    {
+      user = "checkpoint";
+      append =
+        (fun path ids ->
+          let c = Checkpoint.load ~path in
+          List.iter
+            (fun i -> Checkpoint.record c (Printf.sprintf "k%d" i) (Json.Int i))
+            ids);
+      ids =
+        (fun path ->
+          let c = Checkpoint.load ~path in
+          List.filter
+            (fun i -> Checkpoint.find c (Printf.sprintf "k%d" i) <> None)
+            candidates);
+    };
+  ]
+
+let test_record_log_torn_tail () =
+  List.iter
+    (fun u ->
+      with_events_tmp @@ fun path ->
+      let check_ids = Alcotest.(check (list int)) in
+      u.append path [ 1; 2; 3 ];
+      Unix.truncate path ((Unix.stat path).Unix.st_size - 4);
+      let _, skipped = Events.read path in
+      Alcotest.(check int) (u.user ^ ": torn line counted") 1 skipped;
+      check_ids (u.user ^ ": earlier records survive") [ 1; 2 ] (u.ids path);
+      u.append path [ 4 ];
+      let _, skipped = Events.read path in
+      Alcotest.(check int) (u.user ^ ": still one skip") 1 skipped;
+      check_ids (u.user ^ ": next record on its own line") [ 1; 2; 4 ]
+        (u.ids path);
+      if Sys.file_exists (path ^ ".lock") then Sys.remove (path ^ ".lock"))
+    log_users
+
+(* The exact bytes the store and the access log write for two appends,
+   a torn tail, then one more append: the shared record log must not
+   move either format. *)
+let test_record_log_bytes () =
+  let torn path s =
+    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+    output_string oc s;
+    close_out oc
+  in
+  let contents path = In_channel.with_open_bin path In_channel.input_all in
+  (with_events_tmp @@ fun path ->
+   let st = Store.open_ ~path in
+   Store.append st "h1" (Json.Obj [ ("value", Json.Float 1.5) ]);
+   Store.append st "h2" (Json.Obj [ ("value", Json.Float 2.5) ]);
+   Store.close st;
+   torn path {|{"hash":"h3","result":{"val|};
+   let st = Store.open_ ~path in
+   Store.append st "h4" (Json.Obj [ ("value", Json.Float 4.5) ]);
+   Store.close st;
+   Sys.remove (path ^ ".lock");
+   Alcotest.(check string) "store bytes"
+     "{\"hash\":\"h1\",\"result\":{\"value\":1.5}}\n\
+      {\"hash\":\"h2\",\"result\":{\"value\":2.5}}\n\
+      {\"hash\":\"h3\",\"result\":{\"val\n\
+      {\"hash\":\"h4\",\"result\":{\"value\":4.5}}\n"
+     (contents path));
+  with_events_tmp @@ fun path ->
+  let w = Events.open_ path in
+  Events.write w [ ("i", Json.Int 1); ("s", Json.String "x") ];
+  Events.write w [ ("i", Json.Int 2); ("f", Json.Float 2.5) ];
+  Events.close w;
+  torn path {|{"i":3,"trunc|};
+  let w = Events.open_ path in
+  Events.write w [ ("i", Json.Int 4) ];
+  Events.close w;
+  Alcotest.(check string) "events bytes"
+    "{\"i\":1,\"s\":\"x\"}\n{\"i\":2,\"f\":2.5}\n{\"i\":3,\"trunc\n{\"i\":4}\n"
+    (contents path)
+
 (* ---- Trace ---- *)
 
 let event_named name events =
@@ -724,6 +847,10 @@ let () =
           Alcotest.test_case "torn final line recovery" `Quick
             test_events_torn_final_line;
           Alcotest.test_case "rotation" `Quick test_events_rotation;
+          Alcotest.test_case "torn tail, three users" `Quick
+            test_record_log_torn_tail;
+          Alcotest.test_case "store and access-log bytes" `Quick
+            test_record_log_bytes;
         ] );
       ( "trace",
         [

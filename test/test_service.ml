@@ -374,14 +374,16 @@ let test_store_torn_write_recovery () =
   let st3 = Store.open_ ~path in
   Alcotest.(check int) "append after torn line readable" 3 (Store.length st3);
   Alcotest.(check bool) "h4 present" true (Store.mem st3 "h4");
-  Store.compact st3;
+  Alcotest.(check int) "compaction writes live entries" 3
+    (Store.merge ~into:path []);
   let st4 = Store.open_ ~path in
   Alcotest.(check int) "compaction keeps live entries" 3 (Store.length st4)
 
-(* Two-process regression: a child compacting in a loop while the
-   parent appends. The lock protocol must (a) never corrupt the file,
-   (b) never lose an append to a rename swap, and (c) let the
-   compactor preserve entries it never saw in memory. *)
+(* Two-process regression: a child compacting in a loop
+   ([Store.merge ~into:path []]) while the parent appends. The lock
+   protocol must (a) never corrupt the file, (b) never lose an append
+   to a rename swap, and (c) let the compactor preserve entries it
+   never saw in memory. *)
 let test_store_compact_append_race () =
   let path = temp_path ".ndjson" in
   let cleanup () =
@@ -396,13 +398,12 @@ let test_store_compact_append_race () =
   flush stderr;
   match Unix.fork () with
   | 0 ->
-    (* The compactor: its handle opened before most parent appends
-       exist, so every rewrite must re-read the file to keep them. *)
+    (* The compactor starts before most parent appends exist, so
+       every rewrite must re-read the file to keep them. *)
     let code =
       try
-        let mine = Store.open_ ~path in
         for _ = 1 to 40 do
-          Store.compact mine;
+          ignore (Store.merge ~into:path []);
           Unix.sleepf 0.001
         done;
         0
